@@ -342,9 +342,9 @@ def run_command(command, problem: ProblemFile, args) -> dict:
                         {"index": idx + 1, "monomial": list(exps), "coefficient": problem.field.render(c)}
                         for idx, exps, c in step.multipliers
                     ],
-                    "snapshot": step.snapshot,
+                    "snapshot": snapshot,
                 }
-                for step in trace.steps
+                for step, snapshot in zip(trace.steps, trace.snapshots())
             ]
     elif command == "syzygy":
         basis = buchberger_algorithm(gens, spec, config)
@@ -363,7 +363,10 @@ def run_command(command, problem: ProblemFile, args) -> dict:
         if not args.degrees:
             raise UsageError("hilbert needs --degrees a..b")
         lo, _, hi = args.degrees.partition("..")
-        degrees = list(range(int(lo), int(hi) + 1)) if hi else [int(lo)]
+        try:
+            degrees = list(range(int(lo), int(hi) + 1)) if hi else [int(lo)]
+        except ValueError:
+            raise UsageError(f"bad degree range {args.degrees!r} (expected a..b)") from None
         if not isinstance(spec.ring, TotalDegreeGrading):
             raise UsageError("hilbert requires the total-degree grading")
         table = hilbert_function(gens, spec, degrees, config=config)
@@ -508,14 +511,17 @@ def main(argv=None) -> int:
     except OSError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    default_field = field_from_spec(args.coeff) if args.coeff else None
     try:
+        default_field = field_from_spec(args.coeff) if args.coeff else None
         problem = parse_problem(text, default_field)
         if args.grading:
             problem.grading_decl = args.grading
         doc = run_command(args.command, problem, args)
     except ParseError as exc:
         print(f"syntax error: {exc}", file=sys.stderr)
+        return 2
+    except OSError as exc:  # a group file named by the problem or --group
+        print(f"error: {exc}", file=sys.stderr)
         return 2
     except (UsageError, ZeroDivisionError) as exc:
         print(f"error: {exc}", file=sys.stderr)

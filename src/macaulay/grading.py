@@ -21,11 +21,18 @@ single module monomial.  ``SyzygyGrading`` grades coordinate space R^n over a
 list of base degrees b_1..b_n, giving the term ``x^a e_i`` degree ``a . b_i``;
 it is the grading under which syzygies of homogeneous elements split into
 homogeneous parts.
+
+Every grading orders its degrees through ``key(degree)``, a value that Python
+compares natively (an int, or a tuple of ints and nested tuples) with
+``deg a > deg b`` exactly when ``key(a) > key(b)``.  Sorting, maxima and heaps
+of degrees use the key directly; ``compare`` is the one generic three-way
+comparison built on it.  ``key`` rejects values of the wrong shape for its
+grading with ``UsageError``.
 """
 
+import operator
 import random
 from fractions import Fraction
-from functools import cmp_to_key
 from typing import NamedTuple
 
 from .errors import UsageError
@@ -33,8 +40,20 @@ from .errors import UsageError
 LESS, EQUAL, GREATER = -1, 0, 1
 
 
-def _cmp(a, b):
-    return (a > b) - (a < b)
+class Grading:
+    """A totally ordered degree monoid, ordered through ``key``."""
+
+    def key(self, degree):
+        """A natively comparable value ordering degrees like the monoid."""
+        raise NotImplementedError
+
+    def compare(self, a, b):
+        """Strict total-order comparison; -1, 0, or 1."""
+        ka, kb = self.key(a), self.key(b)
+        return (ka > kb) - (ka < kb)
+
+    def sort_degrees(self, degrees, reverse=False):
+        return sorted(degrees, key=self.key, reverse=reverse)
 
 
 # ---------------------------------------------------------------------------
@@ -54,7 +73,7 @@ def _compositions(total, parts):
     return out
 
 
-class TotalDegreeGrading:
+class TotalDegreeGrading(Grading):
     """Grading of k[x_1..x_d] by N via total degree."""
 
     kind = "total"
@@ -68,10 +87,10 @@ class TotalDegreeGrading:
     def degree(self, exps):
         return sum(exps)
 
-    def compare(self, a, b):
-        if not (isinstance(a, int) and isinstance(b, int)):
+    def key(self, degree):
+        if not isinstance(degree, int):
             raise UsageError("total-degree grading compares integer degrees")
-        return _cmp(a, b)
+        return degree
 
     def add(self, a, b):
         return a + b
@@ -131,10 +150,11 @@ def _rational_rank(rows):
     return rank
 
 
-class TermOrderGrading:
+class TermOrderGrading(Grading):
     """Grading of k[x_1..x_d] by N^d, ordered through an integer weight matrix.
 
-    Exponent vectors are compared by the first nonzero entry of M.(a - b).
+    Exponent vectors are compared by the first nonzero entry of M.(a - b),
+    that is lexicographically by their keys M.a.
     The structural validity condition (square matrix, invertible over Q,
     every column's weight sequence has positive first nonzero entry) is
     recorded at construction and reported by ``verify_monoid_order``.
@@ -143,7 +163,13 @@ class TermOrderGrading:
     kind = "term-order"
 
     def __init__(self, rows, name="matrix"):
-        rows = tuple(tuple(int(v) for v in row) for row in rows)
+        if not all(
+            isinstance(row, (list, tuple))
+            and all(isinstance(v, int) and not isinstance(v, bool) for v in row)
+            for row in rows
+        ):
+            raise UsageError("weight matrix entries must be integers")
+        rows = tuple(tuple(row) for row in rows)
         d = len(rows[0]) if rows else 0
         if any(len(row) != d for row in rows):
             raise UsageError("weight matrix rows must have equal length")
@@ -180,14 +206,10 @@ class TermOrderGrading:
     def degree(self, exps):
         return tuple(exps)
 
-    def compare(self, a, b):
-        if not (isinstance(a, tuple) and isinstance(b, tuple) and len(a) == len(b) == self.nvars):
+    def key(self, degree):
+        if not (isinstance(degree, tuple) and len(degree) == self.nvars):
             raise UsageError("term-order grading compares exponent tuples")
-        for row in self.rows:
-            w = sum(r * (x - y) for r, x, y in zip(row, a, b))
-            if w != 0:
-                return GREATER if w > 0 else LESS
-        return EQUAL
+        return tuple(sum(map(operator.mul, row, degree)) for row in self.rows)
 
     def add(self, a, b):
         return tuple(x + y for x, y in zip(a, b))
@@ -209,7 +231,7 @@ class TermOrderGrading:
         return f"{self.name}({self.nvars})"
 
 
-class BlockGrading:
+class BlockGrading(Grading):
     """Two-block N^2 elimination grading: deg x_i = (1,0) if kept, (0,1) if dropped.
 
     Degrees compare dropped weight first, so an element of maximal degree
@@ -233,12 +255,10 @@ class BlockGrading:
         k = sum(exps[j] for j in self.kept)
         return (k, sum(exps) - k)
 
-    def compare(self, a, b):
-        if not (isinstance(a, tuple) and isinstance(b, tuple) and len(a) == len(b) == 2):
+    def key(self, degree):
+        if not (isinstance(degree, tuple) and len(degree) == 2):
             raise UsageError("block grading compares (kept, dropped) pairs")
-        if a[1] != b[1]:
-            return GREATER if a[1] > b[1] else LESS
-        return _cmp(a[0], b[0])
+        return (degree[1], degree[0])
 
     def add(self, a, b):
         return (a[0] + b[0], a[1] + b[1])
@@ -320,16 +340,13 @@ POT = "pot"
 TOP = "top"
 
 
-class ModuleGrading:
+class ModuleGrading(Grading):
     """Common behavior for gradings of a free module of finite rank."""
 
     ring = None
     rank = 0
 
     def degree_of_term(self, comp, exps):
-        raise NotImplementedError
-
-    def compare(self, a, b):
         raise NotImplementedError
 
     def translate(self, deg, exps):
@@ -343,9 +360,6 @@ class ModuleGrading:
     def component_monomials(self, deg):
         """All module monomials (component, exponents) of the given degree."""
         raise NotImplementedError
-
-    def sort_degrees(self, degrees, reverse=False):
-        return sorted(degrees, key=cmp_to_key(self.compare), reverse=reverse)
 
 
 class CoarseModuleGrading(ModuleGrading):
@@ -368,8 +382,8 @@ class CoarseModuleGrading(ModuleGrading):
     def degree_of_term(self, comp, exps):
         return self.ring.add(self.ring.degree(exps), self.shifts[comp])
 
-    def compare(self, a, b):
-        return self.ring.compare(a, b)
+    def key(self, degree):
+        return self.ring.key(degree)
 
     def translate(self, deg, exps):
         return self.ring.add(self.ring.degree(exps), deg)
@@ -432,17 +446,13 @@ class TermModuleGrading(ModuleGrading):
         if not (isinstance(deg, tuple) and len(deg) == 2 and isinstance(deg[0], int)):
             raise UsageError("term module degrees are (component, value) pairs")
 
-    def compare(self, a, b):
-        self._check(a)
-        self._check(b)
+    def key(self, degree):
+        # the lower component index ranks higher
+        self._check(degree)
+        comp, value = degree
         if self.tie == POT:
-            if a[0] != b[0]:
-                return GREATER if a[0] < b[0] else LESS
-            return self.ring.compare(a[1], b[1])
-        c = self.ring.compare(a[1], b[1])
-        if c != EQUAL:
-            return c
-        return _cmp(b[0], a[0])
+            return (-comp, self.ring.key(value))
+        return (self.ring.key(value), -comp)
 
     def translate(self, deg, exps):
         return (deg[0], self.ring.add(self.ring.degree(exps), deg[1]))
@@ -496,8 +506,8 @@ class SyzygyGrading(ModuleGrading):
     def degree_of_term(self, comp, exps):
         return self.base.translate(self.base_degrees[comp], exps)
 
-    def compare(self, a, b):
-        return self.base.compare(a, b)
+    def key(self, degree):
+        return self.base.key(degree)
 
     def translate(self, deg, exps):
         return self.base.translate(deg, exps)

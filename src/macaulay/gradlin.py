@@ -11,9 +11,15 @@ Two complement policies are supported.  The pivot-canonical complement (the
 span of the non-pivot monomials) exists in every characteristic.  The
 monomial-orthogonal complement, taken with respect to the inner product that
 makes the module monomials orthonormal, needs characteristic zero; it is the
-choice that is invariant under signed permutations of the variables.
+choice that is invariant under signed permutations of the variables.  Its
+Gram system is inverted once per workspace, the first time a projection
+needs it.
+
+Projections and decompositions take a homogeneous element as its term map
+``{(component, exponents): coeff}``, the form the reduction loop keeps.
 """
 
+from functools import cached_property
 from typing import NamedTuple
 
 from .errors import MembershipError, UsageError
@@ -56,18 +62,17 @@ def component_monomials(spec, degree) -> ComponentBasis:
 
 def vector_of(element: ModuleElement, basis: ComponentBasis, field):
     """Coordinates of a homogeneous element over the component basis."""
+    return _vector(element.term_map(), basis, field)
+
+
+def _vector(terms, basis: ComponentBasis, field):
     vec = [field.zero] * basis.dim
-    for key, c in element.term_map().items():
+    for key, c in terms.items():
         pos = basis.index.get(key)
         if pos is None:
             raise UsageError("element has a term outside the graded component")
         vec[pos] = c
     return vec
-
-
-def element_of(vec, basis: ComponentBasis, ring, rank: int) -> ModuleElement:
-    terms = {m: c for m, c in zip(basis.monomials, vec) if not ring.field.is_zero(c)}
-    return ModuleElement.from_terms(ring, rank, terms)
 
 
 def rref(rows, field, track=True):
@@ -142,6 +147,19 @@ class GradedSubspace:
         residue, _ = self.reduce_vector(vec)
         return all(self.field.is_zero(v) for v in residue)
 
+    @cached_property
+    def gram_inverse(self):
+        """Inverse of the Gram matrix of the echelon rows (characteristic 0).
+
+        The rows are independent, so over a field of characteristic zero the
+        Gram matrix is invertible and its echelon form is the identity; the
+        combination matrix of that elimination is the inverse.
+        """
+        field = self.field
+        gram = [[_dot(u, v, field) for v in self.rows] for u in self.rows]
+        _, _, inverse = rref(gram, field)
+        return inverse
+
 
 def w_space(X, degree, spec, lf_parts=None) -> GradedSubspace:
     """The span of degree-matching monomial multiples of the leading forms of X."""
@@ -162,26 +180,27 @@ def w_space(X, degree, spec, lf_parts=None) -> GradedSubspace:
     return GradedSubspace(degree, ambient, field, gens, raw_rows)
 
 
-def project_complement(element: ModuleElement, sub: GradedSubspace, policy: str) -> ModuleElement:
+def project_complement(terms, sub: GradedSubspace, policy: str) -> dict:
     """The component of a homogeneous element in the fixed complement of W.
 
+    Takes and returns term maps; zero coefficients are left out.
     Pivot-canonical: eliminate the pivot coordinates, leaving the span of the
     non-pivot monomials.  Monomial-orthogonal: subtract the orthogonal
     projection onto W.  Either way ``element - result`` lies in W.
     """
     field = sub.field
     check_policy(policy, field)
-    vec = vector_of(element, sub.ambient, field)
+    vec = _vector(terms, sub.ambient, field)
     if policy == PIVOT:
         residue, _ = sub.reduce_vector(vec)
         out = residue
     else:
-        out = [v for v in vec]
+        out = vec
         if sub.rows:
-            coeffs = _gram_solve(sub.rows, vec, field)
+            coeffs = _gram_solve(sub, vec)
             for cf, row in zip(coeffs, sub.rows):
                 out = [field.sub(v, field.mul(cf, w)) for v, w in zip(out, row)]
-    return element_of(out, sub.ambient, element.ring, element.rank)
+    return {m: c for m, c in zip(sub.ambient.monomials, out) if not field.is_zero(c)}
 
 
 def _dot(u, v, field):
@@ -191,28 +210,21 @@ def _dot(u, v, field):
     return acc
 
 
-def _gram_solve(rows, vec, field):
-    """Coefficients of the orthogonal projection of vec onto span(rows)."""
-    k = len(rows)
-    gram = [[_dot(rows[i], rows[j], field) for j in range(k)] for i in range(k)]
-    rhs = [_dot(rows[i], vec, field) for i in range(k)]
-    aug = [gram[i] + [rhs[i]] for i in range(k)]
-    ech, pivots, _ = rref(aug, field, track=False)
-    # rows independent and char 0: the Gram matrix is invertible
-    coeffs = [field.zero] * k
-    for row, piv in zip(ech, pivots):
-        coeffs[piv] = row[k]
-    return coeffs
+def _gram_solve(sub: GradedSubspace, vec):
+    """Coefficients of the orthogonal projection of vec onto the row span."""
+    field = sub.field
+    rhs = [_dot(row, vec, field) for row in sub.rows]
+    return [_dot(inv_row, rhs, field) for inv_row in sub.gram_inverse]
 
 
-def decompose_in_w(element: ModuleElement, sub: GradedSubspace):
-    """Write a member of W as sum of c * x^a * (leading form of X[i]).
+def decompose_in_w(terms, sub: GradedSubspace):
+    """Write a member of W, given as a term map, as sum of c * x^a * (leading form of X[i]).
 
     Returns [(element index, multiplier exponents, coefficient)] in generator
     enumeration order; raises MembershipError if the element is outside W.
     """
     field = sub.field
-    vec = vector_of(element, sub.ambient, field)
+    vec = _vector(terms, sub.ambient, field)
     residue, combo = sub.reduce_vector(vec)
     if not all(field.is_zero(v) for v in residue):
         raise MembershipError("element does not lie in the workspace W_b(X)")

@@ -17,15 +17,10 @@ are exactly the syzygy generators.  Since that block order is a term order,
 the inner computation only ever needs the S-pair path and terminates.
 """
 
-import hashlib
-from functools import cmp_to_key
 from typing import NamedTuple
 
 from .errors import ResourceLimitError, UsageError
 from .grading import (
-    EQUAL,
-    GREATER,
-    LESS,
     ModuleGrading,
     SyzygyGrading,
     TermOrderGrading,
@@ -61,13 +56,12 @@ class CriterionResult(NamedTuple):
 class MacaulayBasis:
     """A certified Macaulay basis of the submodule its elements generate."""
 
-    def __init__(self, elements, spec, policy, reduced, certificate, provenance=None):
+    def __init__(self, elements, spec, policy, reduced, certificate):
         self.elements = tuple(elements)
         self.spec = spec
         self.policy = policy
         self.reduced = reduced
         self.certificate = certificate
-        self.provenance = provenance or {}
 
     def __iter__(self):
         return iter(self.elements)
@@ -97,20 +91,9 @@ def _syntactic_degree(m: ModuleElement) -> int:
 
 
 def canonical_order(elements, spec):
+    """Ascending by degree, ties broken by the rendered text."""
     elements = sorted(elements, key=str)
-    return sorted(
-        elements,
-        key=cmp_to_key(lambda a, b: spec.compare(degree_of(a, spec), degree_of(b, spec))),
-    )
-
-
-def _provenance(generators, spec, config):
-    text = "|".join(sorted(str(g) for g in generators)) + f"|{spec!r}|{config!r}"
-    return {
-        "generator_count": len(generators),
-        "config": repr(config),
-        "hash": hashlib.sha256(text.encode()).hexdigest()[:16],
-    }
+    return sorted(elements, key=lambda m: spec.key(degree_of(m, spec)))
 
 
 # ---------------------------------------------------------------------------
@@ -174,22 +157,14 @@ class _ExtendedOrder(ModuleGrading):
     def degree_of_term(self, comp, exps):
         return (comp, tuple(exps))
 
-    def compare(self, a, b):
-        (i, u), (j, v) = a, b
-        bi = 0 if i < self.base_rank else 1
-        bj = 0 if j < self.base_rank else 1
-        if bi != bj:
-            return GREATER if bi < bj else LESS
-        if bi == 1:
-            si = self.syz.degree_of_term(i - self.base_rank, u)
-            sj = self.syz.degree_of_term(j - self.base_rank, v)
-            c = self.syz.compare(si, sj)
-            if c != EQUAL:
-                return c
-        c = self._drl.compare(u, v)
-        if c != EQUAL:
-            return c
-        return (j > i) - (j < i)
+    def key(self, degree):
+        # (block, syzygy key, degrevlex key, -component): the N block ranks
+        # first and has no syzygy degree; the lower component index ranks higher
+        i, u = degree
+        if i < self.base_rank:
+            return (1, None, self._drl.key(u), -i)
+        syz_degree = self.syz.degree_of_term(i - self.base_rank, u)
+        return (0, self.syz.key(syz_degree), self._drl.key(u), -i)
 
     def translate(self, deg, exps):
         comp, u = deg
@@ -309,9 +284,8 @@ def buchberger_algorithm(generators, spec, config=None) -> MacaulayBasis:
         ng = normalize_element(g, spec)
         if ng not in X:
             X.append(ng)
-    provenance = _provenance(generators, spec, config)
     if not X:
-        return MacaulayBasis((), spec, policy, True, CriterionResult(True, None), provenance)
+        return MacaulayBasis((), spec, policy, True, CriterionResult(True, None))
 
     for _ in range(config.max_iterations):
         lf_parts = [leading_form(m, spec) for m in X]
@@ -332,9 +306,7 @@ def buchberger_algorithm(generators, spec, config=None) -> MacaulayBasis:
                 raise ResourceLimitError("degree cap exceeded", partial=tuple(X + added))
             added.append(nf)
         if not added:
-            return MacaulayBasis(
-                tuple(X), spec, policy, False, CriterionResult(True, None), provenance
-            )
+            return MacaulayBasis(tuple(X), spec, policy, False, CriterionResult(True, None))
         for y in added:
             part = leading_form(y, spec)
             sub = reducer.w_space(part.degree)

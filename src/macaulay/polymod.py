@@ -58,7 +58,7 @@ class PolyRing:
 
 
 def _require_same_ring(a, b):
-    if a.ring != b.ring:
+    if a.ring is not b.ring and a.ring != b.ring:
         raise UsageError("operands live in different rings")
 
 
@@ -150,7 +150,7 @@ class ModuleElement:
     def __init__(self, ring, polys):
         polys = tuple(polys)
         for p in polys:
-            if p.ring != ring:
+            if p.ring is not ring and p.ring != ring:
                 raise UsageError("component polynomial from a different ring")
         self.ring = ring
         self.polys = polys
@@ -186,7 +186,7 @@ class ModuleElement:
         return {(i, m): c for i, p in enumerate(self.polys) for m, c in p.terms.items()}
 
     def _require_compatible(self, other):
-        if self.ring != other.ring or self.rank != other.rank:
+        if (self.ring is not other.ring and self.ring != other.ring) or self.rank != other.rank:
             raise UsageError("module elements have mismatched ring or rank")
 
     def __add__(self, other):
@@ -232,12 +232,18 @@ class HomogeneousPart(NamedTuple):
     element: ModuleElement
 
 
+def _term_degrees(m: ModuleElement, spec):
+    """Iterate (degree, (component, exponents), coeff) over the terms of m."""
+    for i, p in enumerate(m.polys):
+        for exps, c in p.terms.items():
+            yield spec.degree_of_term(i, exps), (i, exps), c
+
+
 def homogeneous_components(m: ModuleElement, spec) -> list:
     """Split into homogeneous parts, sorted by degree descending; sums to m."""
     buckets = {}
-    for (i, exps), c in m.term_map().items():
-        deg = spec.degree_of_term(i, exps)
-        buckets.setdefault(deg, {})[(i, exps)] = c
+    for deg, term, c in _term_degrees(m, spec):
+        buckets.setdefault(deg, {})[term] = c
     order = spec.sort_degrees(buckets.keys(), reverse=True)
     return [
         HomogeneousPart(deg, ModuleElement.from_terms(m.ring, m.rank, buckets[deg]))
@@ -245,20 +251,34 @@ def homogeneous_components(m: ModuleElement, spec) -> list:
     ]
 
 
+def _leading_terms(m: ModuleElement, spec):
+    """(maximal degree, its terms) in one pass; undefined on zero."""
+    top = top_key = None
+    lead = {}
+    for deg, term, c in _term_degrees(m, spec):
+        if deg != top:
+            k = spec.key(deg)
+            if top is not None and k < top_key:
+                continue
+            top, top_key, lead = deg, k, {}
+        lead[term] = c
+    if top is None:
+        raise UsageError("the zero element has no leading form")
+    return top, lead
+
+
 def leading_form(m: ModuleElement, spec) -> HomogeneousPart:
     """The maximal-degree homogeneous part; undefined on zero."""
-    parts = homogeneous_components(m, spec)
-    if not parts:
-        raise UsageError("the zero element has no leading form")
-    return parts[0]
+    top, lead = _leading_terms(m, spec)
+    return HomogeneousPart(top, ModuleElement.from_terms(m.ring, m.rank, lead))
 
 
 def degree_of(m: ModuleElement, spec):
-    return leading_form(m, spec).degree
+    return _leading_terms(m, spec)[0]
 
 
 def is_homogeneous(m: ModuleElement, spec) -> bool:
-    return len(homogeneous_components(m, spec)) <= 1
+    return len({deg for deg, _, _ in _term_degrees(m, spec)}) <= 1
 
 
 # ---------------------------------------------------------------------------

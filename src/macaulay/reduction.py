@@ -9,26 +9,39 @@ the W-part; the result is a normal form once every component sits inside its
 complement.  Both relations terminate because the offending degree strictly
 decreases and the degree monoid is well ordered.
 
-Only degrees actually appearing in m are inspected (a zero component is never
-offending), which realizes the maximal-degree selection without enumerating
-the degree monoid.  Steps are fully deterministic: the multipliers come from
-echelon back-substitution in a fixed generator order, so identical inputs
-produce identical traces.
+A step at degree b changes m only in degree b and below: the leading forms of
+the subtracted multiples cancel the W-part of the degree-b component, and
+their tails land strictly lower.  So the components are visited in one
+descending pass.  ``Reducer`` keeps the element as a mutable map
+``{degree: {(component, exponents): coeff}}``, pops the highest live degree
+once, settles it against the cached W_b, and adds each subtracted generator's
+tail straight into the lower buckets; only the final result is built as a
+``ModuleElement``.  Only degrees actually appearing in m are inspected (a zero
+component is never offending), which realizes the maximal-degree selection
+without enumerating the degree monoid.
+
+Steps are fully deterministic: the multipliers come from echelon
+back-substitution in a fixed generator order, so identical inputs produce
+identical traces.  A trace records only each step's degree and multipliers;
+the representation, the intermediate elements and their snapshot hashes are
+replayed from those records on demand.
 """
 
 import hashlib
+from bisect import insort
+from functools import cached_property
+from operator import add
 from typing import NamedTuple
 
-from .errors import UsageError
+from .errors import MembershipError, UsageError
 from .gradlin import (
     decompose_in_w,
     default_policy,
     check_policy,
     project_complement,
-    vector_of,
     w_space,
 )
-from .polymod import ModuleElement, homogeneous_components, leading_form
+from .polymod import ModuleElement, leading_form
 
 SPAN = "span"
 COMPLEMENT = "complement"
@@ -41,27 +54,43 @@ def _snapshot(m: ModuleElement) -> str:
 class ReductionStep(NamedTuple):
     degree: object
     multipliers: tuple  # ((element index, exponents, coefficient), ...)
-    snapshot: str
 
 
 class ReductionTrace:
     """Step log of one reduction run.
 
     ``representation`` maps element indices to the accumulated ring multiplier
-    r_i, so that input = final + sum r_i * X[i] holds bit-exactly.
+    r_i, so that input = final + sum r_i * X[i] holds bit-exactly.  It and the
+    per-step snapshots are computed from the step records when first asked for.
     """
 
-    def __init__(self, ring):
-        self.ring = ring
+    def __init__(self, X, initial: ModuleElement):
+        self.X = X
+        self.ring = initial.ring
+        self.initial = initial
         self.steps = []
         self.final = None
-        self.representation = {}
 
-    def record(self, degree, multipliers, after):
-        self.steps.append(ReductionStep(degree, tuple(multipliers), _snapshot(after)))
-        for idx, exps, coeff in multipliers:
-            prev = self.representation.get(idx, self.ring.zero())
-            self.representation[idx] = prev + self.ring.monomial(exps, coeff)
+    @cached_property
+    def representation(self):
+        rep = {}
+        for step in self.steps:
+            for idx, exps, coeff in step.multipliers:
+                prev = rep.get(idx, self.ring.zero())
+                rep[idx] = prev + self.ring.monomial(exps, coeff)
+        return rep
+
+    def replay(self):
+        """Yield the element after each step, rebuilt from the input."""
+        current = self.initial
+        for step in self.steps:
+            for idx, exps, coeff in step.multipliers:
+                current = current - self.X[idx].mul_term(exps, coeff)
+            yield current
+
+    def snapshots(self):
+        """Short hash of the element after each step."""
+        return [_snapshot(m) for m in self.replay()]
 
     def representation_sum(self, X) -> ModuleElement:
         if not X:
@@ -102,6 +131,13 @@ class Reducer:
         self.policy = policy if policy is not None else default_policy(self.field)
         check_policy(self.policy, self.field)
         self.lf_parts = [leading_form(m, spec) for m in X]
+        # each element's terms below its leading form: (component, exponents, coeff)
+        self.tails = []
+        for m, part in zip(X, self.lf_parts):
+            lead = part.element.term_map()
+            self.tails.append(
+                [(i, exps, c) for (i, exps), c in m.term_map().items() if (i, exps) not in lead]
+            )
         self._cache = {}
 
     def w_space(self, degree):
@@ -111,61 +147,81 @@ class Reducer:
             self._cache[degree] = sub
         return sub
 
-    def _subtract(self, m, decomposition):
-        for idx, exps, coeff in decomposition:
-            m = m - self.X[idx].mul_term(exps, coeff)
-        return m
+    def _reduce(self, m, mode):
+        """One descending pass over the degrees of m; returns the trace."""
+        if (m.ring is not self.ring and m.ring != self.ring) or m.rank != self.rank:
+            raise UsageError("element and reduction set have mismatched ring or rank")
+        spec, field = self.spec, self.field
+        zero = field.zero
+        buckets = {}
+        for (i, exps), c in m.term_map().items():
+            buckets.setdefault(spec.degree_of_term(i, exps), {})[i, exps] = c
+        live = sorted((spec.key(deg), deg) for deg in buckets)
+        trace = ReductionTrace(self.X, m)
+        rest = {}
+        while live:
+            degree = live.pop()[1]
+            terms = {t: c for t, c in buckets.pop(degree).items() if not field.is_zero(c)}
+            if not terms:
+                continue
+            sub = self.w_space(degree)
+            if mode == SPAN:
+                try:
+                    decomposition = decompose_in_w(terms, sub)
+                except MembershipError:
+                    rest.update(terms)
+                    continue
+            else:
+                kept = project_complement(terms, sub, self.policy)
+                rest.update(kept)
+                w_part = dict(terms)
+                for t, c in kept.items():
+                    w_part[t] = field.sub(w_part.get(t, zero), c)
+                w_part = {t: c for t, c in w_part.items() if not field.is_zero(c)}
+                if not w_part:
+                    continue
+                decomposition = decompose_in_w(w_part, sub)
+            trace.steps.append(ReductionStep(degree, tuple(decomposition)))
+            # the leading forms cancel the W-part; the tails land lower
+            for idx, mult, c in decomposition:
+                for i, exps, tc in self.tails[idx]:
+                    shifted = tuple(map(add, exps, mult))
+                    deg = spec.degree_of_term(i, shifted)
+                    bucket = buckets.get(deg)
+                    if bucket is None:
+                        bucket = buckets[deg] = {}
+                        insort(live, (spec.key(deg), deg))
+                    bucket[i, shifted] = field.sub(bucket.get((i, shifted), zero), field.mul(c, tc))
+        trace.final = ModuleElement.from_terms(self.ring, self.rank, rest)
+        return trace
+
+    def _first_step(self, m, mode):
+        trace = self._reduce(m, mode)
+        if not trace.steps:
+            return None
+        step = trace.steps[0]
+        return next(trace.replay()), (step.degree, list(step.multipliers))
 
     def span_step(self, m):
         """One -> step: kill the largest nonzero component lying in its W_b.
 
         Returns (m', (degree, decomposition)) or None when m is span-reduced.
         """
-        for part in homogeneous_components(m, self.spec):
-            sub = self.w_space(part.degree)
-            vec = vector_of(part.element, sub.ambient, self.field)
-            if sub.contains(vec):
-                decomposition = decompose_in_w(part.element, sub)
-                return self._subtract(m, decomposition), (part.degree, decomposition)
-        return None
+        return self._first_step(m, SPAN)
 
     def complement_step(self, m):
         """One => step: project the largest offending component onto W_b(X)^c."""
-        for part in homogeneous_components(m, self.spec):
-            sub = self.w_space(part.degree)
-            kept = project_complement(part.element, sub, self.policy)
-            w_part = part.element - kept
-            if w_part.is_zero():
-                continue
-            decomposition = decompose_in_w(w_part, sub)
-            return self._subtract(m, decomposition), (part.degree, decomposition)
-        return None
+        return self._first_step(m, COMPLEMENT)
 
     def normal_form(self, m):
         """Iterate => steps to the fixed point; returns (normal form, trace)."""
-        trace = ReductionTrace(self.ring)
-        current = m
-        while True:
-            step = self.complement_step(current)
-            if step is None:
-                break
-            current, (degree, decomposition) = step
-            trace.record(degree, decomposition, current)
-        trace.final = current
-        return current, trace
+        trace = self._reduce(m, COMPLEMENT)
+        return trace.final, trace
 
     def reduces_to_zero(self, m):
         """Iterate -> steps; True iff the closure reaches zero."""
-        trace = ReductionTrace(self.ring)
-        current = m
-        while True:
-            step = self.span_step(current)
-            if step is None:
-                break
-            current, (degree, decomposition) = step
-            trace.record(degree, decomposition, current)
-        trace.final = current
-        return current.is_zero(), trace
+        trace = self._reduce(m, SPAN)
+        return trace.final.is_zero(), trace
 
 
 def reduce_step(m, X, spec, mode=SPAN, policy=None):

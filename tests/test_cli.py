@@ -10,7 +10,8 @@ from macaulay.cli import (
     parse_problem,
     render_problem,
 )
-from macaulay.errors import ParseError
+from macaulay.errors import ParseError, UsageError
+from macaulay.grading import TermOrderGrading
 
 CIRCLE = """\
 # twin-circle system
@@ -260,3 +261,34 @@ def test_format_result_stability():
     assert format_result(doc, "text") == format_result(doc, "text")
     assert format_result(doc, "json") == format_result(doc, "json")
     assert json.loads(format_result(doc, "json"))["input_hash"] == "ab"
+
+
+def test_cli_bad_coeff_spec_exits_3(tmp_path, capsys):
+    path = write(tmp_path, "circle.mac", CIRCLE)
+    code, out, err = run_cli(tmp_path, capsys, "basis", path, "--coeff", "zz")
+    assert code == 3 and out == ""
+    assert "zz" in err and "Traceback" not in err
+
+
+def test_cli_bad_degree_range_exits_3(tmp_path, capsys):
+    path = write(tmp_path, "mono.mac", "ring q: x1 x2\ngrading total\ngen x1^2\n")
+    for degrees in ("1..x", "a", "..3"):
+        code, out, err = run_cli(tmp_path, capsys, "hilbert", path, "--degrees", degrees)
+        assert code == 3 and out == "" and "degree" in err
+
+
+def test_cli_missing_group_file_exits_2(tmp_path, capsys):
+    path = write(tmp_path, "circle.mac", CIRCLE)
+    missing = str(tmp_path / "missing.grp")
+    code, out, err = run_cli(tmp_path, capsys, "check-invariant", path, "--group", missing)
+    assert code == 2 and out == "" and "missing.grp" in err
+
+
+def test_cli_fractional_weight_matrix_rejected(tmp_path, capsys):
+    text = "ring q: x1 x2\ngrading order matrix [[1.5,1],[0,-1]]\ngen x1^2 + x2\n"
+    path = write(tmp_path, "frac.mac", text)
+    code, out, err = run_cli(tmp_path, capsys, "basis", path)
+    assert code == 3 and out == "" and "integer" in err
+    for rows in ([[1.5, 1], [0, -1]], [1, 2], [[True, 0], [0, 1]]):
+        with pytest.raises(UsageError):
+            TermOrderGrading(rows)

@@ -64,18 +64,18 @@ def test_w_space_below_all_degrees(el, total2, circle_pair):
 
 def test_project_complement_member_is_zero(el, total2, circle_pair):
     sub = w_space(circle_pair, 4, total2)
-    out = project_complement(el("x2^4"), sub, ORTHOGONAL)
-    assert out.is_zero()
-    out = project_complement(el("x2^4"), sub, PIVOT)
-    assert out.is_zero()
+    out = project_complement(el("x2^4").term_map(), sub, ORTHOGONAL)
+    assert out == {}
+    out = project_complement(el("x2^4").term_map(), sub, PIVOT)
+    assert out == {}
 
 
 def test_project_complement_examples(el, total2):
     sub = w_space([el("x1^2 + x2^2")], 2, total2)
-    ortho = project_complement(el("x1^2"), sub, ORTHOGONAL)
-    assert ortho == el("1/2*x1^2 - 1/2*x2^2")
-    pivot = project_complement(el("x1^2"), sub, PIVOT)
-    assert pivot == el("-x2^2")
+    ortho = project_complement(el("x1^2").term_map(), sub, ORTHOGONAL)
+    assert ortho == el("1/2*x1^2 - 1/2*x2^2").term_map()
+    pivot = project_complement(el("x1^2").term_map(), sub, PIVOT)
+    assert pivot == el("-x2^2").term_map()
 
 
 def test_projection_idempotent_linear(R2, el, total2, circle_pair):
@@ -83,17 +83,21 @@ def test_projection_idempotent_linear(R2, el, total2, circle_pair):
     field = R2.field
     sub = w_space(circle_pair, 4, total2)
     basis = sub.ambient
+
+    def project(v, policy):
+        return ModuleElement.from_terms(R2, 1, project_complement(v.term_map(), sub, policy))
+
     for policy in (ORTHOGONAL, PIVOT):
         for _ in range(25):
             coeffs = [field.from_int(rng.randrange(-3, 4)) for _ in basis.monomials]
             v = ModuleElement.from_terms(R2, 1, dict(zip(basis.monomials, coeffs)))
-            pv = project_complement(v, sub, policy)
-            assert project_complement(pv, sub, policy) == pv
+            pv = project(v, policy)
+            assert project(pv, policy) == pv
             w = v - pv
             assert w.is_zero() or sub.contains(vector_of(w, basis, field))
             v2 = random_element(R2, 1, rng, max_degree=0, terms=1).mul_term((2, 2))
-            pv2 = project_complement(v2, sub, policy)
-            psum = project_complement(v + v2, sub, policy)
+            pv2 = project(v2, policy)
+            psum = project(v + v2, policy)
             assert psum == pv + pv2
 
 
@@ -104,25 +108,25 @@ def test_orthogonal_needs_char_zero():
     elt = ModuleElement.from_polynomial(Rp.parse("x1^2 + x2^2"))
     sub = w_space([elt], 2, spec)
     with pytest.raises(UsageError):
-        project_complement(elt, sub, ORTHOGONAL)
-    assert project_complement(elt, sub, PIVOT).is_zero()
+        project_complement(elt.term_map(), sub, ORTHOGONAL)
+    assert project_complement(elt.term_map(), sub, PIVOT) == {}
 
 
 def test_decompose_examples(el, total2, circle_pair):
     sub = w_space([el("x1^2 + x2^2")], 3, total2)
-    assert decompose_in_w(el("x1^3 + x1*x2^2"), sub) == [(0, (1, 0), Fraction(1))]
+    assert decompose_in_w(el("x1^3 + x1*x2^2").term_map(), sub) == [(0, (1, 0), Fraction(1))]
 
     sub4 = w_space(circle_pair, 4, total2)
-    got = decompose_in_w(el("x2^4"), sub4)
+    got = decompose_in_w(el("x2^4").term_map(), sub4)
     assert got == [(0, (0, 2), Fraction(1)), (1, (0, 0), Fraction(-1))]
 
-    assert decompose_in_w(el("0"), sub4) == []
+    assert decompose_in_w(el("0").term_map(), sub4) == []
 
 
 def test_decompose_membership_error(el, total2, circle_pair):
     sub = w_space(circle_pair, 4, total2)
     with pytest.raises(MembershipError):
-        decompose_in_w(el("x1^3*x2"), sub)
+        decompose_in_w(el("x1^3*x2").term_map(), sub)
 
 
 def test_decompose_reexpands(R2, total2, circle_pair):
@@ -143,7 +147,7 @@ def test_decompose_reexpands(R2, total2, circle_pair):
                     )
                     v = v + term
             rebuilt = ModuleElement.from_terms(R2, 1, {})
-            for idx, mult, c in decompose_in_w(v, sub):
+            for idx, mult, c in decompose_in_w(v.term_map(), sub):
                 rebuilt = rebuilt + lf_parts[idx].element.mul_term(mult, c)
             assert rebuilt == v
 

@@ -1,0 +1,170 @@
+"""Derandomized property tests: the reducer against the oracles, and the
+grading order keys against the three-way comparator formulas they replace."""
+
+from functools import cmp_to_key
+
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from oracles import classic_buchberger, classic_reduce, drl_key, ideal_member, raw_poly
+
+from macaulay.coeff import RationalField
+from macaulay.grading import (
+    BlockGrading,
+    CoarseModuleGrading,
+    ModuleGrading,
+    SyzygyGrading,
+    TermModuleGrading,
+    TermOrderGrading,
+    TotalDegreeGrading,
+)
+from macaulay.macbasis import _ExtendedOrder, buchberger_algorithm, interreduce
+from macaulay.polymod import ModuleElement, PolyRing, Polynomial
+from macaulay.reduction import Reducer
+
+PROPERTY = settings(derandomize=True, max_examples=40, deadline=None, database=None)
+
+KATSURA3 = ("x + 2*y + 2*z - 1", "x^2 + 2*y^2 + 2*z^2 - x", "2*x*y + 2*y*z - y")
+
+exponents = st.tuples(*[st.integers(0, 3)] * 3)
+coefficients = st.fractions(min_value=-5, max_value=5, max_denominator=4).filter(bool)
+raw_polys = st.dictionaries(exponents, coefficients, max_size=5)
+
+
+@pytest.fixture(scope="module")
+def katsura():
+    """(ring, reducer over the reduced katsura-3 basis, oracle Groebner basis)."""
+    ring = PolyRing(RationalField(), ("x", "y", "z"))
+    spec = TermModuleGrading(TermOrderGrading.degrevlex(3), 1)
+    gens = [ModuleElement.from_polynomial(ring.parse(t)) for t in KATSURA3]
+    basis = interreduce(buchberger_algorithm(gens, spec), spec)
+    oracle = classic_buchberger([raw_poly(g.polys[0]) for g in gens], drl_key)
+    # under a term order the reduced Macaulay basis is the reduced Groebner basis
+    assert {frozenset(raw_poly(m.polys[0]).items()) for m in basis} == {
+        frozenset(g.items()) for g in oracle
+    }
+    return ring, Reducer(list(basis.elements), spec), oracle
+
+
+def _element(ring, raw):
+    return ModuleElement.from_polynomial(Polynomial(ring, raw))
+
+
+@PROPERTY
+@given(raw=raw_polys)
+def test_normal_form_matches_classic_remainder(katsura, raw):
+    ring, reducer, oracle = katsura
+    nf, trace = reducer.normal_form(_element(ring, raw))
+    assert raw_poly(nf.polys[0]) == classic_reduce(raw, oracle, drl_key)
+    assert trace.final + trace.representation_sum(reducer.X) == _element(ring, raw)
+
+
+@PROPERTY
+@given(multipliers=st.lists(raw_polys, min_size=3, max_size=3), extra=raw_polys)
+def test_membership_matches_oracle(katsura, multipliers, extra):
+    ring, reducer, oracle = katsura
+    m = _element(ring, extra)
+    for g, r in zip(reducer.X, multipliers):
+        m = m + g.action(Polynomial(ring, r))
+    ok, trace = reducer.reduces_to_zero(m)
+    assert ok == ideal_member(raw_poly(m.polys[0]), oracle)
+    assert trace.final + trace.representation_sum(reducer.X) == m
+
+
+# ---------------------------------------------------------------------------
+# order keys against the comparator formulas
+
+
+def _sign(x):
+    return (x > 0) - (x < 0)
+
+
+def reference_compare(spec, a, b):
+    """The three-way comparisons the gradings computed before they had keys."""
+    if isinstance(spec, TotalDegreeGrading):
+        return _sign(a - b)
+    if isinstance(spec, TermOrderGrading):
+        for row in spec.rows:
+            w = sum(r * (x - y) for r, x, y in zip(row, a, b))
+            if w != 0:
+                return _sign(w)
+        return 0
+    if isinstance(spec, BlockGrading):
+        if a[1] != b[1]:
+            return _sign(a[1] - b[1])
+        return _sign(a[0] - b[0])
+    if isinstance(spec, CoarseModuleGrading):
+        return reference_compare(spec.ring, a, b)
+    if isinstance(spec, TermModuleGrading):
+        if spec.tie == "pot":
+            if a[0] != b[0]:
+                return 1 if a[0] < b[0] else -1
+            return reference_compare(spec.ring, a[1], b[1])
+        c = reference_compare(spec.ring, a[1], b[1])
+        return c if c != 0 else _sign(b[0] - a[0])
+    if isinstance(spec, SyzygyGrading):
+        return reference_compare(spec.base, a, b)
+    if isinstance(spec, _ExtendedOrder):
+        (i, u), (j, v) = a, b
+        bi, bj = int(i >= spec.base_rank), int(j >= spec.base_rank)
+        if bi != bj:
+            return 1 if bi < bj else -1
+        if bi == 1:
+            si = spec.syz.degree_of_term(i - spec.base_rank, u)
+            sj = spec.syz.degree_of_term(j - spec.base_rank, v)
+            c = reference_compare(spec.syz, si, sj)
+            if c != 0:
+                return c
+        c = reference_compare(spec._drl, u, v)
+        return c if c != 0 else _sign(j - i)
+    raise TypeError(spec)
+
+
+def _gradings():
+    total = TotalDegreeGrading(3)
+    drl = TermOrderGrading.degrevlex(3)
+    weighted = TermOrderGrading([[2, 1, 3], [0, -1, 0], [1, 0, 0]])
+    coarse = CoarseModuleGrading(total, 2, shifts=(0, 1))
+    shifts = ((0, 0, 0), (1, 0, 0), (0, 0, 2))
+    top = TermModuleGrading(weighted, 3, shifts=shifts, tie="top")
+    syz_total = SyzygyGrading(coarse, (2, 3, 3))
+    return {
+        "total": total,
+        "degrevlex": drl,
+        "lex": TermOrderGrading.lex(3),
+        "matrix": weighted,
+        "block": BlockGrading(3, (0,)),
+        "coarse": coarse,
+        "pot": TermModuleGrading(drl, 3, shifts=shifts, tie="pot"),
+        "top": top,
+        "syzygy-coarse": syz_total,
+        "syzygy-top": SyzygyGrading(top, ((0, (1, 1, 0)), (1, (1, 0, 0)), (2, (0, 0, 2)))),
+        "extended": _ExtendedOrder(syz_total, 2),
+    }
+
+
+GRADINGS = _gradings()
+
+
+@pytest.mark.parametrize("name", sorted(GRADINGS))
+@PROPERTY
+# small exponents, so that equal monomials in different components (the
+# tie-breaks) come up often
+@given(
+    terms=st.lists(
+        st.tuples(st.integers(0, 4), st.tuples(*[st.integers(0, 2)] * 3)), min_size=2, max_size=12
+    )
+)
+def test_key_order_matches_reference_comparator(name, terms):
+    spec = GRADINGS[name]
+    if isinstance(spec, ModuleGrading):
+        degrees = [spec.degree_of_term(comp % spec.rank, exps) for comp, exps in terms]
+    else:
+        degrees = [spec.degree(exps) for _, exps in terms]
+    expected = sorted(degrees, key=cmp_to_key(lambda a, b: reference_compare(spec, a, b)))
+    assert sorted(degrees, key=spec.key) == expected
+    assert spec.sort_degrees(degrees, reverse=True) == expected[::-1]
+    for a in degrees:
+        for b in degrees:
+            assert spec.compare(a, b) == reference_compare(spec, a, b)

@@ -1,12 +1,15 @@
 import random
+from fractions import Fraction
 
 import pytest
 
 from oracles import ideal_member, raw_poly
 
+from macaulay.coeff import PrimeField
 from macaulay.errors import UsageError
 from macaulay.gradlin import ORTHOGONAL, PIVOT
-from macaulay.polymod import ModuleElement, degree_of
+from macaulay.grading import TermModuleGrading, TermOrderGrading
+from macaulay.polymod import ModuleElement, PolyRing, degree_of
 from macaulay.reduction import COMPLEMENT, SPAN, Reducer, dot, normal_form, reduce_step, reduces_to_zero
 from macaulay.symmetry import random_element
 
@@ -159,3 +162,64 @@ def test_dot(R2, el, circle_pair):
     assert combo == el("x2^4 - x2^2 + 1")
     with pytest.raises(UsageError):
         dot(ModuleElement.from_polynomial(R2.parse("1")), circle_pair)
+
+
+def _check_pinned_trace(reduce, X, m, steps, representation):
+    _, trace = reduce(m)
+    assert [(s.degree, s.multipliers) for s in trace.steps] == steps
+    assert {i: str(r) for i, r in trace.representation.items()} == representation
+    assert trace.final + trace.representation_sum(X) == m
+    return trace
+
+
+def test_pinned_orthogonal_trace(el, total2, circle_pair):
+    reducer = Reducer(circle_pair, total2)
+    m = el("x1^6 + x1^2*x2^4 - 3*x2^3 + x1")
+    top = [(0, (4, 0), Fraction(1)), (0, (2, 2), Fraction(1)), (1, (2, 0), Fraction(-2))]
+    trace = _check_pinned_trace(
+        reducer.normal_form, circle_pair, m,
+        [
+            (6, tuple(top)),
+            (4, ((0, (2, 0), Fraction(1)),)),
+            (3, ((0, (0, 1), Fraction(-3, 2)),)),
+            (2, ((0, (0, 0), Fraction(-1, 2)),)),
+        ],
+        {0: "x1^4 + x1^2*x2^2 + x1^2 - 3/2*x2 - 1/2", 1: "-2*x1^2"},
+    )
+    assert str(trace.final) == "3/2*x1^2*x2 - 3/2*x2^3 - 1/2*x1^2 + 1/2*x2^2 + x1 - 3/2*x2 - 1/2"
+    # span steps stop at degree 3: -3*x2^3 is not in W_3
+    trace = _check_pinned_trace(
+        reducer.reduces_to_zero, circle_pair, m,
+        [(6, tuple(top)), (4, ((0, (2, 0), Fraction(1)),))],
+        {0: "x1^4 + x1^2*x2^2 + x1^2", 1: "-2*x1^2"},
+    )
+    assert str(trace.final) == "-3*x2^3 - x1^2 + x1"
+
+
+def test_pinned_pivot_trace():
+    field = PrimeField(32003)
+    ring = PolyRing(field, ("x", "y", "z"))
+    el3 = lambda s: ModuleElement.from_polynomial(ring.parse(s))
+    drl3 = TermModuleGrading(TermOrderGrading.degrevlex(3), 1)
+    X = [el3("x + 2*y + 2*z - 1"), el3("x^2 + 2*y^2 + 2*z^2 - x"), el3("2*x*y + 2*y*z - y")]
+    m = el3("x^2*y + z^3")
+    trace = _check_pinned_trace(
+        Reducer(X, drl3).normal_form, X, m,
+        [
+            ((0, (2, 1, 0)), ((0, (1, 1, 0), 1),)),
+            ((0, (1, 2, 0)), ((0, (0, 2, 0), 32001),)),
+            ((0, (1, 1, 1)), ((0, (0, 1, 1), 32001),)),
+            ((0, (1, 1, 0)), ((0, (0, 1, 0), 1),)),
+        ],
+        {0: "x*y + 32001*y^2 + 32001*y*z + y"},
+    )
+    assert str(trace.final) == "4*y^3 + 8*y^2*z + 4*y*z^2 + z^3 + 31999*y^2 + 31999*y*z + y"
+
+
+def test_reducer_rejects_mismatched_element(R2, el, total2, circle_pair):
+    reducer = Reducer(circle_pair, total2)
+    with pytest.raises(UsageError):
+        reducer.normal_form(ModuleElement(R2, (R2.parse("x1"), R2.parse("1"))))
+    other = PolyRing(PrimeField(7), ("x1", "x2"))
+    with pytest.raises(UsageError):
+        reducer.reduces_to_zero(ModuleElement.from_polynomial(other.parse("1")))
