@@ -19,8 +19,6 @@ from .grading import (
     TermModuleGrading,
     TermOrderGrading,
     TotalDegreeGrading,
-    compare_degrees,
-    enumerate_multipliers,
     verify_monoid_order,
 )
 from .gradlin import ORTHOGONAL, PIVOT
@@ -42,7 +40,7 @@ from .polymod import (
     homogeneous_components,
     leading_form,
 )
-from .reduction import Reducer, normal_form, reduce_step, reduces_to_zero
+from .reduction import Reducer, normal_form, reduces_to_zero
 from .symmetry import GroupAction, check_equivariant_normal_form, span_is_invariant
 
 __version__ = "0.1.0"
@@ -73,9 +71,7 @@ __all__ = [
     "buchberger_algorithm",
     "buchberger_criterion",
     "check_equivariant_normal_form",
-    "compare_degrees",
     "degree_profile",
-    "enumerate_multipliers",
     "field_from_spec",
     "homogeneous_components",
     "interreduce",
@@ -84,7 +80,6 @@ __all__ = [
     "lift_syzygy",
     "monomial_syzygy_generators",
     "normal_form",
-    "reduce_step",
     "reduces_to_zero",
     "span_is_invariant",
     "verify_monoid_order",

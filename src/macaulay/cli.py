@@ -253,7 +253,7 @@ def parse_group_file(text, ring) -> GroupAction:
         head, _, rest = line.partition(" ")
         rest = rest.strip()
         try:
-            if head in ("matrix", "generators:"):
+            if head == "matrix":
                 rows, _ = _parse_bracket_list(rest, line_no)
                 matrices.append(rows)
             elif head == "perm":
@@ -262,8 +262,6 @@ def parse_group_file(text, ring) -> GroupAction:
             elif head == "signed-perm":
                 images = [int(v) for v in rest.strip("()").split()]
                 matrices.append(signed_permutation_matrix(ring.nvars, images))
-            elif head == "group":
-                continue
             else:
                 raise ParseError(f"unknown group declaration {head!r}", line_no, 1)
         except ValueError:

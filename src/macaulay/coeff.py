@@ -3,6 +3,11 @@
 Field objects own the arithmetic; elements are plain immutable values
 (``Fraction`` for the rationals, canonical residues ``int`` in [0, p) for F_p),
 so they hash, compare and travel between threads without ceremony.
+
+``rref`` is the one exact Gauss-Jordan elimination of the package.  It lives
+here, beside the field arithmetic it is generic over, because both ``grading``
+(weight-matrix rank) and ``gradlin`` (graded components) need it, and
+``gradlin`` already imports ``grading``.
 """
 
 from fractions import Fraction
@@ -148,15 +153,6 @@ class PrimeField:
         return f"F_{self.p}"
 
 
-def field_arith(field, a, b, op: str):
-    """Dispatch one binary field operation by name (add, sub, mul, div)."""
-    try:
-        fn = {"add": field.add, "sub": field.sub, "mul": field.mul, "div": field.div}[op]
-    except KeyError:
-        raise UsageError(f"unknown field operation {op!r}") from None
-    return fn(a, b)
-
-
 def field_from_spec(text: str):
     """Build a field from a CLI spec: ``q`` or ``fp:<p>``."""
     text = text.strip().lower()
@@ -169,3 +165,39 @@ def field_from_spec(text: str):
             raise UsageError(f"bad field spec {text!r}") from None
         return PrimeField(p)
     raise UsageError(f"unknown field spec {text!r} (expected 'q' or 'fp:<p>')")
+
+
+def rref(rows, field, track=True):
+    """Reduced row echelon form with combination tracking.
+
+    Returns (echelon rows, pivot columns, combos) where ``combos[k]`` expresses
+    echelon row k in the original rows.  Zero rows are dropped.  The pivot
+    search takes the first nonzero candidate in row order, so the result is
+    deterministic in the input order.
+    """
+    n = len(rows)
+    work = [list(r) for r in rows]
+    combos = [[field.one if i == j else field.zero for j in range(n)] for i in range(n)] if track else None
+    ncols = len(work[0]) if work else 0
+    pivots = []
+    r = 0
+    for c in range(ncols):
+        piv = next((i for i in range(r, n) if not field.is_zero(work[i][c])), None)
+        if piv is None:
+            continue
+        work[r], work[piv] = work[piv], work[r]
+        if track:
+            combos[r], combos[piv] = combos[piv], combos[r]
+        inv = field.inv(work[r][c])
+        work[r] = [field.mul(inv, v) for v in work[r]]
+        if track:
+            combos[r] = [field.mul(inv, v) for v in combos[r]]
+        for i in range(n):
+            if i != r and not field.is_zero(work[i][c]):
+                f = work[i][c]
+                work[i] = [field.sub(v, field.mul(f, w)) for v, w in zip(work[i], work[r])]
+                if track:
+                    combos[i] = [field.sub(v, field.mul(f, w)) for v, w in zip(combos[i], combos[r])]
+        pivots.append(c)
+        r += 1
+    return work[:r], pivots, (combos[:r] if track else None)

@@ -32,9 +32,9 @@ grading with ``UsageError``.
 
 import operator
 import random
-from fractions import Fraction
 from typing import NamedTuple
 
+from .coeff import RationalField, rref
 from .errors import UsageError
 
 LESS, EQUAL, GREATER = -1, 0, 1
@@ -132,24 +132,6 @@ def _lex_rows(d):
     return tuple(tuple(1 if i == j else 0 for i in range(d)) for j in range(d))
 
 
-def _rational_rank(rows):
-    m = [[Fraction(v) for v in row] for row in rows]
-    rank, ncols = 0, len(rows[0]) if rows else 0
-    for c in range(ncols):
-        piv = next((r for r in range(rank, len(m)) if m[r][c] != 0), None)
-        if piv is None:
-            continue
-        m[rank], m[piv] = m[piv], m[rank]
-        inv = m[rank][c]
-        m[rank] = [v / inv for v in m[rank]]
-        for r in range(len(m)):
-            if r != rank and m[r][c] != 0:
-                f = m[r][c]
-                m[r] = [v - f * w for v, w in zip(m[r], m[rank])]
-        rank += 1
-    return rank
-
-
 class TermOrderGrading(Grading):
     """Grading of k[x_1..x_d] by N^d, ordered through an integer weight matrix.
 
@@ -191,7 +173,7 @@ class TermOrderGrading(Grading):
         if len(self.rows) != self.nvars:
             fails.append("weight matrix is not square")
             return tuple(fails)
-        if _rational_rank(self.rows) != self.nvars:
+        if len(rref(self.rows, RationalField(), track=False)[0]) != self.nvars:
             fails.append("weight matrix is singular over Q")
         for j in range(self.nvars):
             col = [row[j] for row in self.rows]
@@ -612,20 +594,6 @@ def syzygy_refinement(syz: SyzygyGrading, tie=TOP) -> RefinementMap:
         ring_map=lambda v: syz.ring.degree(v),
         module_map=lambda deg: syz.degree_of_term(deg[0], deg[1]),
     )
-
-
-def compare_degrees(spec: ModuleGrading, a, b) -> int:
-    """Strict total-order comparison; -1, 0, or 1."""
-    return spec.compare(a, b)
-
-
-def enumerate_multipliers(spec: ModuleGrading, source, target):
-    """All ring monomials carrying degree ``source`` to ``target`` (may be empty)."""
-    return spec.multipliers(source, target)
-
-
-def apply_refinement(refmap: RefinementMap, deg):
-    return refmap.apply(deg)
 
 
 def format_degree(deg) -> str:

@@ -22,6 +22,7 @@ Projections and decompositions take a homogeneous element as its term map
 from functools import cached_property
 from typing import NamedTuple
 
+from .coeff import rref
 from .errors import MembershipError, UsageError
 from .grading import degrevlex_key
 from .polymod import ModuleElement, leading_form
@@ -75,48 +76,12 @@ def _vector(terms, basis: ComponentBasis, field):
     return vec
 
 
-def rref(rows, field, track=True):
-    """Reduced row echelon form with combination tracking.
-
-    Returns (echelon rows, pivot columns, combos) where ``combos[k]`` expresses
-    echelon row k in the original rows.  Zero rows are dropped.  The pivot
-    search takes the first nonzero candidate in row order, so the result is
-    deterministic in the input order.
-    """
-    n = len(rows)
-    work = [list(r) for r in rows]
-    combos = [[field.one if i == j else field.zero for j in range(n)] for i in range(n)] if track else None
-    ncols = len(work[0]) if work else 0
-    pivots = []
-    r = 0
-    for c in range(ncols):
-        piv = next((i for i in range(r, n) if not field.is_zero(work[i][c])), None)
-        if piv is None:
-            continue
-        work[r], work[piv] = work[piv], work[r]
-        if track:
-            combos[r], combos[piv] = combos[piv], combos[r]
-        inv = field.inv(work[r][c])
-        work[r] = [field.mul(inv, v) for v in work[r]]
-        if track:
-            combos[r] = [field.mul(inv, v) for v in combos[r]]
-        for i in range(n):
-            if i != r and not field.is_zero(work[i][c]):
-                f = work[i][c]
-                work[i] = [field.sub(v, field.mul(f, w)) for v, w in zip(work[i], work[r])]
-                if track:
-                    combos[i] = [field.sub(v, field.mul(f, w)) for v, w in zip(combos[i], combos[r])]
-        pivots.append(c)
-        r += 1
-    return work[:r], pivots, (combos[:r] if track else None)
-
-
 class GradedSubspace:
     """Echelonized subspace of one graded component, with generator bookkeeping.
 
-    ``gens`` records the generator multiples (element index, multiplier
-    exponents) whose span this is; ``combos`` expresses each echelon row in
-    those generators.
+    ``gens`` labels the raw rows whose span this is (for a W-space, the
+    generator multiples (element index, multiplier exponents)); ``combos``
+    expresses each echelon row in those rows.
     """
 
     def __init__(self, degree, ambient: ComponentBasis, field, gens, raw_rows):
@@ -180,27 +145,38 @@ def w_space(X, degree, spec, lf_parts=None) -> GradedSubspace:
     return GradedSubspace(degree, ambient, field, gens, raw_rows)
 
 
-def project_complement(terms, sub: GradedSubspace, policy: str) -> dict:
-    """The component of a homogeneous element in the fixed complement of W.
+def project_complement(terms, sub: GradedSubspace, policy: str):
+    """Split a homogeneous element into its complement part and its W-part.
 
-    Takes and returns term maps; zero coefficients are left out.
-    Pivot-canonical: eliminate the pivot coordinates, leaving the span of the
-    non-pivot monomials.  Monomial-orthogonal: subtract the orthogonal
-    projection onto W.  Either way ``element - result`` lies in W.
+    Returns ``(kept, decomposition)`` from one elimination: ``kept`` is the
+    component in the fixed complement of W as a term map without zero
+    coefficients, and ``decomposition`` writes ``element - kept``, which lies
+    in W, like ``decompose_in_w`` does.  Pivot-canonical: eliminate the pivot
+    coordinates, leaving the span of the non-pivot monomials.
+    Monomial-orthogonal: subtract the orthogonal projection onto W.
     """
     field = sub.field
     check_policy(policy, field)
     vec = _vector(terms, sub.ambient, field)
     if policy == PIVOT:
-        residue, _ = sub.reduce_vector(vec)
-        out = residue
+        out, combo = sub.reduce_vector(vec)
     else:
         out = vec
+        combo = [field.zero] * len(sub.gens)
         if sub.rows:
-            coeffs = _gram_solve(sub, vec)
-            for cf, row in zip(coeffs, sub.rows):
+            # each cf is the Gram coefficient of its echelon row in the projection onto W
+            rhs = [_dot(row, vec, field) for row in sub.rows]
+            for inv_row, row, rcombo in zip(sub.gram_inverse, sub.rows, sub.combos):
+                cf = _dot(inv_row, rhs, field)
                 out = [field.sub(v, field.mul(cf, w)) for v, w in zip(out, row)]
-    return {m: c for m, c in zip(sub.ambient.monomials, out) if not field.is_zero(c)}
+                combo = [field.add(v, field.mul(cf, w)) for v, w in zip(combo, rcombo)]
+    kept = {m: c for m, c in zip(sub.ambient.monomials, out) if not field.is_zero(c)}
+    return kept, _generator_terms(sub, combo)
+
+
+def _generator_terms(sub: GradedSubspace, combo):
+    """[(element index, multiplier exponents, coefficient)] for the nonzero entries of combo."""
+    return [(idx, mult, c) for (idx, mult), c in zip(sub.gens, combo) if not sub.field.is_zero(c)]
 
 
 def _dot(u, v, field):
@@ -208,13 +184,6 @@ def _dot(u, v, field):
     for a, b in zip(u, v):
         acc = field.add(acc, field.mul(a, b))
     return acc
-
-
-def _gram_solve(sub: GradedSubspace, vec):
-    """Coefficients of the orthogonal projection of vec onto the row span."""
-    field = sub.field
-    rhs = [_dot(row, vec, field) for row in sub.rows]
-    return [_dot(inv_row, rhs, field) for inv_row in sub.gram_inverse]
 
 
 def decompose_in_w(terms, sub: GradedSubspace):
@@ -228,8 +197,4 @@ def decompose_in_w(terms, sub: GradedSubspace):
     residue, combo = sub.reduce_vector(vec)
     if not all(field.is_zero(v) for v in residue):
         raise MembershipError("element does not lie in the workspace W_b(X)")
-    out = []
-    for (idx, mult), c in zip(sub.gens, combo):
-        if not field.is_zero(c):
-            out.append((idx, mult, c))
-    return out
+    return _generator_terms(sub, combo)

@@ -386,12 +386,6 @@ class _TokenStream:
             self.last_line, self.last_col = tok[2], tok[3]
         return tok
 
-    def expect_op(self, symbol):
-        tok = self.next()
-        if tok is None or tok[0] != "op" or tok[1] != symbol:
-            raise ParseError(f"expected {symbol!r}", self.last_line, self.last_col)
-        return tok
-
 
 def _parse_term(ring, stream, sign):
     fld = ring.field

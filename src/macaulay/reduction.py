@@ -104,9 +104,6 @@ class ReductionTrace:
             acc = ModuleElement.from_terms(X[0].ring, rank, {})
         return acc
 
-    def offending_degrees(self):
-        return [step.degree for step in self.steps]
-
 
 class Reducer:
     """Reduction engine bound to one frozen set X, one grading, one policy.
@@ -172,15 +169,10 @@ class Reducer:
                     rest.update(terms)
                     continue
             else:
-                kept = project_complement(terms, sub, self.policy)
+                kept, decomposition = project_complement(terms, sub, self.policy)
                 rest.update(kept)
-                w_part = dict(terms)
-                for t, c in kept.items():
-                    w_part[t] = field.sub(w_part.get(t, zero), c)
-                w_part = {t: c for t, c in w_part.items() if not field.is_zero(c)}
-                if not w_part:
+                if not decomposition:
                     continue
-                decomposition = decompose_in_w(w_part, sub)
             trace.steps.append(ReductionStep(degree, tuple(decomposition)))
             # the leading forms cancel the W-part; the tails land lower
             for idx, mult, c in decomposition:
@@ -222,16 +214,6 @@ class Reducer:
         """Iterate -> steps; True iff the closure reaches zero."""
         trace = self._reduce(m, SPAN)
         return trace.final.is_zero(), trace
-
-
-def reduce_step(m, X, spec, mode=SPAN, policy=None):
-    """A single reduction step; returns (m', step info) or None when reduced."""
-    reducer = Reducer(X, spec, policy)
-    if mode == SPAN:
-        return reducer.span_step(m)
-    if mode == COMPLEMENT:
-        return reducer.complement_step(m)
-    raise UsageError(f"unknown reduction mode {mode!r}")
 
 
 def normal_form(m, X, spec, policy=None):

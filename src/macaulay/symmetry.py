@@ -9,8 +9,9 @@ enumerated by closure under multiplication up to a cap.
 import random
 from typing import NamedTuple
 
+from .coeff import rref
 from .errors import ResourceLimitError, UsageError
-from .gradlin import ORTHOGONAL, rref
+from .gradlin import ORTHOGONAL, ComponentBasis, GradedSubspace, vector_of
 from .polymod import ModuleElement, Polynomial
 from .reduction import Reducer
 
@@ -128,10 +129,6 @@ class GroupAction:
         return ModuleElement(m.ring, tuple(p.substitute(images) for p in m.polys))
 
 
-def act(action: GroupAction, mat, m):
-    return action.act(mat, m)
-
-
 def is_homogeneous_action(action: GroupAction, ring_grading) -> bool:
     """True iff each generator sends every variable to a form of the same degree."""
     for mat in action.generators:
@@ -175,28 +172,13 @@ def span_is_invariant(X, action: GroupAction) -> InvarianceReport:
             for key in action.act(mat, m).term_map()
         }
     )
-    index = {key: k for k, key in enumerate(support)}
-
-    def coords(m):
-        vec = [field.zero] * len(support)
-        for key, c in m.term_map().items():
-            vec[index[key]] = c
-        return vec
-
-    rows = [coords(m) for m in X]
-    echelon, pivots, combos = rref(rows, field)
+    basis = ComponentBasis(None, tuple(support), {key: k for k, key in enumerate(support)})
+    sub = GradedSubspace(None, basis, field, range(len(X)), [vector_of(m, basis, field) for m in X])
     witnesses = []
     invariant = True
     for gi, mat in enumerate(action.generators):
         for mi, m in enumerate(X):
-            vec = coords(action.act(mat, m))
-            combo = [field.zero] * len(X)
-            for row, piv, rcombo in zip(echelon, pivots, combos):
-                c = vec[piv]
-                if field.is_zero(c):
-                    continue
-                vec = [field.sub(a, field.mul(c, b)) for a, b in zip(vec, row)]
-                combo = [field.add(a, field.mul(c, b)) for a, b in zip(combo, rcombo)]
+            vec, combo = sub.reduce_vector(vector_of(action.act(mat, m), basis, field))
             if all(field.is_zero(v) for v in vec):
                 witnesses.append(InvarianceWitness(gi, mi, tuple(combo), None))
             else:

@@ -237,7 +237,7 @@ def _reduction_soundness(field, policy, samples=200):
             for idx, r in trace.representation.items():
                 if not r.is_zero() and spec.compare(degree_of(gens[idx].action(r), spec), top) > 0:
                     return False
-            degs = trace.offending_degrees()
+            degs = [s.degree for s in trace.steps]
             if any(spec.compare(a, b) <= 0 for a, b in zip(degs, degs[1:])):
                 return False
     return checked > samples // 2

@@ -106,7 +106,7 @@ def test_malformed_declarations():
         problem.grading()
 
 
-def test_group_file_parsing(R2):
+def test_group_file_parsing(R2, tmp_path, capsys):
     action = parse_group_file(SWAP_GROUP, R2)
     assert len(action.elements) == 2
     action = parse_group_file("signed-perm (-2 1)\n", R2)
@@ -117,6 +117,14 @@ def test_group_file_parsing(R2):
         parse_group_file("spin (1 2)\n", R2)
     with pytest.raises(ParseError):
         parse_group_file("# nothing\n", R2)
+    # only the documented heads perm, signed-perm and matrix are accepted
+    circle = write(tmp_path, "circle.mac", CIRCLE)
+    for text in ("generators: [[0,1],[-1,0]]\n", "group c4\nperm (1 2)\n"):
+        with pytest.raises(ParseError):
+            parse_group_file(text, R2)
+        group = write(tmp_path, "bad.grp", text)
+        code, out, err = run_cli(tmp_path, capsys, "check-invariant", circle, "--group", group)
+        assert code == 2 and out == "" and "Traceback" not in err
 
 
 def test_cli_basis_reduced(tmp_path, capsys):

@@ -3,7 +3,7 @@ from fractions import Fraction
 
 import pytest
 
-from macaulay.coeff import PrimeField, RationalField, field_arith, field_from_spec, is_prime
+from macaulay.coeff import PrimeField, RationalField, field_from_spec, is_prime
 from macaulay.errors import UsageError
 
 
@@ -71,12 +71,10 @@ def test_canonical_forms():
     assert 0 <= F.mul(6, 6) < 7
 
 
-def test_field_arith_dispatch():
+def test_field_binary_ops():
     Q = RationalField()
-    assert field_arith(Q, Fraction(1, 2), Fraction(1, 3), "add") == Fraction(5, 6)
-    assert field_arith(Q, Fraction(1), Fraction(2), "div") == Fraction(1, 2)
-    with pytest.raises(UsageError):
-        field_arith(Q, Fraction(1), Fraction(2), "pow")
+    assert Q.add(Fraction(1, 2), Fraction(1, 3)) == Fraction(5, 6)
+    assert Q.div(Fraction(1), Fraction(2)) == Fraction(1, 2)
 
 
 def test_field_from_spec():

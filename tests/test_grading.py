@@ -13,9 +13,6 @@ from macaulay.grading import (
     TermModuleGrading,
     TermOrderGrading,
     TotalDegreeGrading,
-    apply_refinement,
-    compare_degrees,
-    enumerate_multipliers,
     syzygy_refinement,
     total_refinement,
     verify_monoid_order,
@@ -29,8 +26,8 @@ def test_compare_examples(total2, drl2):
     assert drl.compare((2, 0), (1, 2)) == LESS
     assert lex.compare((2, 0), (1, 2)) == GREATER
     assert TotalDegreeGrading(2).compare(4, 4) == EQUAL
-    assert compare_degrees(total2, 2, 3) == LESS
-    assert compare_degrees(drl2, (0, (2, 0)), (0, (0, 2))) == GREATER
+    assert total2.compare(2, 3) == LESS
+    assert drl2.compare((0, (2, 0)), (0, (0, 2))) == GREATER
 
 
 def test_incomparable_shapes(total2):
@@ -80,8 +77,8 @@ def test_apply_refinement_examples():
     fine = TermModuleGrading(TermOrderGrading.degrevlex(2), 1)
     coarse = CoarseModuleGrading(TotalDegreeGrading(2), 1)
     refmap = total_refinement(fine, coarse)
-    assert apply_refinement(refmap, (0, (2, 3))) == 5
-    assert apply_refinement(refmap, (0, (0, 0))) == 0
+    assert refmap.apply((0, (2, 3))) == 5
+    assert refmap.apply((0, (0, 0))) == 0
     assert refmap.apply_ring((2, 3)) == 5
     assert refmap.verify().passed
 
@@ -89,14 +86,14 @@ def test_apply_refinement_examples():
     assert syz.degree_of_term(0, (0, 2)) == 4
     assert syz.degree_of_term(1, (0, 0)) == 4
     sref = syzygy_refinement(syz)
-    assert apply_refinement(sref, (0, (0, 2))) == 4
+    assert sref.apply((0, (0, 2))) == 4
     assert sref.verify().passed
 
 
 def test_enumerate_multipliers_examples(total2, drl2):
-    assert enumerate_multipliers(total2, 2, 3) == [(1, 0), (0, 1)]
-    assert enumerate_multipliers(total2, 4, 3) == []
-    assert enumerate_multipliers(drl2, (0, (2, 0)), (0, (2, 2))) == [(0, 2)]
+    assert total2.multipliers(2, 3) == [(1, 0), (0, 1)]
+    assert total2.multipliers(4, 3) == []
+    assert drl2.multipliers((0, (2, 0)), (0, (2, 2))) == [(0, 2)]
 
 
 def test_multipliers_against_probe(R2, total2, drl2):

@@ -13,7 +13,6 @@ from macaulay.gradlin import (
     component_monomials,
     decompose_in_w,
     project_complement,
-    rref,
     vector_of,
     w_space,
 )
@@ -64,18 +63,21 @@ def test_w_space_below_all_degrees(el, total2, circle_pair):
 
 def test_project_complement_member_is_zero(el, total2, circle_pair):
     sub = w_space(circle_pair, 4, total2)
-    out = project_complement(el("x2^4").term_map(), sub, ORTHOGONAL)
-    assert out == {}
-    out = project_complement(el("x2^4").term_map(), sub, PIVOT)
-    assert out == {}
+    member = el("x2^4").term_map()
+    for policy in (ORTHOGONAL, PIVOT):
+        kept, decomposition = project_complement(member, sub, policy)
+        assert kept == {}
+        assert decomposition == decompose_in_w(member, sub)
 
 
 def test_project_complement_examples(el, total2):
     sub = w_space([el("x1^2 + x2^2")], 2, total2)
-    ortho = project_complement(el("x1^2").term_map(), sub, ORTHOGONAL)
+    ortho, ortho_w = project_complement(el("x1^2").term_map(), sub, ORTHOGONAL)
     assert ortho == el("1/2*x1^2 - 1/2*x2^2").term_map()
-    pivot = project_complement(el("x1^2").term_map(), sub, PIVOT)
+    assert ortho_w == [(0, (0, 0), Fraction(1, 2))]
+    pivot, pivot_w = project_complement(el("x1^2").term_map(), sub, PIVOT)
     assert pivot == el("-x2^2").term_map()
+    assert pivot_w == [(0, (0, 0), Fraction(1))]
 
 
 def test_projection_idempotent_linear(R2, el, total2, circle_pair):
@@ -83,18 +85,26 @@ def test_projection_idempotent_linear(R2, el, total2, circle_pair):
     field = R2.field
     sub = w_space(circle_pair, 4, total2)
     basis = sub.ambient
+    lf_parts = [leading_form(m, total2) for m in circle_pair]
 
     def project(v, policy):
-        return ModuleElement.from_terms(R2, 1, project_complement(v.term_map(), sub, policy))
+        return ModuleElement.from_terms(R2, 1, project_complement(v.term_map(), sub, policy)[0])
 
     for policy in (ORTHOGONAL, PIVOT):
         for _ in range(25):
             coeffs = [field.from_int(rng.randrange(-3, 4)) for _ in basis.monomials]
             v = ModuleElement.from_terms(R2, 1, dict(zip(basis.monomials, coeffs)))
-            pv = project(v, policy)
+            kept, decomposition = project_complement(v.term_map(), sub, policy)
+            pv = ModuleElement.from_terms(R2, 1, kept)
             assert project(pv, policy) == pv
             w = v - pv
             assert w.is_zero() or sub.contains(vector_of(w, basis, field))
+            # the one elimination also writes the W-part in the leading forms
+            assert decomposition == decompose_in_w(w.term_map(), sub)
+            rebuilt = ModuleElement.from_terms(R2, 1, {})
+            for idx, mult, c in decomposition:
+                rebuilt = rebuilt + lf_parts[idx].element.mul_term(mult, c)
+            assert rebuilt == w
             v2 = random_element(R2, 1, rng, max_degree=0, terms=1).mul_term((2, 2))
             pv2 = project(v2, policy)
             psum = project(v + v2, policy)
@@ -109,7 +119,8 @@ def test_orthogonal_needs_char_zero():
     sub = w_space([elt], 2, spec)
     with pytest.raises(UsageError):
         project_complement(elt.term_map(), sub, ORTHOGONAL)
-    assert project_complement(elt.term_map(), sub, PIVOT) == {}
+    kept, decomposition = project_complement(elt.term_map(), sub, PIVOT)
+    assert kept == {} and decomposition == [(0, (0, 0), 1)]
 
 
 def test_decompose_examples(el, total2, circle_pair):

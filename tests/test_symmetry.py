@@ -111,12 +111,22 @@ def test_span_invariance_examples(el, swap, c4, circle_pair, total2, c4_triple):
     assert span_is_invariant(c4_triple, c4).invariant
 
 
-def test_invariance_witness_coordinates(el, swap, circle_pair):
+def test_invariance_witness_coordinates(el, swap, c4, circle_pair, c4_triple):
     report = span_is_invariant(circle_pair, swap)
     for w in report.witnesses:
         assert w.coordinates is not None and w.residual is None
     # both elements are symmetric, so the coordinates are unit vectors
     assert report.witnesses[0].coordinates[0] == 1
+
+    six = c4_triple + [el("x1*x2^2"), el("x1^2*x2"), el("x1*x2")]
+    report = span_is_invariant(six, c4)
+    assert len(report.witnesses) == len(six)
+    for w in report.witnesses:
+        image = c4.act(c4.generators[w.generator], six[w.element])
+        combo = el("0")
+        for c, m in zip(w.coordinates, six):
+            combo = combo + m.scale(c)
+        assert combo == image
 
 
 def test_ideal_invariance_under_action(el, total2, c4, c4_triple):
