@@ -102,9 +102,9 @@ def schreyer_syzygy_basis(basis: MacaulayBasis, config=None) -> MacaulayBasis:
     for s in sygens:
         if not is_homogeneous(s, syzspec):
             raise UsageError("leading-form syzygy generators must be homogeneous")
-    lifted = [lift_syzygy(s, X, spec, basis.policy) for s in sygens]
+    lifted = [lift_syzygy(s, X, spec) for s in sygens]
     lifted = [t for t in lifted if not t.is_zero()]
-    certificate = buchberger_criterion(lifted, syzspec, basis.policy) if lifted else CriterionResult(True, None)
+    certificate = buchberger_criterion(lifted, syzspec) if lifted else CriterionResult(True, None)
     if not certificate.holds:
         raise UsageError("lifted syzygies failed the criterion; input was not a Macaulay basis")
     return MacaulayBasis(tuple(lifted), syzspec, basis.policy, False, certificate)
@@ -117,9 +117,6 @@ def schreyer_syzygy_basis(basis: MacaulayBasis, config=None) -> MacaulayBasis:
 class HilbertTable(NamedTuple):
     degrees: tuple
     values: tuple
-
-    def as_dict(self):
-        return dict(zip(self.degrees, self.values))
 
 
 def default_fine_grading(coarse: CoarseModuleGrading) -> TermModuleGrading:
@@ -134,7 +131,7 @@ def default_fine_grading(coarse: CoarseModuleGrading) -> TermModuleGrading:
     return TermModuleGrading(TermOrderGrading.degrevlex(d), coarse.rank, shifts, tie="top")
 
 
-def hilbert_function(generators, coarse: CoarseModuleGrading, degrees, fine=None, config=None) -> HilbertTable:
+def hilbert_function(generators, coarse: CoarseModuleGrading, degrees, config=None) -> HilbertTable:
     """dim M_b for each requested degree of a graded submodule M.
 
     All generators must be homogeneous for the coarse grading.  Dimensions are
@@ -146,7 +143,7 @@ def hilbert_function(generators, coarse: CoarseModuleGrading, degrees, fine=None
     for g in generators:
         if not is_homogeneous(g, coarse):
             raise UsageError("hilbert_function needs homogeneous generators")
-    fine = fine or default_fine_grading(coarse)
+    fine = default_fine_grading(coarse)
     reducer = None
     if generators:
         basis = buchberger_algorithm(generators, fine, config)
@@ -173,7 +170,6 @@ class HomogenizationContext:
         if var in source_ring.names:
             raise UsageError(f"homogenizing variable {var!r} already exists")
         self.source = source_ring
-        self.var = var
         self.target = PolyRing(source_ring.field, source_ring.names + (var,))
         self.rank = rank
         self.shifts = tuple(shifts) if shifts is not None else (0,) * rank
@@ -226,7 +222,7 @@ def dehomogenize(m, ctx: HomogenizationContext):
     return ModuleElement.from_terms(ctx.source, ctx.rank, out)
 
 
-def verify_homogenization_equivalence(generators, ctx: HomogenizationContext, policy=None, config=None) -> CriterionResult:
+def verify_homogenization_equivalence(generators, ctx: HomogenizationContext, config=None) -> CriterionResult:
     """Certify the total-degree criterion for generators over the source ring.
 
     When it holds, the homogenized generators generate the homogenized module;
@@ -239,4 +235,4 @@ def verify_homogenization_equivalence(generators, ctx: HomogenizationContext, po
     for g in generators:
         if g.ring != ctx.source or g.rank != ctx.rank:
             raise UsageError("generators do not match the homogenization context")
-    return buchberger_criterion([g for g in generators if not g.is_zero()], ctx.coarse, policy, config)
+    return buchberger_criterion([g for g in generators if not g.is_zero()], ctx.coarse, config)

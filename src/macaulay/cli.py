@@ -25,7 +25,7 @@ from .apps import (
 )
 from .coeff import field_from_spec
 from .errors import ParseError, ResourceLimitError, UsageError
-from .gradlin import ORTHOGONAL, PIVOT
+from .gradlin import ORTHOGONAL, PIVOT, check_policy
 from .grading import (
     BlockGrading,
     CoarseModuleGrading,
@@ -292,6 +292,7 @@ def run_command(command, problem: ProblemFile, args) -> dict:
     policy = None
     if args.policy:
         policy = {"pivot": PIVOT, "orthogonal": ORTHOGONAL}[args.policy]
+        check_policy(policy, problem.field)
     config = BuchbergerConfig(
         max_iterations=args.max_iterations, degree_cap=args.degree_cap, policy=policy
     )
@@ -304,9 +305,9 @@ def run_command(command, problem: ProblemFile, args) -> dict:
     if command == "basis":
         basis = buchberger_algorithm(gens, spec, config)
         if args.reduced:
-            basis = interreduce(basis, spec, policy)
+            basis = interreduce(basis, spec)
         if args.certify:
-            cert = buchberger_criterion(list(basis.elements), spec, policy)
+            cert = buchberger_criterion(list(basis.elements), spec)
             if not cert.holds:
                 raise UsageError("output failed recertification")
         doc["elements"] = _element_entries(basis.elements, spec)
@@ -317,7 +318,7 @@ def run_command(command, problem: ProblemFile, args) -> dict:
             format_degree(d): profile[d] for d in spec.sort_degrees(profile.keys())
         }
     elif command == "verify":
-        result = buchberger_criterion(gens, spec, policy, config)
+        result = buchberger_criterion(gens, spec, config)
         doc["criterion"] = "pass" if result.holds else "fail"
         if result.witness is not None:
             doc["witness"] = {
@@ -378,7 +379,7 @@ def run_command(command, problem: ProblemFile, args) -> dict:
             ctx = HomogenizationContext(problem.ring, var, shifts, problem.rank)
             out = homogenize(gens, ctx)
             out_spec = ctx.target_grading()
-            result = verify_homogenization_equivalence(gens, ctx, policy, config)
+            result = verify_homogenization_equivalence(gens, ctx, config)
             doc["h_basis_certificate"] = "pass" if result.holds else "fail"
         else:
             if var not in problem.ring.names:
@@ -411,6 +412,8 @@ def run_command(command, problem: ProblemFile, args) -> dict:
             for w in report.witnesses
         ]
         if args.equivariance_samples:
+            if policy == PIVOT:
+                raise UsageError("equivariance is certified only for the monomial-orthogonal complement")
             eq = check_equivariant_normal_form(
                 gens, spec, action, samples=args.equivariance_samples
             )

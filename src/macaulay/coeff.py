@@ -44,7 +44,6 @@ def is_prime(n: int) -> bool:
 class RationalField:
     """The field Q, elements stored as reduced ``Fraction`` values."""
 
-    kind = "rationals"
     characteristic = 0
 
     zero = Fraction(0)
@@ -97,8 +96,6 @@ class RationalField:
 
 class PrimeField:
     """The field F_p for prime p, elements stored as residues in [0, p)."""
-
-    kind = "prime-field"
 
     def __init__(self, p: int):
         if not is_prime(p):

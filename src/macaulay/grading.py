@@ -13,8 +13,9 @@ everything this library computes with:
   compared dropped-first, the two-block elimination grading.
 
 Module gradings extend a ring grading to a free module of finite rank with
-per-component shifts.  ``CoarseModuleGrading`` merges components that share a
-degree value (graded components may then have dimension above one), while
+per-component shifts, which one base, ``ModuleGrading``, validates and holds.
+``CoarseModuleGrading`` merges components that share a degree value (graded
+components may then have dimension above one), while
 ``TermModuleGrading`` tags degrees with the component index and breaks ties
 position-over-term or term-over-position, so every graded component is a
 single module monomial.  ``SyzygyGrading`` grades coordinate space R^n over a
@@ -27,7 +28,8 @@ compares natively (an int, or a tuple of ints and nested tuples) with
 ``deg a > deg b`` exactly when ``key(a) > key(b)``.  Sorting, maxima and heaps
 of degrees use the key directly; ``compare`` is the one generic three-way
 comparison built on it.  ``key`` rejects values of the wrong shape for its
-grading with ``UsageError``.
+grading with ``UsageError``.  Grading objects themselves compare and hash by
+identity: nothing needs two separately built gradings to be equal.
 """
 
 import operator
@@ -76,8 +78,6 @@ def _compositions(total, parts):
 class TotalDegreeGrading(Grading):
     """Grading of k[x_1..x_d] by N via total degree."""
 
-    kind = "total"
-
     def __init__(self, nvars: int):
         self.nvars = nvars
 
@@ -105,12 +105,6 @@ class TotalDegreeGrading(Grading):
         mons = _compositions(value, self.nvars)
         mons.sort(key=degrevlex_key, reverse=True)
         return mons
-
-    def __eq__(self, other):
-        return isinstance(other, TotalDegreeGrading) and other.nvars == self.nvars
-
-    def __hash__(self):
-        return hash(("total", self.nvars))
 
     def __repr__(self):
         return f"total({self.nvars})"
@@ -141,8 +135,6 @@ class TermOrderGrading(Grading):
     every column's weight sequence has positive first nonzero entry) is
     recorded at construction and reported by ``verify_monoid_order``.
     """
-
-    kind = "term-order"
 
     def __init__(self, rows, name="matrix"):
         if not all(
@@ -194,20 +186,14 @@ class TermOrderGrading(Grading):
         return tuple(sum(map(operator.mul, row, degree)) for row in self.rows)
 
     def add(self, a, b):
-        return tuple(x + y for x, y in zip(a, b))
+        return tuple(map(operator.add, a, b))
 
     def sub(self, a, b):
-        diff = tuple(x - y for x, y in zip(a, b))
+        diff = tuple(map(operator.sub, a, b))
         return diff if all(v >= 0 for v in diff) else None
 
     def monomials(self, value):
         return [tuple(value)] if all(v >= 0 for v in value) else []
-
-    def __eq__(self, other):
-        return isinstance(other, TermOrderGrading) and other.rows == self.rows
-
-    def __hash__(self):
-        return hash(("term-order", self.rows))
 
     def __repr__(self):
         return f"{self.name}({self.nvars})"
@@ -219,8 +205,6 @@ class BlockGrading(Grading):
     Degrees compare dropped weight first, so an element of maximal degree
     (a, 0) has every term free of the dropped variables.
     """
-
-    kind = "elimination-block"
 
     def __init__(self, nvars: int, kept):
         kept = tuple(sorted(set(kept)))
@@ -264,16 +248,6 @@ class BlockGrading(Grading):
                 out.append(tuple(exps))
         out.sort(key=degrevlex_key, reverse=True)
         return out
-
-    def __eq__(self, other):
-        return (
-            isinstance(other, BlockGrading)
-            and other.nvars == self.nvars
-            and other.kept == self.kept
-        )
-
-    def __hash__(self):
-        return hash(("block", self.nvars, self.kept))
 
     def __repr__(self):
         return f"elim(keep={self.kept})"
@@ -325,8 +299,15 @@ TOP = "top"
 class ModuleGrading(Grading):
     """Common behavior for gradings of a free module of finite rank."""
 
-    ring = None
-    rank = 0
+    def __init__(self, ring_grading, rank: int, shifts=None):
+        self.ring = ring_grading
+        self.rank = rank
+        if shifts is None:
+            shifts = tuple(ring_grading.zero() for _ in range(rank))
+        shifts = tuple(shifts)
+        if len(shifts) != rank:
+            raise UsageError("one shift per component required")
+        self.shifts = shifts
 
     def degree_of_term(self, comp, exps):
         raise NotImplementedError
@@ -350,16 +331,6 @@ class CoarseModuleGrading(ModuleGrading):
     The term ``x^a e_i`` has degree ``deg(x^a) + shift_i``; components with
     equal values are merged, so graded components can mix positions.
     """
-
-    def __init__(self, ring_grading, rank: int, shifts=None):
-        self.ring = ring_grading
-        self.rank = rank
-        if shifts is None:
-            shifts = tuple(ring_grading.zero() for _ in range(rank))
-        shifts = tuple(shifts)
-        if len(shifts) != rank:
-            raise UsageError("one shift per component required")
-        self.shifts = shifts
 
     def degree_of_term(self, comp, exps):
         return self.ring.add(self.ring.degree(exps), self.shifts[comp])
@@ -385,17 +356,6 @@ class CoarseModuleGrading(ModuleGrading):
             out.extend((i, exps) for exps in self.ring.monomials(residual))
         return out
 
-    def __eq__(self, other):
-        return (
-            isinstance(other, CoarseModuleGrading)
-            and other.ring == self.ring
-            and other.rank == self.rank
-            and other.shifts == self.shifts
-        )
-
-    def __hash__(self):
-        return hash(("coarse", self.ring, self.rank, self.shifts))
-
     def __repr__(self):
         return f"CoarseModuleGrading({self.ring!r}, rank={self.rank})"
 
@@ -411,14 +371,7 @@ class TermModuleGrading(ModuleGrading):
     def __init__(self, ring_grading, rank: int, shifts=None, tie=POT):
         if tie not in (POT, TOP):
             raise UsageError("tie order must be 'pot' or 'top'")
-        self.ring = ring_grading
-        self.rank = rank
-        if shifts is None:
-            shifts = tuple(ring_grading.zero() for _ in range(rank))
-        shifts = tuple(shifts)
-        if len(shifts) != rank:
-            raise UsageError("one shift per component required")
-        self.shifts = shifts
+        super().__init__(ring_grading, rank, shifts)
         self.tie = tie
 
     def degree_of_term(self, comp, exps):
@@ -455,18 +408,6 @@ class TermModuleGrading(ModuleGrading):
             return []
         return [(comp, exps) for exps in self.ring.monomials(residual)]
 
-    def __eq__(self, other):
-        return (
-            isinstance(other, TermModuleGrading)
-            and other.ring == self.ring
-            and other.rank == self.rank
-            and other.shifts == self.shifts
-            and other.tie == self.tie
-        )
-
-    def __hash__(self):
-        return hash(("term", self.ring, self.rank, self.shifts, self.tie))
-
     def __repr__(self):
         return f"TermModuleGrading({self.ring!r}, rank={self.rank}, tie={self.tie})"
 
@@ -502,16 +443,6 @@ class SyzygyGrading(ModuleGrading):
         for i, bdeg in enumerate(self.base_degrees):
             out.extend((i, exps) for exps in self.base.multipliers(bdeg, deg))
         return out
-
-    def __eq__(self, other):
-        return (
-            isinstance(other, SyzygyGrading)
-            and other.base == self.base
-            and other.base_degrees == self.base_degrees
-        )
-
-    def __hash__(self):
-        return hash(("syzygy", self.base, self.base_degrees))
 
     def __repr__(self):
         return f"SyzygyGrading(rank={self.rank})"

@@ -45,7 +45,6 @@ def check_policy(policy, field):
 class ComponentBasis(NamedTuple):
     """Ordered monomial basis of one graded component N_b."""
 
-    degree: object
     monomials: tuple
     index: dict
 
@@ -58,7 +57,7 @@ def component_monomials(spec, degree) -> ComponentBasis:
     # canonical order: component ascending, degrevlex descending inside
     mons = sorted(set(spec.component_monomials(degree)), key=lambda t: degrevlex_key(t[1]), reverse=True)
     mons = tuple(sorted(mons, key=lambda t: t[0]))
-    return ComponentBasis(degree, mons, {m: k for k, m in enumerate(mons)})
+    return ComponentBasis(mons, {m: k for k, m in enumerate(mons)})
 
 
 def vector_of(element: ModuleElement, basis: ComponentBasis, field):
@@ -84,8 +83,7 @@ class GradedSubspace:
     expresses each echelon row in those rows.
     """
 
-    def __init__(self, degree, ambient: ComponentBasis, field, gens, raw_rows):
-        self.degree = degree
+    def __init__(self, ambient: ComponentBasis, field, gens, raw_rows):
         self.ambient = ambient
         self.field = field
         self.gens = tuple(gens)
@@ -142,7 +140,7 @@ def w_space(X, degree, spec, lf_parts=None) -> GradedSubspace:
             shifted = part.element.mul_term(mult)
             gens.append((idx, mult))
             raw_rows.append(vector_of(shifted, ambient, field))
-    return GradedSubspace(degree, ambient, field, gens, raw_rows)
+    return GradedSubspace(ambient, field, gens, raw_rows)
 
 
 def project_complement(terms, sub: GradedSubspace, policy: str):

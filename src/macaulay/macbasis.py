@@ -21,8 +21,8 @@ from typing import NamedTuple
 
 from .errors import ResourceLimitError, UsageError
 from .grading import (
-    ModuleGrading,
     SyzygyGrading,
+    TermModuleGrading,
     TermOrderGrading,
 )
 from .gradlin import default_policy, vector_of
@@ -137,48 +137,32 @@ def monomial_syzygy_generators(terms):
     return out
 
 
-class _ExtendedOrder(ModuleGrading):
+class _ExtendedOrder(TermModuleGrading):
     """Block term order on N + R^n eliminating the N-part.
 
-    Every monomial of the first ``base_rank`` components outranks every
-    coordinate monomial, so basis elements led by a coordinate monomial have
-    no N-part at all.  Inside the coordinate block the order refines the
-    syzygy grading (degree first, degrevlex and position to break ties),
-    which makes the extracted generators a basis with respect to it.
+    A degrevlex module term order with zero shifts and a different key:
+    degrees, translation, multipliers and component monomials are the ones
+    of ``TermModuleGrading``.  Every monomial of the first ``base_rank``
+    components outranks every coordinate monomial, so basis elements led by a
+    coordinate monomial have no N-part at all.  Inside the coordinate block
+    the order refines the syzygy grading (degree first, degrevlex and
+    position to break ties), which makes the extracted generators a basis
+    with respect to it.
     """
 
     def __init__(self, syz: SyzygyGrading, base_rank: int):
+        super().__init__(TermOrderGrading.degrevlex(syz.ring.nvars), base_rank + syz.rank)
         self.syz = syz
         self.base_rank = base_rank
-        self.rank = base_rank + syz.rank
-        self.ring = syz.ring
-        self._drl = TermOrderGrading.degrevlex(syz.ring.nvars)
-
-    def degree_of_term(self, comp, exps):
-        return (comp, tuple(exps))
 
     def key(self, degree):
         # (block, syzygy key, degrevlex key, -component): the N block ranks
         # first and has no syzygy degree; the lower component index ranks higher
         i, u = degree
         if i < self.base_rank:
-            return (1, None, self._drl.key(u), -i)
+            return (1, None, self.ring.key(u), -i)
         syz_degree = self.syz.degree_of_term(i - self.base_rank, u)
-        return (0, self.syz.key(syz_degree), self._drl.key(u), -i)
-
-    def translate(self, deg, exps):
-        comp, u = deg
-        return (comp, tuple(a + b for a, b in zip(u, exps)))
-
-    def multipliers(self, source, target):
-        if source[0] != target[0]:
-            return []
-        diff = tuple(a - b for a, b in zip(target[1], source[1]))
-        return [diff] if all(v >= 0 for v in diff) else []
-
-    def component_monomials(self, deg):
-        comp, u = deg
-        return [(comp, u)] if all(v >= 0 for v in u) else []
+        return (0, self.syz.key(syz_degree), self.ring.key(u), -i)
 
 
 def syzygy_grading(spec, lf_elements) -> SyzygyGrading:
@@ -239,7 +223,7 @@ def leading_syzygy_generators(lf_elements, spec, config=None):
 # criterion and completion
 
 
-def buchberger_criterion(X, spec, policy=None, config=None) -> CriterionResult:
+def buchberger_criterion(X, spec, config=None) -> CriterionResult:
     """Does every leading-form syzygy of X, applied to X, reduce to zero?"""
     X = list(X)
     if not X:
@@ -252,7 +236,7 @@ def buchberger_criterion(X, spec, policy=None, config=None) -> CriterionResult:
         # are the generators themselves: the criterion holds outright
         return CriterionResult(True, None)
     sygens = leading_syzygy_generators([p.element for p in lf_parts], spec, config)
-    reducer = Reducer(X, spec, policy)
+    reducer = Reducer(X, spec)
     for s in sygens:
         v = dot(s, X)
         if v.is_zero():
@@ -316,7 +300,7 @@ def buchberger_algorithm(generators, spec, config=None) -> MacaulayBasis:
     raise ResourceLimitError("iteration cap exceeded", partial=tuple(X))
 
 
-def interreduce(basis_or_elements, spec, policy=None, max_passes=100) -> MacaulayBasis:
+def interreduce(basis_or_elements, spec, policy=None) -> MacaulayBasis:
     """Reduce every element against the others until a fixed point.
 
     Elements that reduce to zero are dropped; survivors are normalized.  The
@@ -335,7 +319,7 @@ def interreduce(basis_or_elements, spec, policy=None, max_passes=100) -> Macaula
             deduped.append(m)
     elements = deduped
 
-    for _ in range(max_passes):
+    for _ in range(100):
         elements = canonical_order(elements, spec)
         changed = False
         for idx in range(len(elements)):
@@ -356,13 +340,13 @@ def interreduce(basis_or_elements, spec, policy=None, max_passes=100) -> Macaula
     else:
         raise ResourceLimitError("interreduction did not stabilize", partial=tuple(elements))
 
-    certificate = buchberger_criterion(elements, spec, policy)
+    certificate = buchberger_criterion(elements, spec)
     if not certificate.holds:
         raise UsageError("interreduce requires a Macaulay basis")
     return MacaulayBasis(tuple(elements), spec, policy, True, certificate)
 
 
-def lift_syzygy(s: ModuleElement, X, spec, policy=None) -> ModuleElement:
+def lift_syzygy(s: ModuleElement, X, spec) -> ModuleElement:
     """Lift a homogeneous syzygy of the leading forms to a syzygy of X.
 
     Reduces the combination sum s_i m_i to zero and subtracts the recorded
@@ -372,7 +356,7 @@ def lift_syzygy(s: ModuleElement, X, spec, policy=None) -> ModuleElement:
     v = dot(s, X)
     if v.is_zero():
         return s
-    ok, trace = Reducer(X, spec, policy).reduces_to_zero(v)
+    ok, trace = Reducer(X, spec).reduces_to_zero(v)
     if not ok:
         raise UsageError("cannot lift: the set does not satisfy the criterion")
     ring = s.ring

@@ -163,22 +163,18 @@ def span_is_invariant(X, action: GroupAction) -> InvarianceReport:
     if not X:
         return InvarianceReport(True, ())
     rank = X[0].rank
+    images = [[action.act(mat, m) for m in X] for mat in action.generators]
     support = sorted(
         {key for m in X for key in m.term_map()}
-        | {
-            key
-            for mat in action.generators
-            for m in X
-            for key in action.act(mat, m).term_map()
-        }
+        | {key for row in images for image in row for key in image.term_map()}
     )
-    basis = ComponentBasis(None, tuple(support), {key: k for k, key in enumerate(support)})
-    sub = GradedSubspace(None, basis, field, range(len(X)), [vector_of(m, basis, field) for m in X])
+    basis = ComponentBasis(tuple(support), {key: k for k, key in enumerate(support)})
+    sub = GradedSubspace(basis, field, range(len(X)), [vector_of(m, basis, field) for m in X])
     witnesses = []
     invariant = True
-    for gi, mat in enumerate(action.generators):
-        for mi, m in enumerate(X):
-            vec, combo = sub.reduce_vector(vector_of(action.act(mat, m), basis, field))
+    for gi, row in enumerate(images):
+        for mi, image in enumerate(row):
+            vec, combo = sub.reduce_vector(vector_of(image, basis, field))
             if all(field.is_zero(v) for v in vec):
                 witnesses.append(InvarianceWitness(gi, mi, tuple(combo), None))
             else:
@@ -217,24 +213,22 @@ def random_element(ring, rank, rng: random.Random, max_degree: int = 6, terms: i
 
 
 def check_equivariant_normal_form(
-    X, spec, action: GroupAction, samples: int = 50, policy: str = ORTHOGONAL,
-    seed: int = 0, max_degree: int = 6,
+    X, spec, action: GroupAction, samples: int = 50, seed: int = 0, max_degree: int = 6,
 ) -> EquivarianceReport:
     """Sample the law nf(g*m) = g*nf(m), bit-exactly, for all generators.
 
     Requires a homogeneous action and a complement that the action preserves:
-    the monomial-orthogonal policy together with monomial generator matrices.
+    normal forms use the monomial-orthogonal policy, and the generator
+    matrices must be monomial.
     """
     X = list(X)
     if not is_homogeneous_action(action, spec.ring):
         raise UsageError("equivariance needs a homogeneous group action")
-    if policy != ORTHOGONAL:
-        raise UsageError("equivariance is certified only for the monomial-orthogonal complement")
     field = action.ring.field
     for mat in action.generators:
         if not is_monomial_matrix(mat, field):
             raise UsageError("equivariance needs monomial (signed/scaled permutation) matrices")
-    reducer = Reducer(X, spec, policy)
+    reducer = Reducer(X, spec, ORTHOGONAL)
     rng = random.Random(seed)
     rank = X[0].rank
     bad = []

@@ -25,7 +25,7 @@ from macaulay.apps import (
     verify_homogenization_equivalence,
 )
 from macaulay.coeff import PrimeField, RationalField
-from macaulay.gradlin import ORTHOGONAL, PIVOT
+from macaulay.gradlin import PIVOT
 from macaulay.grading import (
     CoarseModuleGrading,
     TermModuleGrading,
@@ -104,11 +104,11 @@ def test_criterion_1_groebner_special_case():
     report(1, ok, "degrevlex basis of the twin-circle ideal matches bit-exactly")
 
 
-def _hbasis_verification(field, policy):
+def _hbasis_verification(field):
     ring = make_ring(field)
     gens = circle(ring)
-    total_ok = buchberger_criterion(gens, total_spec(), policy).holds
-    drl_result = buchberger_criterion(gens, drl_spec(), policy)
+    total_ok = buchberger_criterion(gens, total_spec()).holds
+    drl_result = buchberger_criterion(gens, drl_spec())
     witness_ok = False
     if not drl_result.holds:
         lead = leading_form(drl_result.witness.remainder, drl_spec())
@@ -117,7 +117,7 @@ def _hbasis_verification(field, policy):
 
 
 def test_criterion_2_hbasis_verification():
-    ok = _hbasis_verification(None, None)
+    ok = _hbasis_verification(None)
     report(2, ok, "total-degree criterion passes; degrevlex fails with x2^4 witness")
 
 
@@ -208,7 +208,7 @@ def test_criterion_5_equivariance():
     ring = make_ring()
     swap = GroupAction(ring, [permutation_matrix(2, (1, 2))])
     result = check_equivariant_normal_form(
-        circle(ring), total_spec(), swap, samples=50, policy=ORTHOGONAL, seed=23, max_degree=6
+        circle(ring), total_spec(), swap, samples=50, seed=23, max_degree=6
     )
     report(5, result.equivariant, "normal form commutes with the swap on 50 samples")
 
@@ -247,7 +247,7 @@ def test_criterion_6_reduction_soundness():
     report(6, _reduction_soundness(None, None), "200 member reductions sound in both modes")
 
 
-def _refinement_property(field, policy):
+def _refinement_property(field):
     ring = make_ring(field)
     fixtures = [
         circle(ring),
@@ -256,13 +256,13 @@ def _refinement_property(field, policy):
     ]
     for gens in fixtures:
         basis = buchberger_algorithm(gens, drl_spec(), None)
-        if not buchberger_criterion(list(basis.elements), total_spec(), policy).holds:
+        if not buchberger_criterion(list(basis.elements), total_spec()).holds:
             return False
     return True
 
 
 def test_criterion_7_refinement():
-    report(7, _refinement_property(None, None), "every degrevlex basis passes the total-degree criterion")
+    report(7, _refinement_property(None), "every degrevlex basis passes the total-degree criterion")
 
 
 def test_criterion_8_syzygies():
@@ -354,9 +354,9 @@ def test_criterion_11_homogenization():
 def test_criterion_12_characteristic_p():
     field = PrimeField(32003)
     ok = _groebner_special_case(field, PIVOT)
-    ok = ok and _hbasis_verification(field, PIVOT)
+    ok = ok and _hbasis_verification(field)
     ok = ok and _reduction_soundness(field, PIVOT, samples=200)
-    ok = ok and _refinement_property(field, PIVOT)
+    ok = ok and _refinement_property(field)
     report(12, ok, "criteria 1, 2, 6, 7 hold over F_32003 with pivot complements")
 
 

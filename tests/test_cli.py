@@ -300,3 +300,28 @@ def test_cli_fractional_weight_matrix_rejected(tmp_path, capsys):
     for rows in ([[1.5, 1], [0, -1]], [1, 2], [[True, 0], [0, 1]]):
         with pytest.raises(UsageError):
             TermOrderGrading(rows)
+
+
+C4 = "ring q: x1 x2\ngrading total\ngen x1^2 + x2^2 - 1\ngen x1^2*x2^2\ngen x1^3*x2 - x1*x2^3\n"
+C4_GROUP = "signed-perm (-2 1)\n"
+
+
+def test_cli_equivariance_rejects_pivot_policy(tmp_path, capsys):
+    path = write(tmp_path, "c4.mac", C4)
+    group = write(tmp_path, "c4.grp", C4_GROUP)
+    argv = ("check-invariant", path, "--group", group, "--equivariance-samples", "2")
+    code, out, _ = run_cli(tmp_path, capsys, *argv, "--policy", "orthogonal")
+    assert code == 0 and "equivariant: yes" in out
+    # equivariance is certified only for the orthogonal complement
+    code, out, err = run_cli(tmp_path, capsys, *argv, "--policy", "pivot")
+    assert code == 3 and out == "" and "orthogonal" in err
+
+
+def test_cli_orthogonal_policy_over_prime_field_exits_3(tmp_path, capsys):
+    path = write(tmp_path, "hd.mac", "ring q: x1 x2 t\ngrading total\ngen x2^2 - x1*t\n")
+    for command in ("verify", "dehomogenize"):
+        argv = (command, path, "--var", "t", "--coeff", "fp:32003")
+        code, _, _ = run_cli(tmp_path, capsys, *argv)
+        assert code == 0
+        code, out, err = run_cli(tmp_path, capsys, *argv, "--policy", "orthogonal")
+        assert code == 3 and out == "" and "characteristic zero" in err

@@ -1,5 +1,6 @@
-"""Derandomized property tests: the reducer against the oracles, and the
-grading order keys against the three-way comparator formulas they replace."""
+"""Derandomized property tests: the reducer against the oracles, the grading
+order keys against the three-way comparator formulas they replace, and the
+elimination-route order's degrees and multipliers against direct formulas."""
 
 from functools import cmp_to_key
 
@@ -96,15 +97,7 @@ def reference_compare(spec, a, b):
         return _sign(a[0] - b[0])
     if isinstance(spec, CoarseModuleGrading):
         return reference_compare(spec.ring, a, b)
-    if isinstance(spec, TermModuleGrading):
-        if spec.tie == "pot":
-            if a[0] != b[0]:
-                return 1 if a[0] < b[0] else -1
-            return reference_compare(spec.ring, a[1], b[1])
-        c = reference_compare(spec.ring, a[1], b[1])
-        return c if c != 0 else _sign(b[0] - a[0])
-    if isinstance(spec, SyzygyGrading):
-        return reference_compare(spec.base, a, b)
+    # a TermModuleGrading with its own key, so it is matched first
     if isinstance(spec, _ExtendedOrder):
         (i, u), (j, v) = a, b
         bi, bj = int(i >= spec.base_rank), int(j >= spec.base_rank)
@@ -116,8 +109,17 @@ def reference_compare(spec, a, b):
             c = reference_compare(spec.syz, si, sj)
             if c != 0:
                 return c
-        c = reference_compare(spec._drl, u, v)
+        c = reference_compare(spec.ring, u, v)
         return c if c != 0 else _sign(j - i)
+    if isinstance(spec, TermModuleGrading):
+        if spec.tie == "pot":
+            if a[0] != b[0]:
+                return 1 if a[0] < b[0] else -1
+            return reference_compare(spec.ring, a[1], b[1])
+        c = reference_compare(spec.ring, a[1], b[1])
+        return c if c != 0 else _sign(b[0] - a[0])
+    if isinstance(spec, SyzygyGrading):
+        return reference_compare(spec.base, a, b)
     raise TypeError(spec)
 
 
@@ -147,15 +149,16 @@ def _gradings():
 GRADINGS = _gradings()
 
 
-@pytest.mark.parametrize("name", sorted(GRADINGS))
-@PROPERTY
 # small exponents, so that equal monomials in different components (the
 # tie-breaks) come up often
-@given(
-    terms=st.lists(
-        st.tuples(st.integers(0, 4), st.tuples(*[st.integers(0, 2)] * 3)), min_size=2, max_size=12
-    )
+module_terms = st.lists(
+    st.tuples(st.integers(0, 4), st.tuples(*[st.integers(0, 2)] * 3)), min_size=2, max_size=12
 )
+
+
+@pytest.mark.parametrize("name", sorted(GRADINGS))
+@PROPERTY
+@given(terms=module_terms)
 def test_key_order_matches_reference_comparator(name, terms):
     spec = GRADINGS[name]
     if isinstance(spec, ModuleGrading):
@@ -168,3 +171,44 @@ def test_key_order_matches_reference_comparator(name, terms):
     for a in degrees:
         for b in degrees:
             assert spec.compare(a, b) == reference_compare(spec, a, b)
+
+
+# reference formulas for the structure of the elimination-route order, a
+# module term order with zero shifts: a degree is (component, exponents) and
+# holds exactly one module monomial
+
+
+def prefold_degree_of_term(comp, exps):
+    return (comp, tuple(exps))
+
+
+def prefold_translate(deg, exps):
+    comp, u = deg
+    return (comp, tuple(a + b for a, b in zip(u, exps)))
+
+
+def prefold_multipliers(source, target):
+    if source[0] != target[0]:
+        return []
+    diff = tuple(a - b for a, b in zip(target[1], source[1]))
+    return [diff] if all(v >= 0 for v in diff) else []
+
+
+def prefold_component_monomials(deg):
+    comp, u = deg
+    return [(comp, u)] if all(v >= 0 for v in u) else []
+
+
+@PROPERTY
+@given(terms=module_terms)
+def test_extended_order_matches_prefold_formulas(terms):
+    spec = GRADINGS["extended"]
+    assert spec.rank == 5
+    degrees = [spec.degree_of_term(comp, exps) for comp, exps in terms]
+    assert degrees == [prefold_degree_of_term(comp, exps) for comp, exps in terms]
+    for a in degrees:
+        assert spec.component_monomials(a) == prefold_component_monomials(a)
+        for _, exps in terms:
+            assert spec.translate(a, exps) == prefold_translate(a, exps)
+        for b in degrees:
+            assert spec.multipliers(a, b) == prefold_multipliers(a, b)

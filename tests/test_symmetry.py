@@ -3,7 +3,7 @@ import random
 import pytest
 
 from macaulay.errors import ResourceLimitError, UsageError
-from macaulay.gradlin import ORTHOGONAL, PIVOT
+from macaulay.gradlin import ORTHOGONAL
 from macaulay.grading import TermOrderGrading, TotalDegreeGrading
 from macaulay.macbasis import buchberger_algorithm
 from macaulay.polymod import ModuleElement
@@ -129,6 +129,21 @@ def test_invariance_witness_coordinates(el, swap, c4, circle_pair, c4_triple):
         assert combo == image
 
 
+def test_span_invariance_acts_once_per_witness(el, c4, c4_triple, monkeypatch):
+    calls = []
+    act = GroupAction.act
+
+    def counting_act(self, mat, m):
+        calls.append(m)
+        return act(self, mat, m)
+
+    monkeypatch.setattr(GroupAction, "act", counting_act)
+    six = c4_triple + [el("x1*x2^2"), el("x1^2*x2"), el("x1*x2")]
+    report = span_is_invariant(six, c4)
+    assert report.invariant and len(report.witnesses) == 6
+    assert calls == six
+
+
 def test_ideal_invariance_under_action(el, total2, c4, c4_triple):
     basis = buchberger_algorithm(c4_triple, total2)
     reducer = Reducer(list(basis.elements), total2)
@@ -159,10 +174,6 @@ def test_equivariant_normal_form_examples(el, total2, swap, circle_pair):
 
 
 def test_equivariance_preconditions(el, total2, swap, circle_pair, R2):
-    with pytest.raises(UsageError) as err:
-        check_equivariant_normal_form(circle_pair, total2, swap, policy=PIVOT)
-    assert "monomial-orthogonal" in str(err.value)
-
     rotationish = GroupAction(R2, [[[0, 1], [-1, 1]]])  # invertible, not monomial
     with pytest.raises(UsageError) as err:
         check_equivariant_normal_form(circle_pair, total2, rotationish, samples=2)
