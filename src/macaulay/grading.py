@@ -375,7 +375,9 @@ class TermModuleGrading(ModuleGrading):
         self.tie = tie
 
     def degree_of_term(self, comp, exps):
-        return (comp, self.ring.add(self.ring.degree(exps), self.shifts[comp]))
+        # the ring is a term order, whose degrees are exponent tuples: this is
+        # ring.add(ring.degree(exps), shift) in one tuple build
+        return (comp, tuple(map(operator.add, exps, self.shifts[comp])))
 
     def _check(self, deg):
         if not (isinstance(deg, tuple) and len(deg) == 2 and isinstance(deg[0], int)):

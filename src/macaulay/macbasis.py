@@ -5,18 +5,24 @@ generate the full leading-form submodule.  The working characterization is
 Buchberger's: fix a homogeneous generating set of the syzygies of the leading
 forms; X is a basis iff every such syzygy, applied to X itself, reduces to
 zero.  Completion repeatedly adjoins normal forms of the failing combinations
-until the criterion holds.
+until the criterion holds.  Each round it reduces only the generators that
+involve an element adjoined in the round before: a syzygy supported on the
+older elements lies in their syzygy module, whose generators were reduced
+when it was current.
 
 Syzygies of leading forms are produced two ways.  When every leading form is
-a single term, the pairwise lcm combinations generate (the classical S-pairs).
-Otherwise the generators are found by elimination: inside N + R^n, compute a
-basis of the module generated by (lf m_i, e_i) under a block term order that
-ranks every N-monomial above every coordinate monomial and refines the induced
-syzygy grading on the coordinate block; basis elements with vanishing N-part
-are exactly the syzygy generators.  Since that block order is a term order,
-the inner computation only ever needs the S-pair path and terminates.
+a single term, the pairwise lcm combinations generate (the classical S-pairs),
+and Buchberger's chain criterion drops the pairs that two pairs of strictly
+smaller lcm already generate.  Otherwise the generators are found by
+elimination: inside N + R^n, compute a basis of the module generated by
+(lf m_i, e_i) under a block term order that ranks every N-monomial above
+every coordinate monomial and refines the induced syzygy grading on the
+coordinate block; basis elements with vanishing N-part are exactly the
+syzygy generators.  Since that block order is a term order, the inner
+computation only ever needs the S-pair path and terminates.
 """
 
+import operator
 from typing import NamedTuple
 
 from .errors import ResourceLimitError, UsageError
@@ -101,10 +107,16 @@ def canonical_order(elements, spec):
 
 
 def monomial_syzygy_generators(terms):
-    """Pairwise lcm syzygies of single-term module elements.
+    """Pairwise lcm syzygies of single-term module elements, chain-pruned.
 
     Pairs in different free-module components cancel nothing and contribute
     no generator.  Coefficients are corrected so the combination vanishes.
+    The pair (i, j) is dropped when a third element k of the same component
+    has lm_k dividing lcm(i, j) while lcm(i, k) and lcm(j, k) are proper
+    divisors of it (Buchberger's chain criterion): then sigma_ij is a
+    monomial combination of sigma_ik and sigma_kj.  Each dropped pair is
+    generated by pairs of strictly smaller lcm under divisibility, so by
+    induction on the lcm the returned pairs still generate the syzygies.
     """
     infos = []
     ring = None
@@ -124,13 +136,21 @@ def monomial_syzygy_generators(terms):
             cj, ej, coef_j = infos[j]
             if ci != cj:
                 continue
-            lcm = tuple(max(a, b) for a, b in zip(ei, ej))
+            lcm = tuple(map(max, ei, ej))
+            if any(
+                k != i and k != j and ck == ci
+                and all(map(operator.le, ek, lcm))
+                and tuple(map(max, ei, ek)) != lcm
+                and tuple(map(max, ej, ek)) != lcm
+                for k, (ck, ek, _) in enumerate(infos)
+            ):
+                continue
             syz = ModuleElement.from_terms(
                 ring,
                 n,
                 {
-                    (i, tuple(a - b for a, b in zip(lcm, ei))): field.inv(coef_i),
-                    (j, tuple(a - b for a, b in zip(lcm, ej))): field.neg(field.inv(coef_j)),
+                    (i, tuple(map(operator.sub, lcm, ei))): field.inv(coef_i),
+                    (j, tuple(map(operator.sub, lcm, ej))): field.neg(field.inv(coef_j)),
                 },
             )
             out.append(syz)
@@ -250,12 +270,17 @@ def buchberger_criterion(X, spec, config=None) -> CriterionResult:
 def buchberger_algorithm(generators, spec, config=None) -> MacaulayBasis:
     """Complete a generating set to a Macaulay basis.
 
-    Each round recomputes the full homogeneous syzygy generating set of the
-    current leading forms, reduces every combination to a normal form against
-    the frozen set, and adjoins the nonzero results.  Every adjoined element
-    has its leading form outside the old workspace, so the leading-form
-    submodule grows strictly and the loop halts; the iteration cap only guards
-    against runaway inputs.
+    Each round takes a homogeneous syzygy generating set of the current
+    leading forms, reduces to a normal form against the frozen set every
+    combination whose syzygy involves an element adjoined in the round
+    before, and adjoins the nonzero results.  A syzygy supported on
+    X[:since], the elements before that round's adjoin, lies in the syzygy
+    module of their leading forms, which don't change; the generators of that
+    module were reduced when it was current, and their normal forms are now
+    in X, so each has a lower-degree representation over X and so does every
+    combination of them.  Every adjoined element has its leading form outside
+    the old workspace, so the leading-form submodule grows strictly and the
+    loop halts; the iteration cap only guards against runaway inputs.
     """
     config = config or BuchbergerConfig()
     gens = [g for g in generators if not g.is_zero()]
@@ -271,12 +296,15 @@ def buchberger_algorithm(generators, spec, config=None) -> MacaulayBasis:
     if not X:
         return MacaulayBasis((), spec, policy, True, CriterionResult(True, None))
 
+    since = 0
     for _ in range(config.max_iterations):
         lf_parts = [leading_form(m, spec) for m in X]
         sygens = leading_syzygy_generators([p.element for p in lf_parts], spec, config)
         reducer = Reducer(X, spec, policy)
         added = []
         for s in sygens:
+            if all(p.is_zero() for p in s.polys[since:]):
+                continue
             v = dot(s, X)
             if v.is_zero():
                 continue
@@ -296,6 +324,7 @@ def buchberger_algorithm(generators, spec, config=None) -> MacaulayBasis:
             sub = reducer.w_space(part.degree)
             if sub.contains(vector_of(part.element, sub.ambient, y.ring.field)):
                 raise AssertionError("normal form left its leading form inside the workspace")
+        since = len(X)
         X.extend(added)
     raise ResourceLimitError("iteration cap exceeded", partial=tuple(X))
 

@@ -47,6 +47,14 @@ gen a*b*c + b*c*d + c*d*a + d*a*b
 gen a*b*c*d - 1
 """
 
+CYCLIC3 = """\
+ring q: x y z
+grading total
+gen x + y + z
+gen x*y + y*z + z*x
+gen x*y*z - 1
+"""
+
 RANK2 = """\
 ring q: x1 x2
 grading order degrevlex
@@ -77,6 +85,7 @@ CASES = {
     "verify_circle_degrevlex": (CIRCLE, ("verify", "--grading", "order degrevlex", "--format", "json")),
     "basis_katsura3": (KATSURA3, ("basis", "--reduced", "--format", "json")),
     "basis_cyclic4": (CYCLIC4, ("basis", "--reduced", "--format", "json")),
+    "basis_cyclic3_total": (CYCLIC3, ("basis", "--reduced", "--format", "json")),
 }
 
 

@@ -2,10 +2,14 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from oracles import classic_buchberger, drl_key, ideals_equal, in_span, raw_element_vectors, raw_poly
 
+from macaulay.coeff import RationalField
 from macaulay.errors import ResourceLimitError, UsageError
+from macaulay.grading import CoarseModuleGrading, TermModuleGrading, TermOrderGrading, TotalDegreeGrading
 from macaulay.macbasis import (
     BuchbergerConfig,
     buchberger_algorithm,
@@ -18,7 +22,7 @@ from macaulay.macbasis import (
     normalize_element,
     syzygy_grading,
 )
-from macaulay.polymod import ModuleElement, is_homogeneous, leading_form
+from macaulay.polymod import ModuleElement, PolyRing, is_homogeneous, leading_form
 from macaulay.reduction import Reducer, dot
 
 
@@ -35,6 +39,61 @@ def test_monomial_syzygy_examples(R2, el):
 
     with pytest.raises(UsageError):
         monomial_syzygy_generators([el("x1 + x2"), el("x1")])
+
+
+def test_chain_criterion_drops_generated_pair(R2, el):
+    # sigma(x1^2, x2^2) = x2 * sigma(x1^2, x1*x2) + x1 * sigma(x1*x2, x2^2)
+    out = monomial_syzygy_generators([el("x1^2"), el("x1*x2"), el("x2^2")])
+    assert out == [
+        ModuleElement(R2, (R2.parse("x2"), R2.parse("-x1"), R2.parse("0"))),
+        ModuleElement(R2, (R2.parse("0"), R2.parse("x2"), R2.parse("-x1"))),
+    ]
+
+
+def _all_lcm_pairs(terms, ring):
+    """Every pairwise lcm syzygy of single-term elements, built directly."""
+    infos = [next(iter(t.term_map().items())) for t in terms]
+    out = []
+    for i, ((ci, ei), ai) in enumerate(infos):
+        for j, ((cj, ej), aj) in enumerate(infos):
+            if j <= i or ci != cj:
+                continue
+            lcm = tuple(max(a, b) for a, b in zip(ei, ej))
+            out.append(ModuleElement.from_terms(ring, len(terms), {
+                (i, tuple(a - b for a, b in zip(lcm, ei))): 1 / ai,
+                (j, tuple(a - b for a, b in zip(lcm, ej))): -1 / aj,
+            }))
+    return out
+
+
+# small exponents, so that repeated leading monomials come up often
+single_terms = st.lists(
+    st.tuples(
+        st.integers(0, 1),
+        st.tuples(*[st.integers(0, 2)] * 3),
+        st.fractions(min_value=-3, max_value=3, max_denominator=2).filter(bool),
+    ),
+    min_size=2,
+    max_size=7,
+)
+
+
+@pytest.mark.parametrize("rank", [1, 2])
+@settings(derandomize=True, max_examples=60, deadline=None, database=None)
+@given(items=single_terms)
+def test_chain_criterion_keeps_generation(rank, items):
+    ring = PolyRing(RationalField(), ("x", "y", "z"))
+    spec = TermModuleGrading(TermOrderGrading.degrevlex(3), rank)
+    terms = [ModuleElement.from_terms(ring, rank, {(comp % rank, exps): c}) for comp, exps, c in items]
+    out = monomial_syzygy_generators(terms)
+    full = _all_lcm_pairs(terms, ring)
+    assert all(s in full for s in out)
+    if not full:
+        assert out == []
+        return
+    reducer = Reducer(out, syzygy_grading(spec, terms))
+    for s in full:
+        assert reducer.reduces_to_zero(s)[0]
 
 
 def test_monomial_syzygy_coefficient_correction(R2, el):
@@ -385,3 +444,19 @@ def test_rank_two_coarse_hbasis(R2):
     reducer = Reducer(list(basis.elements), spec)
     for g in gens:
         assert reducer.reduces_to_zero(g)[0]
+
+
+def test_cyclic3_total_degree_interreduce(Q):
+    # the leading forms are not monomials, so the closing criterion takes the
+    # elimination route: a nested completion over N + R^3
+    R3 = PolyRing(Q, ("x", "y", "z"))
+    el3 = lambda s: ModuleElement.from_polynomial(R3.parse(s))
+    total3 = CoarseModuleGrading(TotalDegreeGrading(3), 1)
+    gens = [el3("x + y + z"), el3("x*y + y*z + z*x"), el3("x*y*z - 1")]
+    red = interreduce(gens, total3)
+    assert degree_profile(red) == {1: 1, 2: 1, 3: 1}
+    assert buchberger_criterion(list(red.elements), total3).holds
+    assert ideals_equal(
+        [raw_poly(m.polys[0]) for m in red.elements],
+        [raw_poly(g.polys[0]) for g in gens],
+    )

@@ -1,6 +1,7 @@
 """Derandomized property tests: the reducer against the oracles, the grading
-order keys against the three-way comparator formulas they replace, and the
-elimination-route order's degrees and multipliers against direct formulas."""
+order keys against the three-way comparator formulas they replace, the
+elimination-route order's degrees and multipliers against direct formulas,
+and term-module degrees against the ring grading's degree-plus-shift."""
 
 from functools import cmp_to_key
 
@@ -212,3 +213,15 @@ def test_extended_order_matches_prefold_formulas(terms):
             assert spec.translate(a, exps) == prefold_translate(a, exps)
         for b in degrees:
             assert spec.multipliers(a, b) == prefold_multipliers(a, b)
+
+
+@pytest.mark.parametrize("name", ["pot", "top", "extended"])
+@PROPERTY
+@given(terms=module_terms)
+def test_term_module_degree_matches_ring_formula(name, terms):
+    # the one-tuple degree equals the ring grading's degree plus the shift
+    spec = GRADINGS[name]
+    for comp, exps in terms:
+        comp %= spec.rank
+        expected = (comp, spec.ring.add(spec.ring.degree(exps), spec.shifts[comp]))
+        assert spec.degree_of_term(comp, exps) == expected
