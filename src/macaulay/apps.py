@@ -5,7 +5,8 @@ dropped variables separately and compares dropped weight first; the basis
 elements free of dropped variables generate the intersection with the kept
 subring.  Hilbert functions of graded submodules are evaluated through the
 leading-form module of a basis for a refining term order, one degree at a
-time.  Homogenization balances degrees with a distinguished variable t and is
+time, by counting the module monomials some leading monomial divides.
+Homogenization balances degrees with a distinguished variable t and is
 inverse to setting t = 1.
 """
 
@@ -36,7 +37,6 @@ from .polymod import (
     is_homogeneous,
     leading_form,
 )
-from .reduction import Reducer
 
 
 # ---------------------------------------------------------------------------
@@ -87,10 +87,12 @@ def eliminate(generators, elim: EliminationSpec, config=None):
 def schreyer_syzygy_basis(basis: MacaulayBasis, config=None) -> MacaulayBasis:
     """A Macaulay basis of Syz(m_1, ..., m_n) from a basis X = {m_i}.
 
-    The homogeneous generators of the leading-form syzygies already form a
-    basis of that graded module for its own syzygy grading; lifting each one
-    through a reduction of its combination to zero yields a basis of the full
-    syzygy module under the same grading.
+    Each homogeneous generator of the leading-form syzygies is lifted through
+    a reduction of its combination to zero.  The leading forms of the lifted
+    set are those generators, so they generate Syz(lf m_1, ..., lf m_n), and
+    the lifted set is then a Macaulay basis of the full syzygy module under
+    the syzygy grading; the criterion certificate checks this before the
+    basis is returned.
     """
     X = list(basis.elements)
     spec = basis.spec
@@ -137,24 +139,25 @@ def hilbert_function(generators, coarse: CoarseModuleGrading, degrees, config=No
     All generators must be homogeneous for the coarse grading.  Dimensions are
     read off the leading-form module of a Macaulay basis under the refining
     term order: dim M_b equals the sum over the fiber of b of the workspace
-    dimensions, one per module monomial of degree b.
+    dimensions, one per module monomial of degree b.  Each such workspace
+    sits in a single module monomial, so it has dimension 1 when some
+    leading monomial divides that monomial and 0 otherwise.
     """
     generators = [g for g in generators if not g.is_zero()]
     for g in generators:
         if not is_homogeneous(g, coarse):
             raise UsageError("hilbert_function needs homogeneous generators")
     fine = default_fine_grading(coarse)
-    reducer = None
+    lead_degrees = []
     if generators:
         basis = buchberger_algorithm(generators, fine, config)
-        reducer = Reducer(list(basis.elements), fine, basis.policy)
+        lead_degrees = [degree_of(m, fine) for m in basis.elements]
     values = []
     for b in degrees:
         dim = 0
         for (i, exps) in coarse.component_monomials(b):
             fine_deg = fine.degree_of_term(i, exps)
-            if reducer is not None:
-                dim += reducer.w_space(fine_deg).dim
+            dim += any(fine.multipliers(d, fine_deg) for d in lead_degrees)
         values.append(dim)
     return HilbertTable(tuple(degrees), tuple(values))
 

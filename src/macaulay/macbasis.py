@@ -14,12 +14,17 @@ Syzygies of leading forms are produced two ways.  When every leading form is
 a single term, the pairwise lcm combinations generate (the classical S-pairs),
 and Buchberger's chain criterion drops the pairs that two pairs of strictly
 smaller lcm already generate.  Otherwise the generators are found by
-elimination: inside N + R^n, compute a basis of the module generated by
-(lf m_i, e_i) under a block term order that ranks every N-monomial above
-every coordinate monomial and refines the induced syzygy grading on the
-coordinate block; basis elements with vanishing N-part are exactly the
-syzygy generators.  Since that block order is a term order, the inner
-computation only ever needs the S-pair path and terminates.
+elimination: inside N + R^n, complete the elements (lf m_i, e_i) under a
+block term order that ranks every N-monomial above every coordinate
+monomial and refines the induced syzygy grading on the coordinate block, but
+form only the pairs of elements led in the N block.  The N-led elements end
+as a Groebner basis of the module the lf m_i generate, their coordinates
+record how each is built from the lf m_i, and the reductions of their
+S-pairs leave behind elements with vanishing N-part: by Schreyer's theorem
+these generate Syz(lf m_1, ..., lf m_n).  They are a generating set, not a
+basis of the syzygy module, which is all the criterion needs.  Since the
+block order is a term order, the inner computation only ever needs the
+S-pair path and terminates.
 """
 
 import operator
@@ -163,11 +168,11 @@ class _ExtendedOrder(TermModuleGrading):
     A degrevlex module term order with zero shifts and a different key:
     degrees, translation, multipliers and component monomials are the ones
     of ``TermModuleGrading``.  Every monomial of the first ``base_rank``
-    components outranks every coordinate monomial, so basis elements led by a
+    components outranks every coordinate monomial, so elements led by a
     coordinate monomial have no N-part at all.  Inside the coordinate block
     the order refines the syzygy grading (degree first, degrevlex and
-    position to break ties), which makes the extracted generators a basis
-    with respect to it.
+    position to break ties), so the extracted elements split into
+    homogeneous syzygies, which together form a generating set.
     """
 
     def __init__(self, syz: SyzygyGrading, base_rank: int):
@@ -183,6 +188,23 @@ class _ExtendedOrder(TermModuleGrading):
             return (1, None, self.ring.key(u), -i)
         syz_degree = self.syz.degree_of_term(i - self.base_rank, u)
         return (0, self.syz.key(syz_degree), self.ring.key(u), -i)
+
+    def n_block_syzygies(self, terms):
+        """The lcm syzygies of the single terms led in the N block.
+
+        Terms in coordinate components are never paired: their pairs would
+        complete the syzygy module itself, which the generating set does not
+        need.  Each pair is returned over all the terms, zero elsewhere.
+        """
+        paired = [i for i, t in enumerate(terms) if next(iter(t.term_map()))[0] < self.base_rank]
+        ring = terms[0].ring
+        out = []
+        for s in monomial_syzygy_generators([terms[i] for i in paired]):
+            polys = [ring.zero()] * len(terms)
+            for i, p in zip(paired, s.polys):
+                polys[i] = p
+            out.append(ModuleElement(ring, polys))
+        return out
 
 
 def syzygy_grading(spec, lf_elements) -> SyzygyGrading:
@@ -204,9 +226,12 @@ def leading_syzygy_generators(lf_elements, spec, config=None):
     """A homogeneous generating set of Syz(lf m_1, ..., lf m_n).
 
     Inputs must be homogeneous.  Single-term inputs take the lcm fast path;
-    otherwise the elimination method runs.  Every returned generator is
-    homogeneous for the syzygy grading over the input degrees, because the
-    graded pieces of a syzygy of homogeneous elements are again syzygies.
+    otherwise the elimination method runs, whose inner completion pairs only
+    the elements led in the N block.  The result generates the syzygies but
+    is in general not a basis of them for the syzygy grading.  Every
+    returned generator is homogeneous for the syzygy grading over the input
+    degrees, because the graded pieces of a syzygy of homogeneous elements
+    are again syzygies.
     """
     lf_elements = list(lf_elements)
     for m in lf_elements:
@@ -216,7 +241,10 @@ def leading_syzygy_generators(lf_elements, spec, config=None):
         return []
     syzspec = syzygy_grading(spec, lf_elements)
     if all(len(m.term_map()) == 1 for m in lf_elements):
-        gens = monomial_syzygy_generators(lf_elements)
+        if isinstance(spec, _ExtendedOrder):
+            gens = spec.n_block_syzygies(lf_elements)
+        else:
+            gens = monomial_syzygy_generators(lf_elements)
         return canonical_order([normalize_element(s, syzspec) for s in gens], syzspec)
 
     ring = lf_elements[0].ring

@@ -1,3 +1,4 @@
+import json
 import random
 
 import pytest
@@ -20,6 +21,7 @@ from macaulay.apps import (
     schreyer_syzygy_basis,
     verify_homogenization_equivalence,
 )
+from macaulay.cli import main, parse_problem
 from macaulay.errors import UsageError
 from macaulay.grading import CoarseModuleGrading, SyzygyGrading, TotalDegreeGrading
 from macaulay.macbasis import buchberger_algorithm
@@ -99,6 +101,30 @@ def test_eliminate_twisted_cubic(Q):
     oracle = classic_buchberger([raw_poly(g.polys[0]) for g in gens], lex_key)
     oracle_kept = [p for p in oracle if all(m[0] == 0 for m in p)]
     assert ideals_equal([raw_poly(m.polys[0]) for m in out], oracle_kept)
+
+
+KATSURA3 = """\
+ring q: x y z
+grading order degrevlex
+gen x + 2*y + 2*z - 1
+gen x^2 + 2*y^2 + 2*z^2 - x
+gen 2*x*y + 2*y*z - y
+"""
+
+
+def test_cli_eliminate_katsura3_keep_z(tmp_path, capsys):
+    # the elimination route's inner completions stay small enough to finish
+    path = tmp_path / "katsura3.mac"
+    path.write_text(KATSURA3, encoding="utf-8")
+    assert main(["eliminate", str(path), "--keep", "z", "--format", "json"]) == 0
+    problem = parse_problem(KATSURA3)
+    ring = problem.ring
+    out = [raw_poly(ring.parse(e["element"])) for e in json.loads(capsys.readouterr().out)["elements"]]
+    assert out
+    assert all(m[0] == 0 and m[1] == 0 for p in out for m in p)
+    oracle = classic_buchberger([raw_poly(g.polys[0]) for g in problem.generators], lex_key)
+    oracle_kept = [p for p in oracle if all(m[0] == 0 and m[1] == 0 for m in p)]
+    assert ideals_equal(out, oracle_kept)
 
 
 # ---------------------------------------------------------------------------

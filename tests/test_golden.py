@@ -85,6 +85,7 @@ CASES = {
     "verify_circle_degrevlex": (CIRCLE, ("verify", "--grading", "order degrevlex", "--format", "json")),
     "basis_katsura3": (KATSURA3, ("basis", "--reduced", "--format", "json")),
     "basis_cyclic4": (CYCLIC4, ("basis", "--reduced", "--format", "json")),
+    "basis_cyclic4_total": (CYCLIC4, ("basis", "--grading", "total", "--reduced", "--format", "json")),
     "basis_cyclic3_total": (CYCLIC3, ("basis", "--reduced", "--format", "json")),
 }
 

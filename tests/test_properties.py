@@ -1,15 +1,27 @@
 """Derandomized property tests: the reducer against the oracles, the grading
 order keys against the three-way comparator formulas they replace, the
 elimination-route order's degrees and multipliers against direct formulas,
-and term-module degrees against the ring grading's degree-plus-shift."""
+term-module degrees against the ring grading's degree-plus-shift, the
+elimination route's syzygies against kernel dimensions, and reduced
+total-degree bases against reordering and rescaling of their inputs."""
 
+import itertools
 from functools import cmp_to_key
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from oracles import classic_buchberger, classic_reduce, drl_key, ideal_member, raw_poly
+from oracles import (
+    classic_buchberger,
+    classic_reduce,
+    drl_key,
+    ideal_member,
+    monomials_of_degree,
+    rank_of,
+    raw_element_vectors,
+    raw_poly,
+)
 
 from macaulay.coeff import RationalField
 from macaulay.grading import (
@@ -21,9 +33,15 @@ from macaulay.grading import (
     TermOrderGrading,
     TotalDegreeGrading,
 )
-from macaulay.macbasis import _ExtendedOrder, buchberger_algorithm, interreduce
-from macaulay.polymod import ModuleElement, PolyRing, Polynomial
-from macaulay.reduction import Reducer
+from macaulay.macbasis import (
+    _ExtendedOrder,
+    buchberger_algorithm,
+    interreduce,
+    leading_syzygy_generators,
+    syzygy_grading,
+)
+from macaulay.polymod import ModuleElement, PolyRing, Polynomial, degree_of, is_homogeneous
+from macaulay.reduction import Reducer, dot
 
 PROPERTY = settings(derandomize=True, max_examples=40, deadline=None, database=None)
 
@@ -225,3 +243,94 @@ def test_term_module_degree_matches_ring_formula(name, terms):
         comp %= spec.rank
         expected = (comp, spec.ring.add(spec.ring.degree(exps), spec.shifts[comp]))
         assert spec.degree_of_term(comp, exps) == expected
+
+
+# ---------------------------------------------------------------------------
+# the elimination route generates every leading-form syzygy
+
+
+@st.composite
+def homogeneous_forms(draw):
+    """Rank, then 2-3 homogeneous elements of degree 1-2 with 2-3 terms each."""
+    rank = draw(st.integers(1, 2))
+    forms = []
+    for _ in range(draw(st.integers(2, 3))):
+        d = draw(st.integers(1, 2))
+        support = st.tuples(st.integers(0, rank - 1), st.sampled_from(monomials_of_degree(3, d)))
+        terms = draw(st.dictionaries(support, st.integers(-3, 3).filter(bool), min_size=2, max_size=3))
+        forms.append(terms)
+    return rank, forms
+
+
+def _graded_span_rank(elements, degrees, b):
+    """Rank of the degree-b monomial multiples of homogeneous elements."""
+    multiples = [
+        m.mul_term(mono)
+        for m, d in zip(elements, degrees)
+        if d <= b
+        for mono in monomials_of_degree(3, b - d)
+    ]
+    return rank_of(raw_element_vectors(multiples)[0]) if multiples else 0
+
+
+@PROPERTY
+@given(case=homogeneous_forms())
+def test_elimination_route_generates_the_syzygies(case):
+    rank, forms = case
+    ring = PolyRing(RationalField(), ("x", "y", "z"))
+    spec = CoarseModuleGrading(TotalDegreeGrading(3), rank)
+    field = ring.field
+    lfs = [
+        ModuleElement.from_terms(ring, rank, {key: field.from_int(c) for key, c in terms.items()})
+        for terms in forms
+    ]
+    out = leading_syzygy_generators(lfs, spec)
+    syzspec = syzygy_grading(spec, lfs)
+    for s in out:
+        assert is_homogeneous(s, syzspec)
+        assert dot(s, lfs).is_zero()
+    # every multiple of a generator is a syzygy, so equal dimensions mean the
+    # generators span the whole kernel of sum R_{b - d_i} -> N_b
+    lf_degrees = [degree_of(m, spec) for m in lfs]
+    out_degrees = [degree_of(s, syzspec) for s in out]
+    for b in range(max(lf_degrees + out_degrees) + 2):
+        domain = sum(len(monomials_of_degree(3, b - d)) for d in lf_degrees if d <= b)
+        kernel = domain - _graded_span_rank(lfs, lf_degrees, b)
+        assert _graded_span_rank(out, out_degrees, b) == kernel
+
+
+# ---------------------------------------------------------------------------
+# reduced bases do not depend on the order or the scale of the inputs
+
+INVARIANCE_PROBLEMS = {
+    "c4": (("x1", "x2"), ("x1^2 + x2^2 - 1", "x1^2*x2^2", "x1^3*x2 - x1*x2^3")),
+    "katsura3": (("x", "y", "z"), KATSURA3),
+}
+
+
+def _reduced_total_basis(name, order, scales):
+    names, texts = INVARIANCE_PROBLEMS[name]
+    ring = PolyRing(RationalField(), names)
+    spec = CoarseModuleGrading(TotalDegreeGrading(len(names)), 1)
+    gens = [
+        ModuleElement.from_polynomial(ring.parse(texts[i])).scale(c) for i, c in zip(order, scales)
+    ]
+    return interreduce(buchberger_algorithm(gens, spec), spec).elements
+
+
+@pytest.fixture(scope="module")
+def reference_bases():
+    return {name: _reduced_total_basis(name, (0, 1, 2), (1, 1, 1)) for name in INVARIANCE_PROBLEMS}
+
+
+@pytest.mark.parametrize("name", sorted(INVARIANCE_PROBLEMS))
+def test_reduced_basis_invariant_under_generator_order(reference_bases, name):
+    for order in itertools.permutations(range(3)):
+        assert _reduced_total_basis(name, order, (1, 1, 1)) == reference_bases[name]
+
+
+@pytest.mark.parametrize("name", sorted(INVARIANCE_PROBLEMS))
+@settings(derandomize=True, max_examples=8, deadline=None, database=None)
+@given(order=st.permutations(range(3)), scales=st.lists(coefficients, min_size=3, max_size=3))
+def test_reduced_basis_invariant_under_rescaling(reference_bases, name, order, scales):
+    assert _reduced_total_basis(name, order, scales) == reference_bases[name]
