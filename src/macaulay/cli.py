@@ -5,11 +5,11 @@ module declaration, then generators.  Commands dispatch to the library and
 render a deterministic result document as text or JSON; exact values are
 always printed as strings.
 
-Exit codes: 0 ok, 2 syntax error, 3 mathematical precondition, 4 resource cap.
+Exit codes: 0 ok, 2 syntax error, 3 mathematical precondition, 4 resource cap or
+out of memory.
 """
 
 import argparse
-import hashlib
 import json
 import sys
 
@@ -276,6 +276,8 @@ def parse_group_file(text, ring) -> GroupAction:
 
 
 def _input_hash(text, args_summary):
+    import hashlib  # imported on first use, as in reduction._snapshot
+
     return hashlib.sha256((text + "\n" + args_summary).encode()).hexdigest()[:16]
 
 
@@ -529,6 +531,10 @@ def main(argv=None) -> int:
         return 3
     except ResourceLimitError as exc:
         print(f"resource limit: {exc}", file=sys.stderr)
+        return 4
+    except MemoryError:
+        # growth that no cap stops yet still ends as a resource limit, not a traceback
+        print("resource limit: out of memory", file=sys.stderr)
         return 4
     sys.stdout.write(format_result(doc, args.format))
     return 0

@@ -11,9 +11,19 @@ Two complement policies are supported.  The pivot-canonical complement (the
 span of the non-pivot monomials) exists in every characteristic.  The
 monomial-orthogonal complement, taken with respect to the inner product that
 makes the module monomials orthonormal, needs characteristic zero; it is the
-choice that is invariant under signed permutations of the variables.  Its
-Gram system is inverted once per workspace, the first time a projection
-needs it.
+choice that is invariant under signed permutations of the variables.
+
+The echelon basis of a workspace is fixed, so each complement projection is a
+fixed linear map of the component, and so is the map to generator
+coefficients.  A workspace stores these maps column by column, sparse and
+filled the first time a column is met: column j holds the W-part of the unit
+vector e_j and its combination over the generator multiples.  Under the pivot
+policy that is the echelon row pivoting at j, or nothing; under the
+orthogonal policy it is G^-1 applied to column j of the rows, with the Gram
+matrix G inverted once per workspace.  Projecting, decomposing and testing
+membership then cost one pass over the terms an element has, and the stored
+columns never exceed n * (n + g) entries per policy for n ambient monomials
+and g generator multiples.
 
 Projections and decompositions take a homogeneous element as its term map
 ``{(component, exponents): coeff}``, the form the reduction loop keeps.
@@ -62,15 +72,8 @@ def component_monomials(spec, degree) -> ComponentBasis:
 
 def vector_of(element: ModuleElement, basis: ComponentBasis, field):
     """Coordinates of a homogeneous element over the component basis."""
-    return _vector(element.term_map(), basis, field)
-
-
-def _vector(terms, basis: ComponentBasis, field):
     vec = [field.zero] * basis.dim
-    for key, c in terms.items():
-        pos = basis.index.get(key)
-        if pos is None:
-            raise UsageError("element has a term outside the graded component")
+    for pos, c in _positions(element.term_map(), basis):
         vec[pos] = c
     return vec
 
@@ -81,6 +84,13 @@ class GradedSubspace:
     ``gens`` labels the raw rows whose span this is (for a W-space, the
     generator multiples (element index, multiplier exponents)); ``combos``
     expresses each echelon row in those rows.
+
+    Both complement projections are kept as per-column maps: the first time a
+    policy meets ambient column j, the W-part of the unit vector e_j and its
+    combination over ``gens`` are stored as (position, value) and (generator
+    index, value) pairs.  A split then costs one pass over the nonzero terms
+    of its input.  The maps hold at most n * (n + g) entries per policy for n
+    ambient columns and g generators, the size of the rows and combos.
     """
 
     def __init__(self, ambient: ComponentBasis, field, gens, raw_rows):
@@ -88,27 +98,72 @@ class GradedSubspace:
         self.field = field
         self.gens = tuple(gens)
         self.rows, self.pivots, self.combos = rref(raw_rows, field)
+        self._columns = {PIVOT: {}, ORTHOGONAL: {}}
 
     @property
     def dim(self):
         return len(self.rows)
 
-    def reduce_vector(self, vec):
-        """Eliminate pivot coordinates; returns (residue, combo over gens)."""
+    def split(self, svec, policy):
+        """Split a sparse vector [(position, value)] along W and its complement.
+
+        Returns ``(kept, combo)``: ``kept`` is the part in the policy's fixed
+        complement as (position, value) pairs in position order, and ``combo``
+        writes the rest, which lies in W, over ``gens`` as (generator index,
+        value) pairs in generator order; zero entries are dropped from both.
+        """
         field = self.field
-        residue = list(vec)
-        combo = [field.zero] * len(self.gens)
-        for row, piv, rcombo in zip(self.rows, self.pivots, self.combos):
-            c = residue[piv]
-            if field.is_zero(c):
-                continue
-            residue = [field.sub(v, field.mul(c, w)) for v, w in zip(residue, row)]
-            combo = [field.add(v, field.mul(c, w)) for v, w in zip(combo, rcombo)]
-        return residue, combo
+        if not self.rows:
+            return sorted((j, v) for j, v in svec if not field.is_zero(v)), []
+        if len(self.rows) == self.ambient.dim:
+            # W fills the component: the W-part is the input itself, and the
+            # echelon rows are the unit vectors, so both maps are the pivot map
+            policy = PIVOT
+        columns = self._columns[policy]
+        mul, add, one = field.mul, field.add, field.one
+        kept = dict(svec)
+        combo = {}
+        for j, v in svec:
+            column = columns.get(j)
+            if column is None:
+                column = columns[j] = self._column(policy, j)
+            wpart, wcombo = column
+            for pos, w in wpart:
+                prod = v if w is one else mul(v, w)
+                kept[pos] = field.sub(kept[pos], prod) if pos in kept else field.neg(prod)
+            for g, w in wcombo:
+                prod = v if w is one else mul(v, w)
+                combo[g] = add(combo[g], prod) if g in combo else prod
+        is_zero = field.is_zero
+        return (
+            sorted((j, v) for j, v in kept.items() if not is_zero(v)),
+            sorted((g, c) for g, c in combo.items() if not is_zero(c)),
+        )
+
+    def _column(self, policy, j):
+        """(W-part of e_j, its combination over gens), both as sparse pairs.
+
+        Entries equal to one are stored as ``field.one`` itself, so that a
+        split can skip those products (most pivot-row entries are one).
+        """
+        field = self.field
+        if policy == PIVOT:
+            # the echelon form is fully reduced, so only the row pivoting at j sees e_j
+            if j not in self.pivots:
+                return (), ()
+            k = self.pivots.index(j)
+            column = _sparse(self.rows[k], field), _sparse(self.combos[k], field)
+        else:
+            # c = G^-1 (column j of the rows); the W-part is sum c_k row_k
+            rhs = [(l, row[j]) for l, row in enumerate(self.rows) if not field.is_zero(row[j])]
+            coeffs = [_sparse_dot(rhs, inv_row, field) for inv_row in self.gram_inverse]
+            column = _combine(coeffs, self.rows, field), _combine(coeffs, self.combos, field)
+        one = field.one
+        return tuple(tuple((p, one if v == one else v) for p, v in pairs) for pairs in column)
 
     def contains(self, vec) -> bool:
-        residue, _ = self.reduce_vector(vec)
-        return all(self.field.is_zero(v) for v in residue)
+        kept, _ = self.split(_sparse(vec, self.field), PIVOT)
+        return not kept
 
     @cached_property
     def gram_inverse(self):
@@ -119,9 +174,35 @@ class GradedSubspace:
         combination matrix of that elimination is the inverse.
         """
         field = self.field
-        gram = [[_dot(u, v, field) for v in self.rows] for u in self.rows]
+        sparse = [_sparse(row, field) for row in self.rows]
+        gram = [[_sparse_dot(u, v, field) for v in self.rows] for u in sparse]
         _, _, inverse = rref(gram, field)
         return inverse
+
+
+def _sparse(vec, field):
+    return tuple((p, v) for p, v in enumerate(vec) if not field.is_zero(v))
+
+
+def _sparse_dot(pairs, vec, field):
+    """sum a * vec[p] over the (position, a) pairs."""
+    acc = field.zero
+    for p, a in pairs:
+        acc = field.add(acc, field.mul(a, vec[p]))
+    return acc
+
+
+def _combine(coeffs, vectors, field):
+    """sum coeffs[k] * vectors[k] as sparse (position, value) pairs."""
+    acc = {}
+    for c, vec in zip(coeffs, vectors):
+        if field.is_zero(c):
+            continue
+        for p, v in enumerate(vec):
+            if not field.is_zero(v):
+                prod = field.mul(c, v)
+                acc[p] = field.add(acc[p], prod) if p in acc else prod
+    return tuple(sorted((p, v) for p, v in acc.items() if not field.is_zero(v)))
 
 
 def w_space(X, degree, spec, lf_parts=None) -> GradedSubspace:
@@ -146,42 +227,32 @@ def w_space(X, degree, spec, lf_parts=None) -> GradedSubspace:
 def project_complement(terms, sub: GradedSubspace, policy: str):
     """Split a homogeneous element into its complement part and its W-part.
 
-    Returns ``(kept, decomposition)`` from one elimination: ``kept`` is the
-    component in the fixed complement of W as a term map without zero
-    coefficients, and ``decomposition`` writes ``element - kept``, which lies
-    in W, like ``decompose_in_w`` does.  Pivot-canonical: eliminate the pivot
+    Returns ``(kept, decomposition)``: ``kept`` is the component in the fixed
+    complement of W as a term map without zero coefficients, in ambient
+    order, and ``decomposition`` writes ``element - kept``, which lies in W,
+    like ``decompose_in_w`` does.  Pivot-canonical: eliminate the pivot
     coordinates, leaving the span of the non-pivot monomials.
     Monomial-orthogonal: subtract the orthogonal projection onto W.
     """
-    field = sub.field
-    check_policy(policy, field)
-    vec = _vector(terms, sub.ambient, field)
-    if policy == PIVOT:
-        out, combo = sub.reduce_vector(vec)
-    else:
-        out = vec
-        combo = [field.zero] * len(sub.gens)
-        if sub.rows:
-            # each cf is the Gram coefficient of its echelon row in the projection onto W
-            rhs = [_dot(row, vec, field) for row in sub.rows]
-            for inv_row, row, rcombo in zip(sub.gram_inverse, sub.rows, sub.combos):
-                cf = _dot(inv_row, rhs, field)
-                out = [field.sub(v, field.mul(cf, w)) for v, w in zip(out, row)]
-                combo = [field.add(v, field.mul(cf, w)) for v, w in zip(combo, rcombo)]
-    kept = {m: c for m, c in zip(sub.ambient.monomials, out) if not field.is_zero(c)}
-    return kept, _generator_terms(sub, combo)
+    check_policy(policy, sub.field)
+    kept, combo = sub.split(_positions(terms, sub.ambient), policy)
+    monomials = sub.ambient.monomials
+    return {monomials[p]: c for p, c in kept}, _generator_terms(sub, combo)
+
+
+def _positions(terms, basis: ComponentBasis):
+    """A term map as a sparse vector [(position, coeff)] over the component basis."""
+    index = basis.index
+    try:
+        return [(index[key], c) for key, c in terms.items()]
+    except KeyError:
+        raise UsageError("element has a term outside the graded component") from None
 
 
 def _generator_terms(sub: GradedSubspace, combo):
-    """[(element index, multiplier exponents, coefficient)] for the nonzero entries of combo."""
-    return [(idx, mult, c) for (idx, mult), c in zip(sub.gens, combo) if not sub.field.is_zero(c)]
-
-
-def _dot(u, v, field):
-    acc = field.zero
-    for a, b in zip(u, v):
-        acc = field.add(acc, field.mul(a, b))
-    return acc
+    """[(element index, multiplier exponents, coefficient)] for a sparse combo over sub.gens."""
+    gens = sub.gens
+    return [(*gens[g], c) for g, c in combo]
 
 
 def decompose_in_w(terms, sub: GradedSubspace):
@@ -190,9 +261,7 @@ def decompose_in_w(terms, sub: GradedSubspace):
     Returns [(element index, multiplier exponents, coefficient)] in generator
     enumeration order; raises MembershipError if the element is outside W.
     """
-    field = sub.field
-    vec = _vector(terms, sub.ambient, field)
-    residue, combo = sub.reduce_vector(vec)
-    if not all(field.is_zero(v) for v in residue):
+    kept, combo = sub.split(_positions(terms, sub.ambient), PIVOT)
+    if kept:
         raise MembershipError("element does not lie in the workspace W_b(X)")
     return _generator_terms(sub, combo)

@@ -27,7 +27,6 @@ the representation, the intermediate elements and their snapshot hashes are
 replayed from those records on demand.
 """
 
-import hashlib
 from bisect import insort
 from functools import cached_property
 from operator import add
@@ -48,6 +47,9 @@ COMPLEMENT = "complement"
 
 
 def _snapshot(m: ModuleElement) -> str:
+    # imported here: hashlib maps OpenSSL, about 3.5 MB resident, and most runs hash nothing
+    import hashlib
+
     return hashlib.sha256(str(m).encode()).hexdigest()[:16]
 
 

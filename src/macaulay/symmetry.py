@@ -11,7 +11,7 @@ from typing import NamedTuple
 
 from .coeff import rref
 from .errors import ResourceLimitError, UsageError
-from .gradlin import ORTHOGONAL, ComponentBasis, GradedSubspace, vector_of
+from .gradlin import ORTHOGONAL, PIVOT, ComponentBasis, GradedSubspace, vector_of
 from .polymod import ModuleElement, Polynomial
 from .reduction import Reducer
 
@@ -174,16 +174,16 @@ def span_is_invariant(X, action: GroupAction) -> InvarianceReport:
     invariant = True
     for gi, row in enumerate(images):
         for mi, image in enumerate(row):
-            vec, combo = sub.reduce_vector(vector_of(image, basis, field))
-            if all(field.is_zero(v) for v in vec):
+            terms = [(basis.index[key], c) for key, c in image.term_map().items()]
+            kept, sparse_combo = sub.split(terms, PIVOT)
+            if not kept:
+                combo = [field.zero] * len(X)
+                for g, c in sparse_combo:
+                    combo[g] = c
                 witnesses.append(InvarianceWitness(gi, mi, tuple(combo), None))
             else:
                 invariant = False
-                residual = ModuleElement.from_terms(
-                    action.ring,
-                    rank,
-                    {key: v for key, v in zip(support, vec) if not field.is_zero(v)},
-                )
+                residual = ModuleElement.from_terms(action.ring, rank, {support[p]: v for p, v in kept})
                 witnesses.append(InvarianceWitness(gi, mi, None, residual))
     return InvarianceReport(invariant, tuple(witnesses))
 

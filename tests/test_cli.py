@@ -2,6 +2,7 @@ import json
 
 import pytest
 
+from macaulay import cli
 from macaulay.cli import (
     build_grading,
     format_result,
@@ -184,6 +185,17 @@ def test_cli_exit_codes(tmp_path, capsys):
 
     code, _, _ = run_cli(tmp_path, capsys, "basis", str(tmp_path / "missing.mac"))
     assert code == 2
+
+
+def test_cli_out_of_memory_exits_4(tmp_path, capsys, monkeypatch):
+    def exhausted(*args):
+        raise MemoryError
+
+    monkeypatch.setattr(cli, "run_command", exhausted)
+    code, out, err = run_cli(tmp_path, capsys, "basis", write(tmp_path, "circle.mac", CIRCLE))
+    assert code == 4
+    assert out == ""
+    assert err == "resource limit: out of memory\n"
 
 
 def test_cli_eliminate(tmp_path, capsys):

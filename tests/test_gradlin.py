@@ -191,3 +191,28 @@ def test_w_space_matches_oracle_span(el, total2, circle_pair):
     assert sub.dim == rank_of(rows)
     for row in sub.rows:
         assert in_span(rows, [Fraction(v) for v in row])
+
+
+def test_projection_cache_is_transparent(R2, total2, circle_pair, c4_triple):
+    # the per-column maps fill lazily; what is cached must not change any result
+    rng = random.Random(11)
+    for X in (circle_pair, c4_triple):
+        for degree in (4, 5):
+            basis = w_space(X, degree, total2).ambient
+            elements = []
+            for _ in range(6):
+                coeffs = [R2.field.from_int(rng.randrange(-3, 4)) for _ in basis.monomials]
+                elements.append({m: c for m, c in zip(basis.monomials, coeffs) if c})
+            # one warm subspace serves both policies, as a Reducer's cached W-space can
+            warm = w_space(X, degree, total2)
+            for policy in (ORTHOGONAL, PIVOT, ORTHOGONAL):
+                fresh = [project_complement(t, w_space(X, degree, total2), policy) for t in elements]
+                first = [project_complement(t, warm, policy) for t in elements]
+                # again, in reverse order, after every column has been seen
+                again = [project_complement(t, warm, policy) for t in reversed(elements)]
+                assert first == fresh
+                assert again[::-1] == fresh
+                assert [list(kept) for kept, _ in again[::-1]] == [list(kept) for kept, _ in fresh]
+                for t, (kept, decomposition) in zip(elements, fresh):
+                    member = ModuleElement.from_terms(R2, 1, t) - ModuleElement.from_terms(R2, 1, kept)
+                    assert decompose_in_w(member.term_map(), warm) == decomposition

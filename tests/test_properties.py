@@ -2,8 +2,9 @@
 order keys against the three-way comparator formulas they replace, the
 elimination-route order's degrees and multipliers against direct formulas,
 term-module degrees against the ring grading's degree-plus-shift, the
-elimination route's syzygies against kernel dimensions, and reduced
-total-degree bases against reordering and rescaling of their inputs."""
+elimination route's syzygies against kernel dimensions, reduced
+total-degree bases against reordering and rescaling of their inputs, and the
+complement projections against the raw generator rows."""
 
 import itertools
 from functools import cmp_to_key
@@ -17,13 +18,15 @@ from oracles import (
     classic_reduce,
     drl_key,
     ideal_member,
+    in_span,
     monomials_of_degree,
     rank_of,
     raw_element_vectors,
     raw_poly,
+    rref_fractions,
 )
 
-from macaulay.coeff import RationalField
+from macaulay.coeff import PrimeField, RationalField
 from macaulay.grading import (
     BlockGrading,
     CoarseModuleGrading,
@@ -33,6 +36,7 @@ from macaulay.grading import (
     TermOrderGrading,
     TotalDegreeGrading,
 )
+from macaulay.gradlin import ORTHOGONAL, PIVOT, project_complement, w_space
 from macaulay.macbasis import (
     _ExtendedOrder,
     buchberger_algorithm,
@@ -334,3 +338,79 @@ def test_reduced_basis_invariant_under_generator_order(reference_bases, name):
 @given(order=st.permutations(range(3)), scales=st.lists(coefficients, min_size=3, max_size=3))
 def test_reduced_basis_invariant_under_rescaling(reference_bases, name, order, scales):
     assert _reduced_total_basis(name, order, scales) == reference_bases[name]
+
+
+# ---------------------------------------------------------------------------
+# complement projections against the raw generator rows
+
+
+@st.composite
+def projection_cases(draw):
+    """Rank, 1-3 homogeneous forms of degree 1-2, and a degree-b element, b in 1-3."""
+    rank = draw(st.integers(1, 2))
+    forms = []
+    for _ in range(draw(st.integers(1, 3))):
+        d = draw(st.integers(1, 2))
+        support = st.tuples(st.integers(0, rank - 1), st.sampled_from(monomials_of_degree(3, d)))
+        forms.append(draw(st.dictionaries(support, st.integers(-3, 3).filter(bool), min_size=1, max_size=4)))
+    b = draw(st.integers(1, 3))
+    support = st.tuples(st.integers(0, rank - 1), st.sampled_from(monomials_of_degree(3, b)))
+    element = draw(st.dictionaries(support, st.integers(-4, 4).filter(bool), min_size=1, max_size=6))
+    return rank, forms, b, element
+
+
+def _projection_setup(case, field):
+    rank, forms, b, element = case
+    ring = PolyRing(field, ("x", "y", "z"))
+    spec = CoarseModuleGrading(TotalDegreeGrading(3), rank)
+    X = [
+        ModuleElement.from_terms(ring, rank, {key: field.from_int(c) for key, c in terms.items()})
+        for terms in forms
+    ]
+    m = ModuleElement.from_terms(ring, rank, {key: field.from_int(c) for key, c in element.items()})
+    multiples = [
+        x.mul_term(mono)
+        for x, d in zip(X, (degree_of(x, spec) for x in X))
+        if d <= b
+        for mono in monomials_of_degree(3, b - d)
+    ]
+    return ring, rank, X, m, multiples, w_space(X, b, spec)
+
+
+def _reexpanded(ring, rank, X, decomposition):
+    acc = ModuleElement.from_terms(ring, rank, {})
+    for idx, mult, c in decomposition:
+        acc = acc + X[idx].mul_term(mult, c)
+    return acc
+
+
+@settings(derandomize=True, max_examples=100, deadline=None, database=None)
+@given(case=projection_cases(), policy=st.sampled_from([PIVOT, ORTHOGONAL]))
+def test_projection_matches_raw_rows_over_q(case, policy):
+    ring, rank, X, m, multiples, sub = _projection_setup(case, RationalField())
+    support = list(sub.ambient.monomials)
+    kept, decomposition = project_complement(m.term_map(), sub, policy)
+    w_part = m - ModuleElement.from_terms(ring, rank, kept)
+    # the forms are homogeneous, so each is its own leading form
+    assert _reexpanded(ring, rank, X, decomposition) == w_part
+    raw_rows, _ = raw_element_vectors(multiples, support) if multiples else ([], support)
+    if raw_rows:
+        assert in_span(raw_rows, raw_element_vectors([w_part], support)[0][0])
+    else:
+        assert w_part.is_zero()
+    kept_vec = raw_element_vectors([ModuleElement.from_terms(ring, rank, kept)], support)[0][0]
+    if policy == ORTHOGONAL:
+        assert all(sum(a * b for a, b in zip(row, kept_vec)) == 0 for row in raw_rows)
+    else:
+        pivots = rref_fractions(raw_rows)[1] if raw_rows else []
+        assert all(kept_vec[p] == 0 for p in pivots)
+
+
+@PROPERTY
+@given(case=projection_cases())
+def test_pivot_projection_laws_over_fp(case):
+    ring, rank, X, m, _, sub = _projection_setup(case, PrimeField(32003))
+    kept, decomposition = project_complement(m.term_map(), sub, PIVOT)
+    pivot_monomials = {sub.ambient.monomials[p] for p in sub.pivots}
+    assert not pivot_monomials & set(kept)
+    assert _reexpanded(ring, rank, X, decomposition) == m - ModuleElement.from_terms(ring, rank, kept)

@@ -223,3 +223,21 @@ def test_reducer_rejects_mismatched_element(R2, el, total2, circle_pair):
     other = PolyRing(PrimeField(7), ("x1", "x2"))
     with pytest.raises(UsageError):
         reducer.reduces_to_zero(ModuleElement.from_polynomial(other.parse("1")))
+
+
+def test_warm_reducer_traces_match_fresh(R2, total2, circle_pair, c4_triple):
+    # cached W-spaces and projection columns must not change any step
+    rng = random.Random(12)
+    for X in (circle_pair, c4_triple):
+        elements = [random_element(R2, 1, rng, max_degree=6) for _ in range(12)]
+        for policy in (ORTHOGONAL, PIVOT):
+            warm = Reducer(X, total2, policy)
+            for m in elements:
+                warm.normal_form(m)
+                warm.reduces_to_zero(m)
+            for m in reversed(elements):
+                for run in ("normal_form", "reduces_to_zero"):
+                    fresh_trace = getattr(Reducer(X, total2, policy), run)(m)[1]
+                    warm_trace = getattr(warm, run)(m)[1]
+                    assert warm_trace.steps == fresh_trace.steps
+                    assert warm_trace.final == fresh_trace.final
