@@ -23,10 +23,11 @@ from .grading import (
 from .macbasis import (
     CriterionResult,
     MacaulayBasis,
+    _lift,
     buchberger_algorithm,
     buchberger_criterion,
     leading_syzygy_generators,
-    lift_syzygy,
+    lift_syzygy,  # noqa: F401  (re-exported: part of this module's namespace)
     syzygy_grading,
 )
 from .polymod import (
@@ -37,6 +38,7 @@ from .polymod import (
     is_homogeneous,
     leading_form,
 )
+from .reduction import Reducer, dot
 
 
 # ---------------------------------------------------------------------------
@@ -88,11 +90,11 @@ def schreyer_syzygy_basis(basis: MacaulayBasis, config=None) -> MacaulayBasis:
     """A Macaulay basis of Syz(m_1, ..., m_n) from a basis X = {m_i}.
 
     Each homogeneous generator of the leading-form syzygies is lifted through
-    a reduction of its combination to zero.  The leading forms of the lifted
-    set are those generators, so they generate Syz(lf m_1, ..., lf m_n), and
-    the lifted set is then a Macaulay basis of the full syzygy module under
-    the syzygy grading; the criterion certificate checks this before the
-    basis is returned.
+    a reduction of its combination to zero, all against one Reducer over X.
+    The leading forms of the lifted set are those generators, so they
+    generate Syz(lf m_1, ..., lf m_n), and the lifted set is then a Macaulay
+    basis of the full syzygy module under the syzygy grading; the criterion
+    certificate checks this before the basis is returned.
     """
     X = list(basis.elements)
     spec = basis.spec
@@ -104,8 +106,13 @@ def schreyer_syzygy_basis(basis: MacaulayBasis, config=None) -> MacaulayBasis:
     for s in sygens:
         if not is_homogeneous(s, syzspec):
             raise UsageError("leading-form syzygy generators must be homogeneous")
-    lifted = [lift_syzygy(s, X, spec) for s in sygens]
-    lifted = [t for t in lifted if not t.is_zero()]
+    reducer = Reducer(X, spec)
+    lifted = []
+    for s in sygens:
+        v = dot(s, X)
+        t = s if v.is_zero() else _lift(s, v, reducer)
+        if not t.is_zero():
+            lifted.append(t)
     certificate = buchberger_criterion(lifted, syzspec) if lifted else CriterionResult(True, None)
     if not certificate.holds:
         raise UsageError("lifted syzygies failed the criterion; input was not a Macaulay basis")

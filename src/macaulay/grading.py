@@ -28,8 +28,11 @@ compares natively (an int, or a tuple of ints and nested tuples) with
 ``deg a > deg b`` exactly when ``key(a) > key(b)``.  Sorting, maxima and heaps
 of degrees use the key directly; ``compare`` is the one generic three-way
 comparison built on it.  ``key`` rejects values of the wrong shape for its
-grading with ``UsageError``.  Grading objects themselves compare and hash by
-identity: nothing needs two separately built gradings to be equal.
+grading with ``UsageError``.  A weight matrix equal to the degrevlex rows
+takes its key in closed form, (sum a, -a_d, ..., -a_2), the same tuple as
+the matrix product without the multiplications.  Grading objects themselves
+compare and hash by identity: nothing needs two separately built gradings to
+be equal.
 """
 
 import operator
@@ -150,6 +153,8 @@ class TermOrderGrading(Grading):
         self.rows = rows
         self.nvars = d
         self.name = name
+        # degrevlex keys have a closed form, taken whatever the grading's name
+        self._degrevlex = rows == _degrevlex_rows(d)
         self.structural_failures = self._structural_check()
 
     @classmethod
@@ -183,6 +188,9 @@ class TermOrderGrading(Grading):
     def key(self, degree):
         if not (isinstance(degree, tuple) and len(degree) == self.nvars):
             raise UsageError("term-order grading compares exponent tuples")
+        if self._degrevlex:
+            # M.a for the degrevlex rows: (sum a, -a[d-1], ..., -a[1])
+            return (sum(degree), *map(operator.neg, degree[:0:-1]))
         return tuple(sum(map(operator.mul, row, degree)) for row in self.rows)
 
     def add(self, a, b):

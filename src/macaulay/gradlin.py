@@ -205,8 +205,12 @@ def _combine(coeffs, vectors, field):
     return tuple(sorted((p, v) for p, v in acc.items() if not field.is_zero(v)))
 
 
-def w_space(X, degree, spec, lf_parts=None) -> GradedSubspace:
-    """The span of degree-matching monomial multiples of the leading forms of X."""
+def w_space(X, degree, spec, lf_parts=None, skip=None) -> GradedSubspace:
+    """The span of degree-matching monomial multiples of the leading forms of X.
+
+    ``skip`` leaves out the element with that index; the generators keep the
+    indices of X.
+    """
     if not X:
         raise UsageError("w_space needs at least one element")
     ring = X[0].ring
@@ -217,6 +221,8 @@ def w_space(X, degree, spec, lf_parts=None) -> GradedSubspace:
     gens = []
     raw_rows = []
     for idx, part in enumerate(lf_parts):
+        if idx == skip:
+            continue
         for mult in spec.multipliers(part.degree, degree):
             shifted = part.element.mul_term(mult)
             gens.append((idx, mult))

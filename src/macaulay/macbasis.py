@@ -8,7 +8,13 @@ zero.  Completion repeatedly adjoins normal forms of the failing combinations
 until the criterion holds.  Each round it reduces only the generators that
 involve an element adjoined in the round before: a syzygy supported on the
 older elements lies in their syzygy module, whose generators were reduced
-when it was current.
+when it was current.  The work is incremental: one ``Reducer`` serves the
+whole completion and is extended after each adjoin, keeping every cached
+workspace that no new leading form reaches, and on the lcm path only the
+pairs with an adjoined element are formed at all (Gebauer and Moeller's
+"new pairs only").  Interreduction keeps one ``Reducer`` per pass over the
+set and leaves the element being reduced out only at its own degree, the one
+workspace it can change.
 
 Syzygies of leading forms are produced two ways.  When every leading form is
 a single term, the pairwise lcm combinations generate (the classical S-pairs),
@@ -28,6 +34,7 @@ S-pair path and terminates.
 """
 
 import operator
+from bisect import bisect_left
 from typing import NamedTuple
 
 from .errors import ResourceLimitError, UsageError
@@ -123,6 +130,17 @@ def monomial_syzygy_generators(terms):
     generated by pairs of strictly smaller lcm under divisibility, so by
     induction on the lcm the returned pairs still generate the syzygies.
     """
+    return _lcm_syzygies(terms, 0)
+
+
+def _lcm_syzygies(terms, since):
+    """The pairs (i, j) of ``monomial_syzygy_generators(terms)`` with j >= since.
+
+    Only those pairs are formed, in the same order; the chain criterion still
+    looks at every term.
+    """
+    if not terms:
+        return []
     infos = []
     ring = None
     for t in terms:
@@ -137,7 +155,7 @@ def monomial_syzygy_generators(terms):
     out = []
     for i in range(n):
         ci, ei, coef_i = infos[i]
-        for j in range(i + 1, n):
+        for j in range(max(i + 1, since), n):
             cj, ej, coef_j = infos[j]
             if ci != cj:
                 continue
@@ -189,17 +207,18 @@ class _ExtendedOrder(TermModuleGrading):
         syz_degree = self.syz.degree_of_term(i - self.base_rank, u)
         return (0, self.syz.key(syz_degree), self.ring.key(u), -i)
 
-    def n_block_syzygies(self, terms):
+    def n_block_syzygies(self, terms, since=0):
         """The lcm syzygies of the single terms led in the N block.
 
         Terms in coordinate components are never paired: their pairs would
         complete the syzygy module itself, which the generating set does not
         need.  Each pair is returned over all the terms, zero elsewhere.
+        Only the pairs that involve a term from index ``since`` on are formed.
         """
         paired = [i for i, t in enumerate(terms) if next(iter(t.term_map()))[0] < self.base_rank]
         ring = terms[0].ring
         out = []
-        for s in monomial_syzygy_generators([terms[i] for i in paired]):
+        for s in _lcm_syzygies([terms[i] for i in paired], bisect_left(paired, since)):
             polys = [ring.zero()] * len(terms)
             for i, p in zip(paired, s.polys):
                 polys[i] = p
@@ -222,7 +241,7 @@ def _split_homogeneous(elements, spec):
     return out
 
 
-def leading_syzygy_generators(lf_elements, spec, config=None):
+def leading_syzygy_generators(lf_elements, spec, config=None, *, since=0):
     """A homogeneous generating set of Syz(lf m_1, ..., lf m_n).
 
     Inputs must be homogeneous.  Single-term inputs take the lcm fast path;
@@ -232,6 +251,10 @@ def leading_syzygy_generators(lf_elements, spec, config=None):
     returned generator is homogeneous for the syzygy grading over the input
     degrees, because the graded pieces of a syzygy of homogeneous elements
     are again syzygies.
+
+    With ``since`` > 0 only the generators that involve an element from
+    index ``since`` on are returned, in the same canonical order.  The lcm
+    path forms only those pairs; the elimination path filters its result.
     """
     lf_elements = list(lf_elements)
     for m in lf_elements:
@@ -242,9 +265,9 @@ def leading_syzygy_generators(lf_elements, spec, config=None):
     syzspec = syzygy_grading(spec, lf_elements)
     if all(len(m.term_map()) == 1 for m in lf_elements):
         if isinstance(spec, _ExtendedOrder):
-            gens = spec.n_block_syzygies(lf_elements)
+            gens = spec.n_block_syzygies(lf_elements, since)
         else:
-            gens = monomial_syzygy_generators(lf_elements)
+            gens = _lcm_syzygies(lf_elements, since)
         return canonical_order([normalize_element(s, syzspec) for s in gens], syzspec)
 
     ring = lf_elements[0].ring
@@ -264,7 +287,8 @@ def leading_syzygy_generators(lf_elements, spec, config=None):
     for g in basis.elements:
         if all(g.polys[k].is_zero() for k in range(r)):
             raw.append(ModuleElement(ring, g.polys[r:]))
-    return canonical_order(_split_homogeneous(raw, syzspec), syzspec)
+    gens = canonical_order(_split_homogeneous(raw, syzspec), syzspec)
+    return [s for s in gens if not all(p.is_zero() for p in s.polys[since:])]
 
 
 # ---------------------------------------------------------------------------
@@ -309,6 +333,12 @@ def buchberger_algorithm(generators, spec, config=None) -> MacaulayBasis:
     combination of them.  Every adjoined element has its leading form outside
     the old workspace, so the leading-form submodule grows strictly and the
     loop halts; the iteration cap only guards against runaway inputs.
+
+    One ``Reducer`` serves every round.  Its leading forms feed the syzygy
+    generation, and after each adjoin ``Reducer.extend`` drops only the
+    workspaces a new leading form reaches; the others keep the same
+    generators in the same order, so every normal form is the one a fresh
+    Reducer over the grown set would give.
     """
     config = config or BuchbergerConfig()
     gens = [g for g in generators if not g.is_zero()]
@@ -324,15 +354,13 @@ def buchberger_algorithm(generators, spec, config=None) -> MacaulayBasis:
     if not X:
         return MacaulayBasis((), spec, policy, True, CriterionResult(True, None))
 
+    reducer = Reducer(X, spec, policy)
     since = 0
     for _ in range(config.max_iterations):
-        lf_parts = [leading_form(m, spec) for m in X]
-        sygens = leading_syzygy_generators([p.element for p in lf_parts], spec, config)
-        reducer = Reducer(X, spec, policy)
+        lfs = [p.element for p in reducer.lf_parts]
+        sygens = leading_syzygy_generators(lfs, spec, config, since=since)
         added = []
         for s in sygens:
-            if all(p.is_zero() for p in s.polys[since:]):
-                continue
             v = dot(s, X)
             if v.is_zero():
                 continue
@@ -354,6 +382,7 @@ def buchberger_algorithm(generators, spec, config=None) -> MacaulayBasis:
                 raise AssertionError("normal form left its leading form inside the workspace")
         since = len(X)
         X.extend(added)
+        reducer.extend(added)
     raise ResourceLimitError("iteration cap exceeded", partial=tuple(X))
 
 
@@ -378,19 +407,21 @@ def interreduce(basis_or_elements, spec, policy=None) -> MacaulayBasis:
 
     for _ in range(100):
         elements = canonical_order(elements, spec)
+        if len(elements) < 2:
+            break
+        reducer = Reducer(elements, spec, policy)
         changed = False
         for idx in range(len(elements)):
-            rest = elements[:idx] + elements[idx + 1 :]
-            if not rest:
-                continue
-            nf, _ = Reducer(rest, spec, policy).normal_form(elements[idx])
+            nf, _ = reducer.normal_form(elements[idx], skip=idx)
             if nf.is_zero():
+                # the order changes, and with it the pivot rows: a new pass
                 elements.pop(idx)
                 changed = True
                 break
             nf = normalize_element(nf, spec)
             if nf != elements[idx]:
                 elements[idx] = nf
+                reducer.replace(idx, nf)
                 changed = True
         if not changed:
             break
@@ -411,13 +442,16 @@ def lift_syzygy(s: ModuleElement, X, spec) -> ModuleElement:
     """
     X = list(X)
     v = dot(s, X)
-    if v.is_zero():
-        return s
-    ok, trace = Reducer(X, spec).reduces_to_zero(v)
+    return s if v.is_zero() else _lift(s, v, Reducer(X, spec))
+
+
+def _lift(s, v, reducer):
+    """s minus the representation over reducer.X of v = sum s_i m_i, reduced to zero."""
+    ok, trace = reducer.reduces_to_zero(v)
     if not ok:
         raise UsageError("cannot lift: the set does not satisfy the criterion")
     ring = s.ring
-    coords = [trace.representation.get(i, ring.zero()) for i in range(len(X))]
+    coords = [trace.representation.get(i, ring.zero()) for i in range(len(reducer.X))]
     return s - ModuleElement(ring, coords)
 
 

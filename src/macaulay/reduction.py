@@ -108,45 +108,81 @@ class ReductionTrace:
 
 
 class Reducer:
-    """Reduction engine bound to one frozen set X, one grading, one policy.
+    """Reduction engine bound to a set X, one grading, one policy.
 
-    Workspaces W_b(X) are cached per degree; the cache belongs to this object,
-    so growing X means building a fresh Reducer.
+    Workspaces W_b(X) are cached per degree.  X can grow through ``extend``
+    and have one element swapped through ``replace``; either drops only the
+    cached W_b that an added or removed leading form reaches.  Every other
+    workspace keeps the very same generator multiples in the same order, so
+    its echelon form, and every step taken against it, does not change.
     """
 
     def __init__(self, X, spec, policy=None):
         X = list(X)
         if not X:
             raise UsageError("reduction needs a nonempty set")
-        if any(m.is_zero() for m in X):
-            raise UsageError("reduction set must not contain zero")
-        if any(m.ring != X[0].ring or m.rank != X[0].rank for m in X):
-            raise UsageError("reduction set mixes rings or ranks")
-        self.X = X
         self.spec = spec
         self.ring = X[0].ring
         self.rank = X[0].rank
         self.field = self.ring.field
         self.policy = policy if policy is not None else default_policy(self.field)
         check_policy(self.policy, self.field)
-        self.lf_parts = [leading_form(m, spec) for m in X]
+        self.X = []
+        self.lf_parts = []
         # each element's terms below its leading form: (component, exponents, coeff)
         self.tails = []
-        for m, part in zip(X, self.lf_parts):
-            lead = part.element.term_map()
-            self.tails.append(
-                [(i, exps, c) for (i, exps), c in m.term_map().items() if (i, exps) not in lead]
-            )
         self._cache = {}
+        self.extend(X)
 
-    def w_space(self, degree):
+    def _split(self, m):
+        """(leading-form part, tail) of a reduction-set element, validated."""
+        if m.is_zero():
+            raise UsageError("reduction set must not contain zero")
+        if (m.ring is not self.ring and m.ring != self.ring) or m.rank != self.rank:
+            raise UsageError("reduction set mixes rings or ranks")
+        part = leading_form(m, self.spec)
+        lead = part.element.term_map()
+        tail = [(i, exps, c) for (i, exps), c in m.term_map().items() if (i, exps) not in lead]
+        return part, tail
+
+    def _forget(self, degree):
+        """Drop the cached workspaces a leading form of this degree reaches."""
+        reaches = self.spec.multipliers
+        for b in [b for b in self._cache if reaches(degree, b)]:
+            del self._cache[b]
+
+    def extend(self, ys):
+        """Append elements to X, as if the Reducer had been built on X + ys."""
+        ys = list(ys)
+        for part, tail in [self._split(y) for y in ys]:
+            self._forget(part.degree)
+            self.lf_parts.append(part)
+            self.tails.append(tail)
+        # a new list, so traces taken earlier keep the X they index
+        self.X = self.X + ys
+
+    def replace(self, idx, y):
+        """Put y in place of X[idx], as if the Reducer had been built that way."""
+        part, tail = self._split(y)
+        old = self.lf_parts[idx]
+        if part.element != old.element:
+            self._forget(old.degree)
+            self._forget(part.degree)
+        self.lf_parts[idx] = part
+        self.tails[idx] = tail
+        self.X = self.X[:idx] + [y] + self.X[idx + 1 :]
+
+    def w_space(self, degree, skip=None):
+        """W_b(X), or W_b of X without X[skip] (built afresh where X[skip] reaches b)."""
+        if skip is not None and self.spec.multipliers(self.lf_parts[skip].degree, degree):
+            return w_space(self.X, degree, self.spec, self.lf_parts, skip=skip)
         sub = self._cache.get(degree)
         if sub is None:
             sub = w_space(self.X, degree, self.spec, self.lf_parts)
             self._cache[degree] = sub
         return sub
 
-    def _reduce(self, m, mode):
+    def _reduce(self, m, mode, skip=None):
         """One descending pass over the degrees of m; returns the trace."""
         if (m.ring is not self.ring and m.ring != self.ring) or m.rank != self.rank:
             raise UsageError("element and reduction set have mismatched ring or rank")
@@ -163,7 +199,7 @@ class Reducer:
             terms = {t: c for t, c in buckets.pop(degree).items() if not field.is_zero(c)}
             if not terms:
                 continue
-            sub = self.w_space(degree)
+            sub = self.w_space(degree, skip)
             if mode == SPAN:
                 try:
                     decomposition = decompose_in_w(terms, sub)
@@ -207,9 +243,13 @@ class Reducer:
         """One => step: project the largest offending component onto W_b(X)^c."""
         return self._first_step(m, COMPLEMENT)
 
-    def normal_form(self, m):
-        """Iterate => steps to the fixed point; returns (normal form, trace)."""
-        trace = self._reduce(m, COMPLEMENT)
+    def normal_form(self, m, skip=None):
+        """Iterate => steps to the fixed point; returns (normal form, trace).
+
+        With ``skip`` an index into X, reduce against X without X[skip]; the
+        trace still numbers elements by their place in X.
+        """
+        trace = self._reduce(m, COMPLEMENT, skip)
         return trace.final, trace
 
     def reduces_to_zero(self, m):

@@ -12,6 +12,8 @@ from macaulay.errors import ResourceLimitError, UsageError
 from macaulay.grading import CoarseModuleGrading, TermModuleGrading, TermOrderGrading, TotalDegreeGrading
 from macaulay.macbasis import (
     BuchbergerConfig,
+    _ExtendedOrder,
+    _lcm_syzygies,
     buchberger_algorithm,
     buchberger_criterion,
     degree_profile,
@@ -94,6 +96,34 @@ def test_chain_criterion_keeps_generation(rank, items):
     reducer = Reducer(out, syzygy_grading(spec, terms))
     for s in full:
         assert reducer.reduces_to_zero(s)[0]
+
+
+def _beyond(s, since):
+    """Is the syzygy nonzero on some element from index ``since`` on?"""
+    return any(not p.is_zero() for p in s.polys[since:])
+
+
+@settings(derandomize=True, max_examples=60, deadline=None, database=None)
+@given(items=single_terms)
+def test_new_pairs_are_the_filtered_pairs(items):
+    # forming only the pairs (i, j) with j >= since gives exactly the pairs the
+    # filter keeps, in the same order, on the lcm path and on the N-block path
+    ring = PolyRing(RationalField(), ("x", "y", "z"))
+    drl = TermModuleGrading(TermOrderGrading.degrevlex(3), 2)
+    # component 0 is the N block, component 1 a coordinate component
+    ext = _ExtendedOrder(syzygy_grading(TermModuleGrading(TermOrderGrading.degrevlex(3), 1), [
+        ModuleElement.from_terms(ring, 1, {(0, (1, 0, 0)): 1})
+    ]), 1)
+    terms = [ModuleElement.from_terms(ring, 2, {(comp, exps): c}) for comp, exps, c in items]
+    pairs = monomial_syzygy_generators(terms)
+    n_block = ext.n_block_syzygies(terms)
+    canonical = {spec: leading_syzygy_generators(terms, spec) for spec in (drl, ext)}
+    for since in range(len(terms) + 1):
+        assert _lcm_syzygies(terms, since) == [s for s in pairs if _beyond(s, since)]
+        assert ext.n_block_syzygies(terms, since) == [s for s in n_block if _beyond(s, since)]
+        for spec, gens in canonical.items():
+            new = leading_syzygy_generators(terms, spec, since=since)
+            assert [str(s) for s in new] == [str(s) for s in gens if _beyond(s, since)]
 
 
 def test_monomial_syzygy_coefficient_correction(R2, el):

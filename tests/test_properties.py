@@ -10,7 +10,7 @@ import itertools
 from functools import cmp_to_key
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from oracles import (
@@ -40,8 +40,10 @@ from macaulay.gradlin import ORTHOGONAL, PIVOT, project_complement, w_space
 from macaulay.macbasis import (
     _ExtendedOrder,
     buchberger_algorithm,
+    canonical_order,
     interreduce,
     leading_syzygy_generators,
+    normalize_element,
     syzygy_grading,
 )
 from macaulay.polymod import ModuleElement, PolyRing, Polynomial, degree_of, is_homogeneous
@@ -293,6 +295,11 @@ def test_elimination_route_generates_the_syzygies(case):
     for s in out:
         assert is_homogeneous(s, syzspec)
         assert dot(s, lfs).is_zero()
+    # since keeps the generators that involve an element from that index on, in order
+    for since in range(1, len(lfs) + 1):
+        assert leading_syzygy_generators(lfs, spec, since=since) == [
+            s for s in out if any(not p.is_zero() for p in s.polys[since:])
+        ]
     # every multiple of a generator is a syzygy, so equal dimensions mean the
     # generators span the whole kernel of sum R_{b - d_i} -> N_b
     lf_degrees = [degree_of(m, spec) for m in lfs]
@@ -414,3 +421,130 @@ def test_pivot_projection_laws_over_fp(case):
     pivot_monomials = {sub.ambient.monomials[p] for p in sub.pivots}
     assert not pivot_monomials & set(kept)
     assert _reexpanded(ring, rank, X, decomposition) == m - ModuleElement.from_terms(ring, rank, kept)
+
+
+# ---------------------------------------------------------------------------
+# interreduction against a fresh Reducer for every element
+
+
+def _reference_interreduce(elements, spec, policy):
+    """interreduce's fixed-point loop, reducing each element by a fresh Reducer over the others."""
+    elements = [normalize_element(m, spec) for m in elements if not m.is_zero()]
+    elements = list(dict.fromkeys(elements))
+    for _ in range(100):
+        elements = canonical_order(elements, spec)
+        changed = False
+        for idx in range(len(elements)):
+            rest = elements[:idx] + elements[idx + 1 :]
+            if not rest:
+                continue
+            nf, _ = Reducer(rest, spec, policy).normal_form(elements[idx])
+            if nf.is_zero():
+                elements.pop(idx)
+                changed = True
+                break
+            nf = normalize_element(nf, spec)
+            if nf != elements[idx]:
+                elements[idx] = nf
+                changed = True
+        if not changed:
+            return tuple(elements)
+    raise AssertionError("reference interreduction did not stabilize")
+
+
+@st.composite
+def triangular_sets(draw):
+    """Rank, then 2-4 homogeneous forms h_i of degree 1-3, each plus multiples of
+    lower-degree forms: m_i = h_i + sum c x^a h_j with deg x^a h_j < deg h_i.
+
+    The m_i generate the graded module the h_i do and have leading forms h_i,
+    so they are a Macaulay basis, and reducing m_i visits degrees below its own.
+    """
+    rank = draw(st.integers(1, 2))
+    forms = []
+    for _ in range(draw(st.integers(2, 4))):
+        d = draw(st.integers(1, 3))
+        support = st.tuples(st.integers(0, rank - 1), st.sampled_from(monomials_of_degree(3, d)))
+        forms.append((d, draw(st.dictionaries(support, st.integers(-3, 3).filter(bool), min_size=1, max_size=3))))
+    lower = []
+    for i, (d, _) in enumerate(forms):
+        for j, (dj, _) in enumerate(forms):
+            if dj < d and draw(st.booleans()):
+                mono = draw(st.sampled_from(monomials_of_degree(3, draw(st.integers(0, d - dj - 1)))))
+                lower.append((i, j, mono, draw(st.integers(-2, 2).filter(bool))))
+    return rank, [terms for _, terms in forms], lower
+
+
+@settings(derandomize=True, max_examples=60, deadline=None, database=None)
+@given(case=triangular_sets(), policy=st.sampled_from([PIVOT, ORTHOGONAL]))
+def test_interreduce_matches_fresh_reducer_reference(case, policy):
+    rank, forms, lower = case
+    ring = PolyRing(RationalField(), ("x", "y", "z"))
+    spec = CoarseModuleGrading(TotalDegreeGrading(3), rank)
+    field = ring.field
+    hs = [
+        ModuleElement.from_terms(ring, rank, {key: field.from_int(c) for key, c in terms.items()})
+        for terms in forms
+    ]
+    ms = list(hs)
+    for i, j, mono, c in lower:
+        ms[i] = ms[i] + hs[j].mul_term(mono, field.from_int(c))
+    expected = _reference_interreduce(ms, spec, policy)
+    got = interreduce(ms, spec, policy).elements
+    assert got == expected
+    assert [str(m) for m in got] == [str(m) for m in expected]
+
+
+# ---------------------------------------------------------------------------
+# reduced degrevlex bases over Q, taken mod p, against the bases over F_p
+
+MODP_PROBLEMS = {
+    "c4": INVARIANCE_PROBLEMS["c4"],
+    "katsura3": INVARIANCE_PROBLEMS["katsura3"],
+    "cyclic3": (("x", "y", "z"), ("x + y + z", "x*y + y*z + z*x", "x*y*z - 1")),
+}
+small_polys = st.dictionaries(
+    st.tuples(st.integers(0, 3), st.integers(0, 3)), st.integers(-5, 5).filter(bool), min_size=1, max_size=3
+)
+
+
+def _reduced_drl_terms(names, raws, field):
+    """The reduced degrevlex basis of integer polynomials over a field, as a set of term maps."""
+    ring = PolyRing(field, names)
+    spec = TermModuleGrading(TermOrderGrading.degrevlex(len(names)), 1)
+    gens = [_element(ring, {e: field.from_int(c) for e, c in raw.items()}) for raw in raws]
+    basis = interreduce(buchberger_algorithm(gens, spec), spec)
+    return [m.polys[0].terms for m in basis]
+
+
+def _q_images_and_fp_basis(names, raws, p):
+    """(images mod p of the reduced basis over Q, or None when p divides a
+    denominator of it, and the reduced basis over F_p), as sets of term maps."""
+    over_q = _reduced_drl_terms(names, raws, RationalField())
+    over_p = {frozenset(terms.items()) for terms in _reduced_drl_terms(names, raws, PrimeField(p))}
+    if any(c.denominator % p == 0 for terms in over_q for c in terms.values()):
+        return None, over_p
+    images = {
+        frozenset((e, c.numerator * pow(c.denominator, -1, p) % p) for e, c in terms.items())
+        for terms in over_q
+    }
+    return images, over_p
+
+
+@pytest.mark.parametrize("p", [32003, 65521])
+@pytest.mark.parametrize("name", sorted(MODP_PROBLEMS))
+def test_reduced_basis_mod_p_of_known_problems(name, p):
+    names, texts = MODP_PROBLEMS[name]
+    ring = PolyRing(RationalField(), names)
+    raws = [{e: int(c) for e, c in ring.parse(t).terms.items()} for t in texts]
+    images, over_p = _q_images_and_fp_basis(names, raws, p)
+    assert images == over_p
+
+
+@pytest.mark.parametrize("p", [32003, 65521])
+@PROPERTY
+@given(raws=st.lists(small_polys, min_size=1, max_size=3))
+def test_reduced_basis_mod_p_of_random_inputs(raws, p):
+    images, over_p = _q_images_and_fp_basis(("x", "y"), raws, p)
+    assume(images is not None)
+    assert images == over_p

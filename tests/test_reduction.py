@@ -241,3 +241,58 @@ def test_warm_reducer_traces_match_fresh(R2, total2, circle_pair, c4_triple):
                     warm_trace = getattr(warm, run)(m)[1]
                     assert warm_trace.steps == fresh_trace.steps
                     assert warm_trace.final == fresh_trace.final
+
+
+def _assert_same_traces(warm, fresh, elements):
+    for m in elements:
+        for run in ("normal_form", "reduces_to_zero"):
+            warm_trace = getattr(warm, run)(m)[1]
+            fresh_trace = getattr(fresh, run)(m)[1]
+            assert warm_trace.steps == fresh_trace.steps
+            assert warm_trace.final == fresh_trace.final
+
+
+@pytest.mark.parametrize("order", ["total", "degrevlex"])
+def test_extended_reducer_traces_match_fresh(R2, el, total2, drl2, circle_pair, order):
+    # extend and replace must drop every cached W-space a changed leading form reaches
+    spec = total2 if order == "total" else drl2
+    ys = [el("x1^3*x2 - x1*x2^3"), el("x2^3 - x1")]
+    same_lead = el("x1^2 + x2^2 + x1 - 2")  # the leading form of circle_pair[0], a new tail
+    # the first replacing form reaches fewer W-spaces than the one it replaces, the second more
+    new_leads = [el("x1^5 - x2"), el("x1*x2 - x2 + 1")]
+    rng = random.Random(5)
+    elements = [random_element(R2, 1, rng, max_degree=6) for _ in range(12)]
+    for policy in (ORTHOGONAL, PIVOT):
+        warm = Reducer(circle_pair, spec, policy)
+        for m in elements:
+            warm.normal_form(m)
+            warm.reduces_to_zero(m)
+        lead_degrees = [degree_of(y, spec) for y in ys]
+        assert any(spec.multipliers(d, b) for d in lead_degrees for b in warm._cache)
+        warm.extend(ys)
+        X = circle_pair + ys
+        _assert_same_traces(warm, Reducer(X, spec, policy), elements)
+        for idx, y in ((0, same_lead), (1, new_leads[0]), (1, new_leads[1])):
+            warm.replace(idx, y)
+            X = X[:idx] + [y] + X[idx + 1 :]
+            _assert_same_traces(warm, Reducer(X, spec, policy), elements)
+        assert warm.X == X
+
+
+def test_skip_reduces_against_the_others(R2, total2, c4_triple):
+    # skip=idx gives the normal form against X without X[idx], traced in X's numbering
+    rng = random.Random(9)
+    elements = [random_element(R2, 1, rng, max_degree=6) for _ in range(8)] + c4_triple
+    for policy in (ORTHOGONAL, PIVOT):
+        reducer = Reducer(c4_triple, total2, policy)
+        for idx in range(len(c4_triple)):
+            rest = c4_triple[:idx] + c4_triple[idx + 1 :]
+            for m in elements:
+                nf, trace = reducer.normal_form(m, skip=idx)
+                fresh_nf, fresh_trace = Reducer(rest, total2, policy).normal_form(m)
+                assert nf == fresh_nf
+                assert [len(s.multipliers) for s in trace.steps] == [
+                    len(s.multipliers) for s in fresh_trace.steps
+                ]
+                assert all(i != idx for s in trace.steps for i, _, _ in s.multipliers)
+                assert trace.final + trace.representation_sum(reducer.X) == m
