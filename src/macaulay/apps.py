@@ -63,7 +63,7 @@ class EliminationSpec:
 
     def uses_only_kept(self, m: ModuleElement) -> bool:
         dropped = self.grading.dropped
-        return all(all(exps[j] == 0 for j in dropped) for (_, exps), _ in m.terms())
+        return all(exps[j] == 0 for _, exps in m.term_map() for j in dropped)
 
 
 def eliminate(generators, elim: EliminationSpec, config=None):

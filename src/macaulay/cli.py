@@ -10,6 +10,7 @@ out of memory.
 """
 
 import argparse
+import functools
 import json
 import sys
 
@@ -196,34 +197,31 @@ def render_problem(problem: ProblemFile) -> str:
     return "\n".join(lines) + "\n"
 
 
-def build_grading(ring, decl, rank, shifts, tie):
-    d = ring.nvars
-    tokens = decl.split()
+@functools.lru_cache(maxsize=64)
+def _ring_grading(decl, d):
+    """The ring grading a declaration names, checked to be a monoid order.
+
+    The check samples 200 degree triples, so its verdict is kept per
+    (declaration, number of variables); a failing one raises every time.
+    """
+    tokens = decl.split() or [""]
     kind = tokens[0]
     if kind == "total":
-        int_shifts = tuple(int(s) for s in shifts) if shifts else None
-        spec = CoarseModuleGrading(TotalDegreeGrading(d), rank, int_shifts)
+        grading = TotalDegreeGrading(d)
     elif kind == "order":
         if len(tokens) < 2:
             raise UsageError("grading order needs a name")
         name = tokens[1]
         if name == "degrevlex":
-            ring_grading = TermOrderGrading.degrevlex(d)
+            grading = TermOrderGrading.degrevlex(d)
         elif name == "lex":
-            ring_grading = TermOrderGrading.lex(d)
+            grading = TermOrderGrading.lex(d)
         elif name == "matrix":
             literal = decl.split("matrix", 1)[1]
             rows, _ = _parse_bracket_list(literal, 1)
-            ring_grading = TermOrderGrading(rows)
+            grading = TermOrderGrading(rows)
         else:
             raise UsageError(f"unknown order {name!r}")
-        tuple_shifts = None
-        if shifts:
-            tuple_shifts = tuple(
-                tuple(s) if isinstance(s, list) else tuple(int(s) if k == 0 else 0 for k in range(d))
-                for s in shifts
-            )
-        spec = TermModuleGrading(ring_grading, rank, tuple_shifts, tie or "pot")
     elif kind == "elim":
         if len(tokens) < 2:
             raise UsageError("grading elim needs a split index")
@@ -233,15 +231,32 @@ def build_grading(ring, decl, rank, shifts, tie):
             raise UsageError("grading elim needs an integer split index") from None
         if k < 0 or k > d:
             raise UsageError("split index out of range")
-        if shifts and any(s != 0 for s in shifts):
-            raise UsageError("elimination gradings support zero shifts only")
-        spec = CoarseModuleGrading(BlockGrading(d, tuple(range(k))), rank)
+        grading = BlockGrading(d, tuple(range(k)))
     else:
         raise UsageError(f"unknown grading {kind!r}")
-    report = verify_monoid_order(spec.ring)
+    report = verify_monoid_order(grading)
     if not report.passed:
         raise UsageError("invalid grading: " + "; ".join(report.failures))
-    return spec
+    return grading
+
+
+def build_grading(ring, decl, rank, shifts, tie):
+    d = ring.nvars
+    ring_grading = _ring_grading(decl, d)
+    if isinstance(ring_grading, TermOrderGrading):
+        tuple_shifts = None
+        if shifts:
+            tuple_shifts = tuple(
+                tuple(s) if isinstance(s, list) else tuple(int(s) if k == 0 else 0 for k in range(d))
+                for s in shifts
+            )
+        return TermModuleGrading(ring_grading, rank, tuple_shifts, tie or "pot")
+    if isinstance(ring_grading, BlockGrading):
+        if shifts and any(s != 0 for s in shifts):
+            raise UsageError("elimination gradings support zero shifts only")
+        return CoarseModuleGrading(ring_grading, rank)
+    int_shifts = tuple(int(s) for s in shifts) if shifts else None
+    return CoarseModuleGrading(ring_grading, rank, int_shifts)
 
 
 def parse_group_file(text, ring) -> GroupAction:
@@ -290,6 +305,10 @@ def _element_entries(elements, spec):
 
 
 def run_command(command, problem: ProblemFile, args) -> dict:
+    for option in ("max_iterations", "degree_cap", "equivariance_samples"):
+        value = getattr(args, option)
+        if value is not None and value < 0:
+            raise UsageError(f"--{option.replace('_', '-')} must not be negative, got {value}")
     spec = problem.grading()
     policy = None
     if args.policy:
@@ -368,6 +387,8 @@ def run_command(command, problem: ProblemFile, args) -> dict:
             degrees = list(range(int(lo), int(hi) + 1)) if hi else [int(lo)]
         except ValueError:
             raise UsageError(f"bad degree range {args.degrees!r} (expected a..b)") from None
+        if not degrees:
+            raise UsageError(f"--degrees {args.degrees} is an empty range")
         if not isinstance(spec.ring, TotalDegreeGrading):
             raise UsageError("hilbert requires the total-degree grading")
         table = hilbert_function(gens, spec, degrees, config=config)

@@ -46,6 +46,8 @@ from .grading import (
 from .gradlin import default_policy, vector_of
 from .polymod import (
     ModuleElement,
+    _canonical_key,
+    _leading_terms,
     degree_of,
     homogeneous_components,
     is_homogeneous,
@@ -96,8 +98,8 @@ def normalize_element(m: ModuleElement, spec) -> ModuleElement:
     """Scale so the canonical first term of the leading form has coefficient 1."""
     if m.is_zero():
         return m
-    lf = leading_form(m, spec).element
-    (_, _), coeff = next(iter(lf.terms()))
+    _, lead = _leading_terms(m, spec)
+    _, coeff = max(lead.items(), key=_canonical_key)
     field = m.ring.field
     if coeff == field.one:
         return m
@@ -105,7 +107,7 @@ def normalize_element(m: ModuleElement, spec) -> ModuleElement:
 
 
 def _syntactic_degree(m: ModuleElement) -> int:
-    return max((sum(exps) for (_, exps), _ in m.terms()), default=0)
+    return max((sum(exps) for _, exps in m.term_map()), default=0)
 
 
 def canonical_order(elements, spec):
@@ -216,14 +218,11 @@ class _ExtendedOrder(TermModuleGrading):
         Only the pairs that involve a term from index ``since`` on are formed.
         """
         paired = [i for i, t in enumerate(terms) if next(iter(t.term_map()))[0] < self.base_rank]
-        ring = terms[0].ring
-        out = []
-        for s in _lcm_syzygies([terms[i] for i in paired], bisect_left(paired, since)):
-            polys = [ring.zero()] * len(terms)
-            for i, p in zip(paired, s.polys):
-                polys[i] = p
-            out.append(ModuleElement(ring, polys))
-        return out
+        ring, n = terms[0].ring, len(terms)
+        return [
+            ModuleElement._wrap(ring, n, {(paired[k], u): c for (k, u), c in s.term_map().items()})
+            for s in _lcm_syzygies([terms[i] for i in paired], bisect_left(paired, since))
+        ]
 
 
 def syzygy_grading(spec, lf_elements) -> SyzygyGrading:
@@ -278,17 +277,18 @@ def leading_syzygy_generators(lf_elements, spec, config=None, *, since=0):
     zero_exps = (0,) * ring.nvars
     extended = []
     for i, m in enumerate(lf_elements):
-        terms = dict(m.term_map().items())
+        terms = dict(m.term_map())
         terms[(r + i, zero_exps)] = field.one
         extended.append(ModuleElement.from_terms(ring, r + n, terms))
     inner = BuchbergerConfig(max_iterations=(config.max_iterations if config else 64))
     basis = buchberger_algorithm(extended, ext, inner)
     raw = []
     for g in basis.elements:
-        if all(g.polys[k].is_zero() for k in range(r)):
-            raw.append(ModuleElement(ring, g.polys[r:]))
+        terms = g.term_map()
+        if all(i >= r for i, _ in terms):
+            raw.append(ModuleElement._wrap(ring, n, {(i - r, u): c for (i, u), c in terms.items()}))
     gens = canonical_order(_split_homogeneous(raw, syzspec), syzspec)
-    return [s for s in gens if not all(p.is_zero() for p in s.polys[since:])]
+    return [s for s in gens if any(i >= since for i, _ in s.term_map())]
 
 
 # ---------------------------------------------------------------------------

@@ -1,11 +1,17 @@
 """Sparse multivariate polynomials and elements of graded free modules.
 
-Terms are stored in maps keyed by exponent tuple (and component index for
-module elements); zero coefficients are never stored.  Values are immutable:
-every operation allocates.  Canonical iteration and printing order is
-degrevlex descending within a component, independent of any active grading.
+A polynomial is a map from exponent tuples to coefficients.  A module
+element is its rank plus one map from (component, exponents) to
+coefficients, with nothing stored for an empty component; its arithmetic
+works on that map without building per-component polynomials, and
+``term_map()`` hands it out read-only.  Zero coefficients are never stored.
+Values are immutable: every operation allocates.  Canonical iteration and
+printing order is component ascending, degrevlex descending within a
+component, independent of any active grading.
 """
 
+from operator import add
+from types import MappingProxyType
 from typing import NamedTuple
 
 from .errors import ParseError, UsageError
@@ -26,23 +32,13 @@ class PolyRing:
     def zero(self):
         return Polynomial(self, {})
 
-    def one(self):
-        return self.constant(self.field.one)
-
     def constant(self, c):
         return Polynomial(self, {(0,) * self.nvars: c})
-
-    def variable(self, j):
-        exps = tuple(1 if i == j else 0 for i in range(self.nvars))
-        return Polynomial(self, {exps: self.field.one})
 
     def monomial(self, exps, coeff=None):
         if len(exps) != self.nvars:
             raise UsageError("exponent vector length mismatch")
         return Polynomial(self, {tuple(exps): self.field.one if coeff is None else coeff})
-
-    def from_int(self, n):
-        return self.constant(self.field.from_int(n))
 
     def parse(self, text):
         return parse_polynomial(self, text)
@@ -103,18 +99,6 @@ class Polynomial:
                 out[m] = fld.add(out.get(m, fld.zero), fld.mul(c1, c2))
         return Polynomial(self.ring, out)
 
-    def scale(self, c):
-        fld = self.ring.field
-        return Polynomial(self.ring, {m: fld.mul(c, v) for m, v in self.terms.items()})
-
-    def mul_term(self, exps, coeff=None):
-        fld = self.ring.field
-        coeff = fld.one if coeff is None else coeff
-        return Polynomial(
-            self.ring,
-            {tuple(a + b for a, b in zip(m, exps)): fld.mul(coeff, c) for m, c in self.terms.items()},
-        )
-
     def substitute(self, images):
         """Evaluate at ``x_j -> images[j]``; images are polynomials over any ring."""
         if len(images) != self.ring.nvars:
@@ -143,9 +127,15 @@ class Polynomial:
 
 
 class ModuleElement:
-    """Element of a free module: a fixed-rank vector of polynomials."""
+    """Element of a free module of fixed rank, as one sparse term map.
 
-    __slots__ = ("ring", "polys")
+    The map sends (component, exponents) to a coefficient and never stores a
+    zero; most components of an element of N + R^n are empty, so nothing is
+    kept for them.  ``term_map()`` is that map, read-only; ``polys`` and
+    ``component(i)`` build the per-component polynomials on demand.
+    """
+
+    __slots__ = ("ring", "rank", "_terms")
 
     def __init__(self, ring, polys):
         polys = tuple(polys)
@@ -153,7 +143,15 @@ class ModuleElement:
             if p.ring is not ring and p.ring != ring:
                 raise UsageError("component polynomial from a different ring")
         self.ring = ring
-        self.polys = polys
+        self.rank = len(polys)
+        self._terms = {(i, m): c for i, p in enumerate(polys) for m, c in p.terms.items()}
+
+    @classmethod
+    def _wrap(cls, ring, rank, terms):
+        """Wrap a term map without zero coefficients; the element takes it over."""
+        m = cls.__new__(cls)
+        m.ring, m.rank, m._terms = ring, rank, terms
+        return m
 
     @classmethod
     def from_polynomial(cls, p):
@@ -161,29 +159,25 @@ class ModuleElement:
 
     @classmethod
     def from_terms(cls, ring, rank, terms):
-        per = [dict() for _ in range(rank)]
-        for (i, m), c in terms.items():
-            per[i][m] = c
-        return cls(ring, tuple(Polynomial(ring, d) for d in per))
+        is_zero = ring.field.is_zero
+        return cls._wrap(ring, rank, {t: c for t, c in terms.items() if not is_zero(c)})
 
     @property
-    def rank(self):
-        return len(self.polys)
+    def polys(self):
+        return tuple(map(self.component, range(self.rank)))
 
     def component(self, i):
-        return self.polys[i]
+        return Polynomial(self.ring, {m: c for (j, m), c in self._terms.items() if j == i})
 
     def is_zero(self):
-        return all(p.is_zero() for p in self.polys)
+        return not self._terms
 
     def terms(self):
         """Iterate ((component, exponents), coeff) in canonical order."""
-        for i, p in enumerate(self.polys):
-            for m, c in p.sorted_terms():
-                yield (i, m), c
+        return iter(sorted(self._terms.items(), key=_canonical_key, reverse=True))
 
     def term_map(self):
-        return {(i, m): c for i, p in enumerate(self.polys) for m, c in p.terms.items()}
+        return MappingProxyType(self._terms)
 
     def _require_compatible(self, other):
         if (self.ring is not other.ring and self.ring != other.ring) or self.rank != other.rank:
@@ -191,34 +185,50 @@ class ModuleElement:
 
     def __add__(self, other):
         self._require_compatible(other)
-        return ModuleElement(self.ring, tuple(a + b for a, b in zip(self.polys, other.polys)))
+        fld = self.ring.field
+        out = dict(self._terms)
+        for t, c in other._terms.items():
+            prev = out.get(t)
+            if prev is not None:
+                c = fld.add(prev, c)
+                if fld.is_zero(c):
+                    del out[t]
+                    continue
+            out[t] = c
+        return ModuleElement._wrap(self.ring, self.rank, out)
 
     def __sub__(self, other):
-        self._require_compatible(other)
-        return ModuleElement(self.ring, tuple(a - b for a, b in zip(self.polys, other.polys)))
+        return self + (-other)
 
     def __neg__(self):
-        return ModuleElement(self.ring, tuple(-p for p in self.polys))
+        neg = self.ring.field.neg
+        return ModuleElement._wrap(self.ring, self.rank, {t: neg(c) for t, c in self._terms.items()})
 
     def scale(self, c):
-        return ModuleElement(self.ring, tuple(p.scale(c) for p in self.polys))
+        fld = self.ring.field
+        terms = {} if fld.is_zero(c) else {t: fld.mul(c, v) for t, v in self._terms.items()}
+        return ModuleElement._wrap(self.ring, self.rank, terms)
 
     def mul_term(self, exps, coeff=None):
-        return ModuleElement(self.ring, tuple(p.mul_term(exps, coeff) for p in self.polys))
+        terms = (self if coeff is None else self.scale(coeff))._terms
+        shifted = {(i, tuple(map(add, m, exps))): c for (i, m), c in terms.items()}
+        return ModuleElement._wrap(self.ring, self.rank, shifted)
 
     def action(self, r):
         """Multiply by a ring element, componentwise."""
-        return ModuleElement(self.ring, tuple(r * p for p in self.polys))
+        _require_same_ring(r, self)
+        return linear_combination(self.ring, self.rank, ((c, e, self) for e, c in r.terms.items()))
 
     def __eq__(self, other):
         return (
             isinstance(other, ModuleElement)
+            and other.rank == self.rank
             and other.ring == self.ring
-            and other.polys == self.polys
+            and other._terms == self._terms
         )
 
     def __hash__(self):
-        return hash((self.ring, self.polys))
+        return hash((self.ring, self.rank, frozenset(self._terms.items())))
 
     def __str__(self):
         return render_element(self)
@@ -227,16 +237,33 @@ class ModuleElement:
         return f"<{render_element(self)}>"
 
 
+def linear_combination(ring, rank, parts) -> ModuleElement:
+    """The sum of c * x^u * m over the (c, u, m) in parts, built in one term map."""
+    field = ring.field
+    acc = {}
+    for s, u, m in parts:
+        for (i, exps), c in m._terms.items():
+            t = (i, tuple(map(add, exps, u)))
+            prev = acc.get(t)
+            acc[t] = field.mul(s, c) if prev is None else field.add(prev, field.mul(s, c))
+    return ModuleElement.from_terms(ring, rank, acc)
+
+
 class HomogeneousPart(NamedTuple):
     degree: object
     element: ModuleElement
 
 
+def _canonical_key(item):
+    """Sort key of a term, largest first in canonical order."""
+    (i, exps), _ = item
+    return -i, degrevlex_key(exps)
+
+
 def _term_degrees(m: ModuleElement, spec):
     """Iterate (degree, (component, exponents), coeff) over the terms of m."""
-    for i, p in enumerate(m.polys):
-        for exps, c in p.terms.items():
-            yield spec.degree_of_term(i, exps), (i, exps), c
+    for (i, exps), c in m._terms.items():
+        yield spec.degree_of_term(i, exps), (i, exps), c
 
 
 def homogeneous_components(m: ModuleElement, spec) -> list:
@@ -246,7 +273,7 @@ def homogeneous_components(m: ModuleElement, spec) -> list:
         buckets.setdefault(deg, {})[term] = c
     order = spec.sort_degrees(buckets.keys(), reverse=True)
     return [
-        HomogeneousPart(deg, ModuleElement.from_terms(m.ring, m.rank, buckets[deg]))
+        HomogeneousPart(deg, ModuleElement._wrap(m.ring, m.rank, buckets[deg]))
         for deg in order
     ]
 
@@ -270,7 +297,7 @@ def _leading_terms(m: ModuleElement, spec):
 def leading_form(m: ModuleElement, spec) -> HomogeneousPart:
     """The maximal-degree homogeneous part; undefined on zero."""
     top, lead = _leading_terms(m, spec)
-    return HomogeneousPart(top, ModuleElement.from_terms(m.ring, m.rank, lead))
+    return HomogeneousPart(top, ModuleElement._wrap(m.ring, m.rank, lead))
 
 
 def degree_of(m: ModuleElement, spec):
@@ -307,18 +334,16 @@ def _render_term(ring, exps, coeff, lead: bool) -> str:
 
 
 def render_polynomial(p: Polynomial) -> str:
-    if p.is_zero():
-        return "0"
-    out = []
-    for k, (m, c) in enumerate(p.sorted_terms()):
-        out.append(_render_term(p.ring, m, c, lead=(k == 0)))
-    return "".join(out)
+    out = [_render_term(p.ring, m, c, lead=(k == 0)) for k, (m, c) in enumerate(p.sorted_terms())]
+    return "".join(out) or "0"
 
 
 def render_element(m: ModuleElement) -> str:
-    if m.rank == 1:
-        return render_polynomial(m.polys[0])
-    return "[" + ", ".join(render_polynomial(p) for p in m.polys) + "]"
+    parts = [[] for _ in range(m.rank)]
+    for (i, exps), c in m.terms():
+        parts[i].append(_render_term(m.ring, exps, c, lead=not parts[i]))
+    texts = ["".join(part) or "0" for part in parts]
+    return texts[0] if m.rank == 1 else "[" + ", ".join(texts) + "]"
 
 
 # ---------------------------------------------------------------------------

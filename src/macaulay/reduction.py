@@ -40,7 +40,7 @@ from .gradlin import (
     project_complement,
     w_space,
 )
-from .polymod import ModuleElement, leading_form
+from .polymod import ModuleElement, leading_form, linear_combination
 
 SPAN = "span"
 COMPLEMENT = "complement"
@@ -97,14 +97,8 @@ class ReductionTrace:
     def representation_sum(self, X) -> ModuleElement:
         if not X:
             raise UsageError("empty basis has no representation")
-        acc = None
-        for idx, r in self.representation.items():
-            part = X[idx].action(r)
-            acc = part if acc is None else acc + part
-        if acc is None:
-            rank = X[0].rank
-            acc = ModuleElement.from_terms(X[0].ring, rank, {})
-        return acc
+        coords = {(i, e): c for i, r in self.representation.items() for e, c in r.terms.items()}
+        return dot(ModuleElement.from_terms(self.ring, len(X), coords), X)
 
 
 class Reducer:
@@ -222,7 +216,7 @@ class Reducer:
                         bucket = buckets[deg] = {}
                         insort(live, (spec.key(deg), deg))
                     bucket[i, shifted] = field.sub(bucket.get((i, shifted), zero), field.mul(c, tc))
-        trace.final = ModuleElement.from_terms(self.ring, self.rank, rest)
+        trace.final = ModuleElement._wrap(self.ring, self.rank, rest)
         return trace
 
     def _first_step(self, m, mode):
@@ -267,17 +261,13 @@ def reduces_to_zero(m, X, spec, policy=None):
 
 
 def dot(coordinates: ModuleElement, X) -> ModuleElement:
-    """Evaluate a coordinate vector against a tuple of module elements."""
+    """Evaluate a coordinate vector against a tuple of module elements.
+
+    Each term s * x^u * e_i of the coordinates adds s * x^u * X[i] into one
+    term map; no partial products are built as elements.
+    """
     if coordinates.rank != len(X):
         raise UsageError("coordinate rank must match the number of elements")
-    acc = None
-    for i, r in enumerate(coordinates.polys):
-        if r.is_zero():
-            continue
-        part = X[i].action(r)
-        acc = part if acc is None else acc + part
-    if acc is None:
-        rank = X[0].rank if X else 1
-        ring = X[0].ring if X else coordinates.ring
-        acc = ModuleElement.from_terms(ring, rank, {})
-    return acc
+    ring = X[0].ring if X else coordinates.ring
+    parts = ((s, u, X[i]) for (i, u), s in coordinates.term_map().items())
+    return linear_combination(ring, X[0].rank if X else 1, parts)

@@ -222,6 +222,8 @@ def check_equivariant_normal_form(
     matrices must be monomial.
     """
     X = list(X)
+    if samples < 0:
+        raise UsageError(f"equivariance needs a nonnegative sample count, got {samples}")
     if not is_homogeneous_action(action, spec.ring):
         raise UsageError("equivariance needs a homogeneous group action")
     field = action.ring.field

@@ -337,3 +337,58 @@ def test_cli_orthogonal_policy_over_prime_field_exits_3(tmp_path, capsys):
         assert code == 0
         code, out, err = run_cli(tmp_path, capsys, *argv, "--policy", "orthogonal")
         assert code == 3 and out == "" and "characteristic zero" in err
+
+
+def test_cli_negative_numbers_exit_3(tmp_path, capsys):
+    circle = write(tmp_path, "circle.mac", CIRCLE)
+    for option, value in (("--max-iterations", "-3"), ("--degree-cap", "-1")):
+        code, out, err = run_cli(tmp_path, capsys, "basis", circle, option, value)
+        assert code == 3 and out == "" and option in err
+
+    c4 = write(tmp_path, "c4.mac", C4)
+    group = write(tmp_path, "c4.grp", C4_GROUP)
+    code, out, err = run_cli(
+        tmp_path, capsys, "check-invariant", c4, "--group", group, "--equivariance-samples", "-1"
+    )
+    assert code == 3 and out == "" and "--equivariance-samples" in err
+
+    mono = write(tmp_path, "mono.mac", "ring q: x1 x2\ngrading total\ngen x1^2\n")
+    code, out, err = run_cli(tmp_path, capsys, "hilbert", mono, "--degrees", "3..1")
+    assert code == 3 and out == "" and "--degrees" in err
+
+
+def test_equivariance_rejects_negative_samples():
+    from macaulay.symmetry import check_equivariant_normal_form
+
+    problem = parse_problem(C4)
+    action = parse_group_file(C4_GROUP, problem.ring)
+    with pytest.raises(UsageError):
+        check_equivariant_normal_form(problem.generators, problem.grading(), action, samples=-1)
+
+
+def test_grading_verified_once_per_declaration(monkeypatch):
+    calls = []
+    verify = cli.verify_monoid_order
+
+    def counting(grading):
+        calls.append(grading)
+        return verify(grading)
+
+    monkeypatch.setattr(cli, "verify_monoid_order", counting)
+    cli._ring_grading.cache_clear()
+    problem = parse_problem(CIRCLE)
+    first = problem.grading()
+    assert problem.grading().ring is first.ring
+    assert len(calls) == 1
+    # two different matrices are two declarations, each verified
+    a = build_grading(problem.ring, "order matrix [[1,1],[0,-1]]", 1, None, None)
+    b = build_grading(problem.ring, "order matrix [[1,1],[-1,0]]", 1, None, None)
+    assert a.ring.rows == ((1, 1), (0, -1)) and b.ring.rows == ((1, 1), (-1, 0))
+    assert len(calls) == 3
+    # a failing declaration is checked, and rejected, on every call
+    bad = "order matrix [[-1,0],[0,1]]"
+    for attempt in range(1, 3):
+        with pytest.raises(UsageError, match="invalid grading"):
+            build_grading(problem.ring, bad, 1, None, None)
+        assert len(calls) == 3 + attempt
+    cli._ring_grading.cache_clear()

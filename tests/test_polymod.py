@@ -1,7 +1,11 @@
 import random
+from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from macaulay.coeff import RationalField
 from macaulay.errors import ParseError, UsageError
 from macaulay.grading import (
     CoarseModuleGrading,
@@ -13,6 +17,7 @@ from macaulay.grading import (
 from macaulay.polymod import (
     ModuleElement,
     PolyRing,
+    Polynomial,
     degree_of,
     homogeneous_components,
     leading_form,
@@ -152,3 +157,78 @@ def test_mixed_ring_guard(Q):
 def test_canonical_term_order(R2):
     p = R2.parse("x2^2 + x1^2 + x1*x2")
     assert str(p) == "x1^2 + x1*x2 + x2^2"
+
+
+# The term-map layout against a per-component reference: a tuple of
+# Polynomials, combined component by component.
+
+QR2 = PolyRing(RationalField(), ("x1", "x2"))
+small_exps = st.tuples(st.integers(0, 3), st.integers(0, 3))
+# zero coefficients are drawn on purpose: no layout may store them
+raw_component = st.dictionaries(small_exps, st.integers(-3, 3), max_size=4)
+
+
+def _reference(raw):
+    return tuple(Polynomial(QR2, {m: Fraction(c) for m, c in d.items()}) for d in raw)
+
+
+def _element(raw):
+    terms = {(i, m): Fraction(c) for i, d in enumerate(raw) for m, c in d.items()}
+    return ModuleElement.from_terms(QR2, len(raw), terms)
+
+
+def _matches(m, ref):
+    assert m.rank == len(ref) and m.polys == ref
+    assert m == ModuleElement(QR2, ref) and hash(m) == hash(ModuleElement(QR2, ref))
+    assert dict(m.term_map()) == {(i, e): c for i, p in enumerate(ref) for e, c in p.terms.items()}
+    assert all(c != 0 for c in m.term_map().values())
+    assert list(m.terms()) == [((i, e), c) for i, p in enumerate(ref) for e, c in p.sorted_terms()]
+    text = str(ref[0]) if len(ref) == 1 else "[" + ", ".join(map(str, ref)) + "]"
+    assert str(m) == text
+    assert m.is_zero() == all(p.is_zero() for p in ref)
+
+
+@st.composite
+def element_pairs(draw):
+    rank = draw(st.integers(1, 3))
+    return [draw(st.lists(raw_component, min_size=rank, max_size=rank)) for _ in range(2)]
+
+
+@settings(derandomize=True, max_examples=80, deadline=None, database=None)
+@given(
+    pair=element_pairs(),
+    r=raw_component,
+    c=st.integers(-2, 2),
+    exps=small_exps,
+    coeff=st.sampled_from([None, Fraction(-1), Fraction(3, 2)]),
+)
+def test_term_map_layout_matches_componentwise_reference(pair, r, c, exps, coeff):
+    a, b = _element(pair[0]), _element(pair[1])
+    ra, rb = _reference(pair[0]), _reference(pair[1])
+    ring_elt = _reference([r])[0]
+    _matches(a, ra)
+    _matches(a + b, tuple(p + q for p, q in zip(ra, rb)))
+    _matches(a - b, tuple(p - q for p, q in zip(ra, rb)))
+    _matches(-a, tuple(-p for p in ra))
+    _matches(a.scale(Fraction(c)), tuple(p * QR2.constant(Fraction(c)) for p in ra))
+    _matches(a.mul_term(exps, coeff), tuple(p * QR2.monomial(exps, coeff) for p in ra))
+    _matches(a.action(ring_elt), tuple(ring_elt * p for p in ra))
+    assert [a.component(i) for i in range(a.rank)] == list(ra)
+    assert (a == b) == (ra == rb)
+    if a == b:
+        assert hash(a) == hash(b)
+
+
+def test_term_map_is_read_only(R2):
+    m = ModuleElement(R2, (R2.parse("x1"), R2.parse("x2")))
+    with pytest.raises(TypeError):
+        m.term_map()[(0, (1, 0))] = 5
+    with pytest.raises(TypeError):
+        del m.term_map()[(1, (0, 1))]
+    assert str(m) == "[x1, x2]"
+
+
+def test_rank_is_part_of_equality(R2):
+    zero1, zero2 = ModuleElement.from_terms(R2, 1, {}), ModuleElement.from_terms(R2, 2, {})
+    assert zero1 != zero2 and zero2 == ModuleElement(R2, (R2.zero(), R2.zero()))
+    assert ModuleElement(R2, (R2.parse("x1"), R2.zero())).component(1).is_zero()

@@ -3,8 +3,9 @@ order keys against the three-way comparator formulas they replace, the
 elimination-route order's degrees and multipliers against direct formulas,
 term-module degrees against the ring grading's degree-plus-shift, the
 elimination route's syzygies against kernel dimensions, reduced
-total-degree bases against reordering and rescaling of their inputs, and the
-complement projections against the raw generator rows."""
+total-degree bases against reordering and rescaling of their inputs, normal
+forms for linearity and idempotence, and the complement projections against
+the raw generator rows."""
 
 import itertools
 from functools import cmp_to_key
@@ -493,6 +494,46 @@ def test_interreduce_matches_fresh_reducer_reference(case, policy):
     got = interreduce(ms, spec, policy).elements
     assert got == expected
     assert [str(m) for m in got] == [str(m) for m in expected]
+
+
+# ---------------------------------------------------------------------------
+# normal forms are linear and idempotent
+
+
+@pytest.fixture(scope="module")
+def warm_reducers(reference_bases):
+    """One Reducer per (problem, policy) over the reduced total-degree bases."""
+    out = {}
+    for name, (names, _) in INVARIANCE_PROBLEMS.items():
+        spec = CoarseModuleGrading(TotalDegreeGrading(len(names)), 1)
+        for policy in (PIVOT, ORTHOGONAL):
+            out[name, policy] = Reducer(list(reference_bases[name]), spec, policy)
+    return out
+
+
+def _truncated(ring, raw):
+    """A raw map over three variables as an element of ring, extra exponents dropped."""
+    field = ring.field
+    terms = {}
+    for e, c in raw.items():
+        key = (0, e[: ring.nvars])
+        terms[key] = field.add(terms.get(key, field.zero), c)
+    return ModuleElement.from_terms(ring, 1, terms)
+
+
+@pytest.mark.parametrize("policy", [PIVOT, ORTHOGONAL])
+@pytest.mark.parametrize("name", sorted(INVARIANCE_PROBLEMS))
+@settings(derandomize=True, max_examples=15, deadline=None, database=None)
+@given(raw1=raw_polys, raw2=raw_polys, a=coefficients)
+def test_normal_form_is_linear_and_idempotent(warm_reducers, name, policy, raw1, raw2, a):
+    reducer = warm_reducers[name, policy]
+    m1, m2 = _truncated(reducer.ring, raw1), _truncated(reducer.ring, raw2)
+    nf1, _ = reducer.normal_form(m1)
+    nf2, _ = reducer.normal_form(m2)
+    combined, _ = reducer.normal_form(m1.scale(a) + m2)
+    assert combined == nf1.scale(a) + nf2
+    assert reducer.normal_form(nf1)[0] == nf1
+    assert reducer.normal_form(combined)[0] == combined
 
 
 # ---------------------------------------------------------------------------
