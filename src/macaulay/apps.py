@@ -38,7 +38,7 @@ from .polymod import (
     is_homogeneous,
     leading_form,
 )
-from .reduction import Reducer, dot
+from .reduction import Reducer
 
 
 # ---------------------------------------------------------------------------
@@ -57,7 +57,6 @@ class EliminationSpec:
                 kept.append(ring.names.index(item))
             else:
                 kept.append(int(item))
-        self.ring = ring
         self.kept = tuple(sorted(set(kept)))
         self.grading = BlockGrading(ring.nvars, self.kept)
 
@@ -107,12 +106,7 @@ def schreyer_syzygy_basis(basis: MacaulayBasis, config=None) -> MacaulayBasis:
         if not is_homogeneous(s, syzspec):
             raise UsageError("leading-form syzygy generators must be homogeneous")
     reducer = Reducer(X, spec)
-    lifted = []
-    for s in sygens:
-        v = dot(s, X)
-        t = s if v.is_zero() else _lift(s, v, reducer)
-        if not t.is_zero():
-            lifted.append(t)
+    lifted = [t for t in (_lift(s, reducer) for s in sygens) if not t.is_zero()]
     certificate = buchberger_criterion(lifted, syzspec) if lifted else CriterionResult(True, None)
     if not certificate.holds:
         raise UsageError("lifted syzygies failed the criterion; input was not a Macaulay basis")

@@ -92,21 +92,11 @@ def _parse_bracket_list(text, line_no):
     text = text.strip()
     if not text.startswith("["):
         raise ParseError("expected '['", line_no, 1)
-    depth = 0
-    for k, ch in enumerate(text):
-        if ch == "[":
-            depth += 1
-        elif ch == "]":
-            depth -= 1
-            if depth == 0:
-                literal = text[: k + 1]
-                rest = text[k + 1 :]
-                try:
-                    value = json.loads(literal)
-                except json.JSONDecodeError as exc:
-                    raise ParseError(f"bad list literal: {exc}", line_no, 1) from None
-                return value, rest
-    raise ParseError("unterminated '['", line_no, 1)
+    try:
+        value, end = json.JSONDecoder().raw_decode(text)
+    except json.JSONDecodeError as exc:
+        raise ParseError(f"bad list literal: {exc}", line_no, 1) from None
+    return value, text[end:]
 
 
 def parse_problem(text, default_field=None) -> ProblemFile:
@@ -151,6 +141,8 @@ def parse_problem(text, default_field=None) -> ProblemFile:
                 while k < len(tokens):
                     if tokens[k] == "rank":
                         rank = int(tokens[k + 1])
+                        if rank < 1:
+                            raise ParseError(f"module rank must be at least 1, got {rank}", line_no, 1)
                         k += 2
                     elif tokens[k] == "shifts":
                         literal = " ".join(tokens[k + 1 :])
@@ -217,8 +209,10 @@ def _ring_grading(decl, d):
         elif name == "lex":
             grading = TermOrderGrading.lex(d)
         elif name == "matrix":
-            literal = decl.split("matrix", 1)[1]
-            rows, _ = _parse_bracket_list(literal, 1)
+            # the declaration may come from --grading, so errors carry no position
+            rows, rest = _parse_bracket_list(decl.split("matrix", 1)[1], None)
+            if rest.strip():
+                raise ParseError(f"unexpected {rest.strip()!r} after the weight matrix")
             grading = TermOrderGrading(rows)
         else:
             raise UsageError(f"unknown order {name!r}")
@@ -240,23 +234,30 @@ def _ring_grading(decl, d):
     return grading
 
 
+def _is_int(v):
+    return isinstance(v, int) and not isinstance(v, bool)
+
+
 def build_grading(ring, decl, rank, shifts, tie):
+    """The module grading of a declaration; a shift is an integer, or under a
+    term order also a list of one integer per variable."""
     d = ring.nvars
     ring_grading = _ring_grading(decl, d)
-    if isinstance(ring_grading, TermOrderGrading):
+    term_order = isinstance(ring_grading, TermOrderGrading)
+    for s in shifts or ():
+        if not (_is_int(s) or term_order and isinstance(s, list) and len(s) == d and all(map(_is_int, s))):
+            shape = f"an integer or a list of {d} integers" if term_order else "an integer"
+            raise UsageError(f"shift {json.dumps(s)} must be {shape}")
+    if term_order:
         tuple_shifts = None
         if shifts:
-            tuple_shifts = tuple(
-                tuple(s) if isinstance(s, list) else tuple(int(s) if k == 0 else 0 for k in range(d))
-                for s in shifts
-            )
+            tuple_shifts = tuple(tuple(s) if isinstance(s, list) else (s,) + (0,) * (d - 1) for s in shifts)
         return TermModuleGrading(ring_grading, rank, tuple_shifts, tie or "pot")
     if isinstance(ring_grading, BlockGrading):
-        if shifts and any(s != 0 for s in shifts):
+        if shifts and any(shifts):
             raise UsageError("elimination gradings support zero shifts only")
         return CoarseModuleGrading(ring_grading, rank)
-    int_shifts = tuple(int(s) for s in shifts) if shifts else None
-    return CoarseModuleGrading(ring_grading, rank, int_shifts)
+    return CoarseModuleGrading(ring_grading, rank, tuple(shifts) if shifts else None)
 
 
 def parse_group_file(text, ring) -> GroupAction:
@@ -336,7 +337,7 @@ def run_command(command, problem: ProblemFile, args) -> dict:
         doc["criterion"] = "pass"
         profile = degree_profile(basis)
         doc["profile"] = {
-            format_degree(d): profile[d] for d in spec.sort_degrees(profile.keys())
+            format_degree(d): profile[d] for d in sorted(profile, key=spec.key)
         }
     elif command == "verify":
         result = buchberger_criterion(gens, spec, config)

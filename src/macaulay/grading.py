@@ -57,9 +57,6 @@ class Grading:
         ka, kb = self.key(a), self.key(b)
         return (ka > kb) - (ka < kb)
 
-    def sort_degrees(self, degrees, reverse=False):
-        return sorted(degrees, key=self.key, reverse=reverse)
-
 
 # ---------------------------------------------------------------------------
 # ring gradings
@@ -475,12 +472,6 @@ class RefinementMap:
         self.target = target
         self.ring_map = ring_map
         self.module_map = module_map
-
-    def apply(self, deg):
-        return self.module_map(deg)
-
-    def apply_ring(self, value):
-        return self.ring_map(value)
 
     def verify(self, samples: int = 100, seed: int = 0):
         rng = random.Random(seed)

@@ -43,7 +43,7 @@ from .grading import (
     TermModuleGrading,
     TermOrderGrading,
 )
-from .gradlin import default_policy, vector_of
+from .gradlin import vector_of
 from .polymod import (
     ModuleElement,
     _canonical_key,
@@ -120,7 +120,7 @@ def canonical_order(elements, spec):
 # syzygies of leading forms
 
 
-def monomial_syzygy_generators(terms):
+def monomial_syzygy_generators(terms, since=0):
     """Pairwise lcm syzygies of single-term module elements, chain-pruned.
 
     Pairs in different free-module components cancel nothing and contribute
@@ -131,15 +131,9 @@ def monomial_syzygy_generators(terms):
     monomial combination of sigma_ik and sigma_kj.  Each dropped pair is
     generated by pairs of strictly smaller lcm under divisibility, so by
     induction on the lcm the returned pairs still generate the syzygies.
-    """
-    return _lcm_syzygies(terms, 0)
 
-
-def _lcm_syzygies(terms, since):
-    """The pairs (i, j) of ``monomial_syzygy_generators(terms)`` with j >= since.
-
-    Only those pairs are formed, in the same order; the chain criterion still
-    looks at every term.
+    With ``since`` > 0 only the pairs (i, j) with j >= since are formed, in
+    the same order; the chain criterion still looks at every term.
     """
     if not terms:
         return []
@@ -221,7 +215,7 @@ class _ExtendedOrder(TermModuleGrading):
         ring, n = terms[0].ring, len(terms)
         return [
             ModuleElement._wrap(ring, n, {(paired[k], u): c for (k, u), c in s.term_map().items()})
-            for s in _lcm_syzygies([terms[i] for i in paired], bisect_left(paired, since))
+            for s in monomial_syzygy_generators([terms[i] for i in paired], bisect_left(paired, since))
         ]
 
 
@@ -231,13 +225,8 @@ def syzygy_grading(spec, lf_elements) -> SyzygyGrading:
 
 
 def _split_homogeneous(elements, spec):
-    out = []
-    for m in elements:
-        for part in homogeneous_components(m, spec):
-            cand = normalize_element(part.element, spec)
-            if cand not in out:
-                out.append(cand)
-    return out
+    parts = (part.element for m in elements for part in homogeneous_components(m, spec))
+    return list(dict.fromkeys(normalize_element(p, spec) for p in parts))
 
 
 def leading_syzygy_generators(lf_elements, spec, config=None, *, since=0):
@@ -266,7 +255,7 @@ def leading_syzygy_generators(lf_elements, spec, config=None, *, since=0):
         if isinstance(spec, _ExtendedOrder):
             gens = spec.n_block_syzygies(lf_elements, since)
         else:
-            gens = _lcm_syzygies(lf_elements, since)
+            gens = monomial_syzygy_generators(lf_elements, since)
         return canonical_order([normalize_element(s, syzspec) for s in gens], syzspec)
 
     ring = lf_elements[0].ring
@@ -302,14 +291,13 @@ def buchberger_criterion(X, spec, config=None) -> CriterionResult:
         return CriterionResult(True, None)
     if any(m.is_zero() for m in X):
         raise UsageError("criterion inputs must be nonzero")
-    lf_parts = [leading_form(m, spec) for m in X]
-    if all(p.element == m for p, m in zip(lf_parts, X)):
+    reducer = Reducer(X, spec)
+    lfs = [p.element for p in reducer.lf_parts]
+    if lfs == X:
         # homogeneous generators span a graded submodule, whose leading forms
         # are the generators themselves: the criterion holds outright
         return CriterionResult(True, None)
-    sygens = leading_syzygy_generators([p.element for p in lf_parts], spec, config)
-    reducer = Reducer(X, spec)
-    for s in sygens:
+    for s in leading_syzygy_generators(lfs, spec, config):
         v = dot(s, X)
         if v.is_zero():
             continue
@@ -341,20 +329,12 @@ def buchberger_algorithm(generators, spec, config=None) -> MacaulayBasis:
     Reducer over the grown set would give.
     """
     config = config or BuchbergerConfig()
-    gens = [g for g in generators if not g.is_zero()]
-    policy = config.policy
-    if gens:
-        field = gens[0].ring.field
-        policy = policy if policy is not None else default_policy(field)
-    X = []
-    for g in gens:
-        ng = normalize_element(g, spec)
-        if ng not in X:
-            X.append(ng)
+    X = list(dict.fromkeys(normalize_element(g, spec) for g in generators if not g.is_zero()))
     if not X:
-        return MacaulayBasis((), spec, policy, True, CriterionResult(True, None))
+        return MacaulayBasis((), spec, config.policy, True, CriterionResult(True, None))
 
-    reducer = Reducer(X, spec, policy)
+    reducer = Reducer(X, spec, config.policy)
+    policy = reducer.policy
     since = 0
     for _ in range(config.max_iterations):
         lfs = [p.element for p in reducer.lf_parts]
@@ -398,12 +378,7 @@ def interreduce(basis_or_elements, spec, policy=None) -> MacaulayBasis:
         policy = policy if policy is not None else basis_or_elements.policy
     else:
         elements = list(basis_or_elements)
-    elements = [normalize_element(m, spec) for m in elements if not m.is_zero()]
-    deduped = []
-    for m in elements:
-        if m not in deduped:
-            deduped.append(m)
-    elements = deduped
+    elements = list(dict.fromkeys(normalize_element(m, spec) for m in elements if not m.is_zero()))
 
     for _ in range(100):
         elements = canonical_order(elements, spec)
@@ -440,19 +415,18 @@ def lift_syzygy(s: ModuleElement, X, spec) -> ModuleElement:
     Reduces the combination sum s_i m_i to zero and subtracts the recorded
     representation; the result t satisfies sum t_i m_i = 0 with leading form s.
     """
-    X = list(X)
-    v = dot(s, X)
-    return s if v.is_zero() else _lift(s, v, Reducer(X, spec))
+    return _lift(s, Reducer(X, spec))
 
 
-def _lift(s, v, reducer):
-    """s minus the representation over reducer.X of v = sum s_i m_i, reduced to zero."""
+def _lift(s, reducer):
+    """s minus the coordinates over reducer.X of sum s_i m_i, reduced to zero."""
+    v = dot(s, reducer.X)
+    if v.is_zero():
+        return s
     ok, trace = reducer.reduces_to_zero(v)
     if not ok:
         raise UsageError("cannot lift: the set does not satisfy the criterion")
-    ring = s.ring
-    coords = [trace.representation.get(i, ring.zero()) for i in range(len(reducer.X))]
-    return s - ModuleElement(ring, coords)
+    return s - trace.coordinates
 
 
 def degree_profile(basis_or_elements, spec=None):

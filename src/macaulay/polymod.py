@@ -10,6 +10,7 @@ printing order is component ascending, degrevlex descending within a
 component, independent of any active grading.
 """
 
+import re
 from operator import add
 from types import MappingProxyType
 from typing import NamedTuple
@@ -271,7 +272,7 @@ def homogeneous_components(m: ModuleElement, spec) -> list:
     buckets = {}
     for deg, term, c in _term_degrees(m, spec):
         buckets.setdefault(deg, {})[term] = c
-    order = spec.sort_degrees(buckets.keys(), reverse=True)
+    order = sorted(buckets, key=spec.key, reverse=True)
     return [
         HomogeneousPart(deg, ModuleElement._wrap(m.ring, m.rank, buckets[deg]))
         for deg in order
@@ -350,47 +351,27 @@ def render_element(m: ModuleElement) -> str:
 # parsing
 
 
+# ASCII numbers with an optional /denominator, names of letters, digits and
+# underscores not led by a digit, operators, newlines, and any other visible
+# character as an unexpected one; the rest of the whitespace matches nothing
+# and finditer steps over it
+_TOKEN = re.compile(
+    r"(?P<number>[0-9]+(?:/[0-9]+)?)|(?P<name>[^\W\d]\w*)|(?P<op>[-+*^\[\],])"
+    r"|(?P<newline>\n)|(?P<bad>\S)"
+)
+
+
 def _tokenize(text, line_offset=1):
     tokens = []
-    line, col = line_offset, 1
-    i = 0
-    while i < len(text):
-        ch = text[i]
-        if ch == "\n":
-            line += 1
-            col = 1
-            i += 1
-            continue
-        if ch.isspace():
-            i += 1
-            col += 1
-            continue
-        if ch.isdigit():
-            j = i
-            while j < len(text) and text[j].isdigit():
-                j += 1
-            if j < len(text) and text[j] == "/" and j + 1 < len(text) and text[j + 1].isdigit():
-                j += 1
-                while j < len(text) and text[j].isdigit():
-                    j += 1
-            tokens.append(("number", text[i:j], line, col))
-            col += j - i
-            i = j
-            continue
-        if ch.isalpha() or ch == "_":
-            j = i
-            while j < len(text) and (text[j].isalnum() or text[j] == "_"):
-                j += 1
-            tokens.append(("name", text[i:j], line, col))
-            col += j - i
-            i = j
-            continue
-        if ch in "+-*^[],":
-            tokens.append(("op", ch, line, col))
-            i += 1
-            col += 1
-            continue
-        raise ParseError(f"unexpected character {ch!r}", line, col)
+    line, line_start = line_offset, 0
+    for match in _TOKEN.finditer(text):
+        kind, col = match.lastgroup, match.start() - line_start + 1
+        if kind == "newline":
+            line, line_start = line + 1, match.end()
+        elif kind == "bad":
+            raise ParseError(f"unexpected character {match.group()!r}", line, col)
+        else:
+            tokens.append((kind, match.group(), line, col))
     return tokens
 
 

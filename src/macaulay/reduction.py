@@ -23,8 +23,11 @@ without enumerating the degree monoid.
 Steps are fully deterministic: the multipliers come from echelon
 back-substitution in a fixed generator order, so identical inputs produce
 identical traces.  A trace records only each step's degree and multipliers;
-the representation, the intermediate elements and their snapshot hashes are
-replayed from those records on demand.
+the coordinates of the representation, the intermediate elements and their
+snapshot hashes are replayed from those records on demand.  The coordinates
+are one element over X, the multipliers summed term by term: no (index,
+monomial) pair repeats, because a multiplier x^u of X[i] fixes the degree of
+its step and the pass settles each degree once.
 """
 
 from bisect import insort
@@ -61,9 +64,11 @@ class ReductionStep(NamedTuple):
 class ReductionTrace:
     """Step log of one reduction run.
 
-    ``representation`` maps element indices to the accumulated ring multiplier
-    r_i, so that input = final + sum r_i * X[i] holds bit-exactly.  It and the
-    per-step snapshots are computed from the step records when first asked for.
+    ``coordinates`` is the coordinate element over X with input = final +
+    dot(coordinates, X) bit-exactly: the step multipliers, each (index,
+    monomial) pair once.  ``representation`` reads the accumulated ring
+    multiplier r_i of each X[i] off it.  Both, and the per-step snapshots,
+    are computed from the step records when first asked for.
     """
 
     def __init__(self, X, initial: ModuleElement):
@@ -74,13 +79,14 @@ class ReductionTrace:
         self.final = None
 
     @cached_property
+    def coordinates(self) -> ModuleElement:
+        terms = {(idx, exps): c for step in self.steps for idx, exps, c in step.multipliers}
+        return ModuleElement.from_terms(self.ring, len(self.X), terms)
+
+    @cached_property
     def representation(self):
-        rep = {}
-        for step in self.steps:
-            for idx, exps, coeff in step.multipliers:
-                prev = rep.get(idx, self.ring.zero())
-                rep[idx] = prev + self.ring.monomial(exps, coeff)
-        return rep
+        coords = self.coordinates
+        return {i: coords.component(i) for i in dict.fromkeys(i for i, _ in coords.term_map())}
 
     def replay(self):
         """Yield the element after each step, rebuilt from the input."""
@@ -95,10 +101,7 @@ class ReductionTrace:
         return [_snapshot(m) for m in self.replay()]
 
     def representation_sum(self, X) -> ModuleElement:
-        if not X:
-            raise UsageError("empty basis has no representation")
-        coords = {(i, e): c for i, r in self.representation.items() for e, c in r.terms.items()}
-        return dot(ModuleElement.from_terms(self.ring, len(X), coords), X)
+        return dot(self.coordinates, X)
 
 
 class Reducer:
@@ -256,8 +259,8 @@ def normal_form(m, X, spec, policy=None):
     return Reducer(X, spec, policy).normal_form(m)
 
 
-def reduces_to_zero(m, X, spec, policy=None):
-    return Reducer(X, spec, policy).reduces_to_zero(m)
+def reduces_to_zero(m, X, spec):
+    return Reducer(X, spec).reduces_to_zero(m)
 
 
 def dot(coordinates: ModuleElement, X) -> ModuleElement:

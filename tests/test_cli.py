@@ -1,6 +1,8 @@
 import json
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from macaulay import cli
 from macaulay.cli import (
@@ -392,3 +394,112 @@ def test_grading_verified_once_per_declaration(monkeypatch):
             build_grading(problem.ring, bad, 1, None, None)
         assert len(calls) == 3 + attempt
     cli._ring_grading.cache_clear()
+
+
+@pytest.mark.parametrize(
+    "grading, shifts, shown",
+    [
+        ("total", "[[0,0],[1,0]]", "[0, 0]"),
+        ("total", '[0, "a"]', '"a"'),
+        ("total", "[0, 1.5]", "1.5"),
+        ("total", "[0, true]", "true"),
+        ("elim 1", "[[0,0], 0]", "[0, 0]"),
+        ("order degrevlex", "[[0,0,0],[0,0,0]]", "[0, 0, 0]"),
+        ("order degrevlex", "[0, [1, false]]", "[1, false]"),
+        ("order lex", "[0, 2.0]", "2.0"),
+    ],
+)
+def test_cli_shift_shapes_exit_3(tmp_path, capsys, grading, shifts, shown):
+    text = f"ring q: x y\ngrading {grading}\nmodule rank 2 shifts {shifts}\ngen [x, y]\n"
+    path = write(tmp_path, "shifts.mac", text)
+    code, out, err = run_cli(tmp_path, capsys, "basis", path)
+    assert code == 3 and out == "" and f"shift {shown} must be" in err
+    assert "Traceback" not in err
+
+
+def test_cli_superscript_exponent_exits_2(tmp_path, capsys):
+    path = write(tmp_path, "super.mac", "ring q: x y\ngrading total\ngen x^²\n")
+    code, out, err = run_cli(tmp_path, capsys, "basis", path)
+    assert code == 2 and out == "" and "malformed exponent" in err
+
+
+def test_bracket_list_returns_the_rest():
+    assert cli._parse_bracket_list(' [[1, 2], [3]] tie pot', 4) == ([[1, 2], [3]], " tie pot")
+    assert cli._parse_bracket_list('[1, "]"]', 4) == ([1, "]"], "")
+    for text in ("[[1, 2]", "[1,, 2]", "(1, 2)"):
+        with pytest.raises(ParseError, match="line 4"):
+            cli._parse_bracket_list(text, 4)
+
+
+def test_cli_text_after_weight_matrix_exits_2(tmp_path, capsys):
+    text = "ring q: x1 x2\ngrading order matrix [[1,0],[0,1]] extra\ngen x1\n"
+    path = write(tmp_path, "trailing.mac", text)
+    code, out, err = run_cli(tmp_path, capsys, "basis", path)
+    assert code == 2 and out == "" and "'extra' after the weight matrix" in err
+    # the same declaration given on the command line
+    code, out, err = run_cli(tmp_path, capsys, "basis", path, "--grading", "order matrix [[1,0],[0,1]] ]")
+    assert code == 2 and out == "" and "']' after the weight matrix" in err
+
+
+@pytest.mark.parametrize("rank", ["-1", "0"])
+def test_cli_module_rank_below_one_exits_2(tmp_path, capsys, rank):
+    path = write(tmp_path, "rank.mac", f"ring q: x y\nmodule rank {rank}\ngen x\n")
+    code, out, err = run_cli(tmp_path, capsys, "basis", path)
+    assert code == 2 and out == "" and f"module rank must be at least 1, got {rank}" in err
+
+
+# odd words for declaration slots: non-ASCII digits, floats, bools, brackets,
+# keywords out of place; the integers stay small because a rank allocates
+_WORDS = st.sampled_from(
+    ["1", "2", "-1", "0", "", "x", "\u00b2", "\u0663", "1.5", "true", "[", "]", "[[1]]",
+     "extra", "rank", "shifts", "tie", "top", "pot", "1/0", "matrix"]
+)
+_JSON = st.recursive(
+    st.integers(-3, 3) | st.integers() | st.floats() | st.booleans() | st.none()
+    | st.text(alphabet="x1\u00b2\u0663", max_size=2),
+    lambda inner: st.lists(inner, max_size=3),
+    max_leaves=8,
+)
+# factors of the first component of a rank-2 generator
+_FACTORS = st.sampled_from(
+    ["x", "x^2", "x^\u00b2", "x\u00b2", "y^\u0663", "\u0663", "x^", "1/2", "1/0", "3.5", "-", "[", "]"]
+)
+_SLOTS = {
+    "grading": st.one_of(
+        st.sampled_from(["order", "elim", "order matrix [[1,0],[0,1]]"]),
+        st.builds("elim {}".format, _WORDS),
+        st.lists(_JSON, max_size=3).map(json.dumps).map("order matrix {}".format),
+    ),
+    "trailing": _WORDS,
+    "rank": _WORDS,
+    "shifts": st.lists(
+        st.one_of(st.integers(-3, 3), st.lists(st.integers(-3, 3), min_size=1, max_size=3), _JSON),
+        max_size=3,
+    ).map(json.dumps),
+    "tie": _WORDS,
+    "gen": st.lists(_FACTORS, min_size=1, max_size=3).map("*".join).map("[{}, y]".format) | _WORDS,
+}
+_MUTATIONS = st.lists(
+    st.sampled_from(sorted(_SLOTS)).flatmap(lambda slot: _SLOTS[slot].map(lambda v: (slot, v))),
+    min_size=1,
+    max_size=2,
+)
+
+
+@settings(derandomize=True, max_examples=200, deadline=None, database=None)
+@given(grading=st.sampled_from(["total", "order degrevlex", "order lex", "elim 1"]), mutations=_MUTATIONS)
+def test_malformed_declarations_raise_only_input_errors(grading, mutations):
+    # a well-formed rank-2 problem with one or two slots of its grading,
+    # module and gen lines replaced: parsing it and building its grading
+    # raises a ParseError (exit 2) or a UsageError (exit 3), nothing else
+    slots = {"grading": grading, "trailing": "", "rank": "2", "shifts": "[0, 1]", "tie": "pot",
+             "gen": "[x^2, y]"}
+    slots.update(mutations)
+    text = (
+        "ring q: x y\ngrading {grading} {trailing}\n"
+        "module rank {rank} shifts {shifts} tie {tie}\ngen {gen}\n"
+    ).format(**slots)
+    try:
+        cli.parse_problem(text).grading()
+    except (ParseError, UsageError):
+        pass

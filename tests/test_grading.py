@@ -77,16 +77,16 @@ def test_apply_refinement_examples():
     fine = TermModuleGrading(TermOrderGrading.degrevlex(2), 1)
     coarse = CoarseModuleGrading(TotalDegreeGrading(2), 1)
     refmap = total_refinement(fine, coarse)
-    assert refmap.apply((0, (2, 3))) == 5
-    assert refmap.apply((0, (0, 0))) == 0
-    assert refmap.apply_ring((2, 3)) == 5
+    assert refmap.module_map((0, (2, 3))) == 5
+    assert refmap.module_map((0, (0, 0))) == 0
+    assert refmap.ring_map((2, 3)) == 5
     assert refmap.verify().passed
 
     syz = SyzygyGrading(coarse, (2, 4))
     assert syz.degree_of_term(0, (0, 2)) == 4
     assert syz.degree_of_term(1, (0, 0)) == 4
     sref = syzygy_refinement(syz)
-    assert sref.apply((0, (0, 2))) == 4
+    assert sref.module_map((0, (0, 2))) == 4
     assert sref.verify().passed
 
 

@@ -107,7 +107,7 @@ def test_refined_degree_law(R2):
         m = random_element(R2, 1, rng, max_degree=6, terms=5)
         if m.is_zero():
             continue
-        assert degree_of(m, coarse) == refmap.apply(degree_of(m, fine))
+        assert degree_of(m, coarse) == refmap.module_map(degree_of(m, fine))
 
 
 def test_parse_print_round_trip(R2, R3):
@@ -140,6 +140,20 @@ def test_parse_errors_carry_position(R2):
     with pytest.raises(ParseError):
         R2.parse("")
     assert R2.parse("2 x1 x2") == R2.parse("2*x1*x2")  # juxtaposition multiplies
+
+
+def test_only_ascii_digits_are_numbers(R2):
+    # superscript and other non-ASCII digits pass str.isdigit but are no numbers
+    with pytest.raises(ParseError, match="malformed exponent"):
+        R2.parse("x1^\u00b2")
+    with pytest.raises(ParseError, match="unknown variable"):
+        R2.parse("x1\u00b2")
+    with pytest.raises(ParseError, match="unexpected character") as err:
+        R2.parse("x1 + \u0663")
+    assert "col 6" in str(err.value)
+    with pytest.raises(ParseError) as err:
+        R2.parse("x1 +\n  x3")
+    assert "line 2, col 3" in str(err.value)
 
 
 def test_fraction_coefficients_parse(R2):
