@@ -12,6 +12,7 @@ out of memory.
 import argparse
 import functools
 import json
+import re
 import sys
 
 from .apps import (
@@ -99,6 +100,19 @@ def _parse_bracket_list(text, line_no):
     return value, text[end:]
 
 
+def _ascii_int(text):
+    """The integer an optionally signed run of ASCII digits spells; ValueError otherwise."""
+    if not re.fullmatch(r"[+-]?[0-9]+", text):
+        raise ValueError(f"not an ASCII integer: {text!r}")
+    return int(text)
+
+
+def _no_trailing(tokens, n):
+    """Reject a declaration with more than its first n tokens."""
+    if len(tokens) > n:
+        raise ParseError(f"unexpected {' '.join(tokens[n:])!r} after {' '.join(tokens[:n])!r}")
+
+
 def parse_problem(text, default_field=None) -> ProblemFile:
     field = default_field
     names = None
@@ -140,7 +154,7 @@ def parse_problem(text, default_field=None) -> ProblemFile:
             try:
                 while k < len(tokens):
                     if tokens[k] == "rank":
-                        rank = int(tokens[k + 1])
+                        rank = _ascii_int(tokens[k + 1])
                         if rank < 1:
                             raise ParseError(f"module rank must be at least 1, got {rank}", line_no, 1)
                         k += 2
@@ -199,30 +213,36 @@ def _ring_grading(decl, d):
     tokens = decl.split() or [""]
     kind = tokens[0]
     if kind == "total":
+        _no_trailing(tokens, 1)
         grading = TotalDegreeGrading(d)
     elif kind == "order":
         if len(tokens) < 2:
             raise UsageError("grading order needs a name")
         name = tokens[1]
-        if name == "degrevlex":
-            grading = TermOrderGrading.degrevlex(d)
-        elif name == "lex":
-            grading = TermOrderGrading.lex(d)
+        if name in ("degrevlex", "lex"):
+            _no_trailing(tokens, 2)
+            grading = TermOrderGrading.degrevlex(d) if name == "degrevlex" else TermOrderGrading.lex(d)
         elif name == "matrix":
             # the declaration may come from --grading, so errors carry no position
             rows, rest = _parse_bracket_list(decl.split("matrix", 1)[1], None)
             if rest.strip():
                 raise ParseError(f"unexpected {rest.strip()!r} after the weight matrix")
             grading = TermOrderGrading(rows)
+            if len(grading.rows) != d or grading.nvars != d:
+                raise UsageError(
+                    f"weight matrix is {len(grading.rows)}x{grading.nvars}, "
+                    f"but a ring in {d} variables needs {d}x{d}"
+                )
         else:
             raise UsageError(f"unknown order {name!r}")
     elif kind == "elim":
         if len(tokens) < 2:
             raise UsageError("grading elim needs a split index")
         try:
-            k = int(tokens[1])
+            k = _ascii_int(tokens[1])
         except ValueError:
             raise UsageError("grading elim needs an integer split index") from None
+        _no_trailing(tokens, 2)
         if k < 0 or k > d:
             raise UsageError("split index out of range")
         grading = BlockGrading(d, tuple(range(k)))

@@ -20,6 +20,19 @@ tail straight into the lower buckets; only the final result is built as a
 component is never offending), which realizes the maximal-degree selection
 without enumerating the degree monoid.
 
+Under a module term order (``TermModuleGrading``, the elimination route's
+order included) every graded component N_b is one module monomial, so W_b(X)
+is 0 or all of N_b, and the pass is classical division (Cox, Little and
+O'Shea, section 2.3): a term is reduced by the first X[i] whose leading
+monomial divides it, with multiplier coeff / lc(X[i]).  That is what the
+workspace route computes there too: in a one-dimensional component span and
+complement steps coincide, both complement policies are the identity on
+W_b = N_b, and the echelon form of the rows [c_1], [c_2], ... pivots on the
+first row, whose combination is the inverse of c_1.  So ``Reducer`` takes
+the divisor route for these gradings, caching per degree the first divisor
+instead of a workspace and keeping a flat term map instead of degree buckets,
+and every trace and final element is the one the workspace route gives.
+
 Steps are fully deterministic: the multipliers come from echelon
 back-substitution in a fixed generator order, so identical inputs produce
 identical traces.  A trace records only each step's degree and multipliers;
@@ -32,7 +45,7 @@ its step and the pass settles each degree once.
 
 from bisect import insort
 from functools import cached_property
-from operator import add
+from operator import add, le, sub
 from typing import NamedTuple
 
 from .errors import MembershipError, UsageError
@@ -43,10 +56,12 @@ from .gradlin import (
     project_complement,
     w_space,
 )
+from .grading import TermModuleGrading
 from .polymod import ModuleElement, leading_form, linear_combination
 
 SPAN = "span"
 COMPLEMENT = "complement"
+_UNSEEN = object()
 
 
 def _snapshot(m: ModuleElement) -> str:
@@ -107,11 +122,15 @@ class ReductionTrace:
 class Reducer:
     """Reduction engine bound to a set X, one grading, one policy.
 
-    Workspaces W_b(X) are cached per degree.  X can grow through ``extend``
-    and have one element swapped through ``replace``; either drops only the
-    cached W_b that an added or removed leading form reaches.  Every other
-    workspace keeps the very same generator multiples in the same order, so
-    its echelon form, and every step taken against it, does not change.
+    Workspaces W_b(X) are cached per degree; under a module term order a
+    reduction caches each degree's first divisor instead, the element and
+    coefficient the one-row echelon form of W_b would pick (see the module
+    docstring), and ``w_space`` still builds W_b on request.  X can grow
+    through ``extend`` and have one element swapped through ``replace``;
+    either drops only the cached W_b and divisors that an added or removed
+    leading form reaches.  Every other workspace keeps the very same
+    generator multiples in the same order, so its echelon form, and every
+    step taken against it, does not change.
     """
 
     def __init__(self, X, spec, policy=None):
@@ -121,6 +140,8 @@ class Reducer:
         self.spec = spec
         self.ring = X[0].ring
         self.rank = X[0].rank
+        if spec.ring.nvars != self.ring.nvars:
+            raise UsageError("the grading and the reduction set have different numbers of variables")
         self.field = self.ring.field
         self.policy = policy if policy is not None else default_policy(self.field)
         check_policy(self.policy, self.field)
@@ -129,6 +150,7 @@ class Reducer:
         # each element's terms below its leading form: (component, exponents, coeff)
         self.tails = []
         self._cache = {}
+        self._divisors = {}
         self.extend(X)
 
     def _split(self, m):
@@ -143,10 +165,11 @@ class Reducer:
         return part, tail
 
     def _forget(self, degree):
-        """Drop the cached workspaces a leading form of this degree reaches."""
+        """Drop the cached workspaces and divisors a leading form of this degree reaches."""
         reaches = self.spec.multipliers
-        for b in [b for b in self._cache if reaches(degree, b)]:
-            del self._cache[b]
+        for cache in (self._cache, self._divisors):
+            for b in [b for b in cache if reaches(degree, b)]:
+                del cache[b]
 
     def extend(self, ys):
         """Append elements to X, as if the Reducer had been built on X + ys."""
@@ -179,10 +202,76 @@ class Reducer:
             self._cache[degree] = sub
         return sub
 
+    def _divisor(self, degree, start=0):
+        """(index, multiplier, inverse leading coefficient) of the first divisor from X[start] on.
+
+        Under a module term order a degree is (component, exponents + shift),
+        and x^u * X[i] reaches it when the components agree and u, the
+        difference of the exponents, is nonnegative.  None if no X[i] does.
+        """
+        comp, value = degree
+        one = self.field.one
+        for idx in range(start, len(self.lf_parts)):
+            lead_comp, lead_value = self.lf_parts[idx].degree
+            if lead_comp == comp and all(map(le, lead_value, value)):
+                (lc,) = self.lf_parts[idx].element.term_map().values()
+                inv = self.field.inv(lc)
+                # stored as field.one itself, so that a step can skip the product
+                return idx, tuple(map(sub, value, lead_value)), one if inv == one else inv
+        return None
+
+    def _divide(self, m, skip):
+        """The descending pass when every degree is one module monomial.
+
+        Each live term is reduced by its first divisor (the first after
+        X[skip] when that is X[skip]); the step and its tail update are the
+        ones the workspace route makes.  Terms sit in one flat map, and
+        ``live`` holds (key, degree, term) in key order.
+        """
+        spec, field = self.spec, self.field
+        degree_of, key = spec.degree_of_term, spec.key
+        mul, one = field.mul, field.one
+        terms = dict(m.term_map())
+        live = sorted((key(deg), deg, t) for t in terms for deg in (degree_of(*t),))
+        divisors = self._divisors
+        trace = ReductionTrace(self.X, m)
+        rest = {}
+        while live:
+            _, degree, t = live.pop()
+            c = terms.pop(t)
+            if field.is_zero(c):
+                continue
+            entry = divisors.get(degree, _UNSEEN)
+            if entry is _UNSEEN:
+                entry = divisors[degree] = self._divisor(degree)
+            if entry is not None and entry[0] == skip:
+                entry = self._divisor(degree, skip + 1)
+            if entry is None:
+                rest[t] = c
+                continue
+            idx, mult, inv = entry
+            q = c if inv is one else mul(c, inv)
+            trace.steps.append(ReductionStep(degree, ((idx, mult, q),)))
+            # the leading monomial cancels t; the tail lands lower
+            for i, exps, tc in self.tails[idx]:
+                term = (i, tuple(map(add, exps, mult)))
+                old = terms.get(term)
+                if old is None:
+                    deg = degree_of(*term)
+                    insort(live, (key(deg), deg, term))
+                    terms[term] = field.neg(mul(q, tc))
+                else:
+                    terms[term] = field.sub(old, mul(q, tc))
+        trace.final = ModuleElement._wrap(self.ring, self.rank, rest)
+        return trace
+
     def _reduce(self, m, mode, skip=None):
         """One descending pass over the degrees of m; returns the trace."""
         if (m.ring is not self.ring and m.ring != self.ring) or m.rank != self.rank:
             raise UsageError("element and reduction set have mismatched ring or rank")
+        if isinstance(self.spec, TermModuleGrading):
+            # W_b is 0 or N_b: span and complement steps coincide
+            return self._divide(m, skip)
         spec, field = self.spec, self.field
         zero = field.zero
         buckets = {}

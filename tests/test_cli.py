@@ -441,6 +441,30 @@ def test_cli_text_after_weight_matrix_exits_2(tmp_path, capsys):
     assert code == 2 and out == "" and "']' after the weight matrix" in err
 
 
+@pytest.mark.parametrize("grading", ["total extra", "elim 1 extra", "order degrevlex extra"])
+def test_cli_text_after_grading_exits_2(tmp_path, capsys, grading):
+    path = write(tmp_path, "trailing.mac", f"ring q: x1 x2\ngrading {grading}\ngen x1\n")
+    code, out, err = run_cli(tmp_path, capsys, "basis", path)
+    assert code == 2 and out == "" and "unexpected 'extra' after" in err
+    code, out, err = run_cli(tmp_path, capsys, "basis", write(tmp_path, "c.mac", CIRCLE), "--grading", grading)
+    assert code == 2 and out == "" and "unexpected 'extra' after" in err
+
+
+def test_cli_weight_matrix_must_fit_the_ring(tmp_path, capsys):
+    text = "ring q: x y z\ngrading order matrix [[1,0],[0,1]]\ngen x*z + y\ngen y*z - 1\n"
+    code, out, err = run_cli(tmp_path, capsys, "basis", write(tmp_path, "small.mac", text))
+    assert code == 3 and out == ""
+    assert "weight matrix is 2x2, but a ring in 3 variables needs 3x3" in err
+
+
+@pytest.mark.parametrize("rank", ["\u0662", "\uff12", "2\u0662", "1_0"])
+def test_cli_module_rank_needs_ascii_digits(tmp_path, capsys, rank):
+    # Arabic-Indic and full-width digits, and underscores, all pass int()
+    path = write(tmp_path, "rank.mac", f"ring q: x y\nmodule rank {rank}\ngen [x, y]\n")
+    code, out, err = run_cli(tmp_path, capsys, "basis", path)
+    assert code == 2 and out == "" and "malformed module declaration" in err
+
+
 @pytest.mark.parametrize("rank", ["-1", "0"])
 def test_cli_module_rank_below_one_exits_2(tmp_path, capsys, rank):
     path = write(tmp_path, "rank.mac", f"ring q: x y\nmodule rank {rank}\ngen x\n")

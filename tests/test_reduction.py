@@ -5,10 +5,10 @@ import pytest
 
 from oracles import ideal_member, raw_poly
 
-from macaulay.coeff import PrimeField
+from macaulay.coeff import PrimeField, RationalField
 from macaulay.errors import UsageError
 from macaulay.gradlin import ORTHOGONAL, PIVOT
-from macaulay.grading import TermModuleGrading, TermOrderGrading
+from macaulay.grading import POT, TOP, ModuleGrading, TermModuleGrading, TermOrderGrading
 from macaulay.polymod import ModuleElement, PolyRing, degree_of
 from macaulay.reduction import Reducer, dot, normal_form, reduces_to_zero
 from macaulay.symmetry import random_element
@@ -154,6 +154,9 @@ def test_reducer_validations(el, total2):
         Reducer([], total2)
     with pytest.raises(UsageError):
         Reducer([el("0")], total2)
+    # a grading over another number of variables would misread the exponents
+    with pytest.raises(UsageError, match="numbers of variables"):
+        Reducer([el("x1")], TermModuleGrading(TermOrderGrading.degrevlex(3), 1))
 
 
 def test_dot(R2, el, circle_pair):
@@ -268,7 +271,9 @@ def test_extended_reducer_traces_match_fresh(R2, el, total2, drl2, circle_pair, 
             warm.normal_form(m)
             warm.reduces_to_zero(m)
         lead_degrees = [degree_of(y, spec) for y in ys]
-        assert any(spec.multipliers(d, b) for d in lead_degrees for b in warm._cache)
+        # a term order reduces through first divisors, cached per degree like W-spaces
+        cache = warm._divisors if order == "degrevlex" else warm._cache
+        assert any(spec.multipliers(d, b) for d in lead_degrees for b in cache)
         warm.extend(ys)
         X = circle_pair + ys
         _assert_same_traces(warm, Reducer(X, spec, policy), elements)
@@ -296,3 +301,77 @@ def test_skip_reduces_against_the_others(R2, total2, c4_triple):
                 ]
                 assert all(i != idx for s in trace.steps for i, _, _ in s.multipliers)
                 assert trace.final + trace.representation_sum(reducer.X) == m
+
+
+class _Opaque(ModuleGrading):
+    """A term-order module grading behind a type that is not ``TermModuleGrading``.
+
+    It delegates every method, so a ``Reducer`` over it reduces through
+    W-spaces where one over the wrapped grading reduces by first divisors.
+    """
+
+    def __init__(self, inner):
+        self.inner, self.ring, self.rank, self.shifts = inner, inner.ring, inner.rank, inner.shifts
+
+    def degree_of_term(self, comp, exps):
+        return self.inner.degree_of_term(comp, exps)
+
+    def key(self, degree):
+        return self.inner.key(degree)
+
+    def translate(self, deg, exps):
+        return self.inner.translate(deg, exps)
+
+    def multipliers(self, source, target):
+        return self.inner.multipliers(source, target)
+
+    def component_monomials(self, deg):
+        return self.inner.component_monomials(deg)
+
+
+def _assert_routes_agree(fast, slow, elements):
+    for m in elements:
+        runs = [("normal_form", {}), ("reduces_to_zero", {})]
+        runs += [("normal_form", {"skip": idx}) for idx in range(len(fast.X))]
+        for run, kwargs in runs:
+            got, fast_trace = getattr(fast, run)(m, **kwargs)
+            want, slow_trace = getattr(slow, run)(m, **kwargs)
+            assert fast_trace.steps == slow_trace.steps
+            assert fast_trace.final == slow_trace.final
+            assert got == want  # the normal form, or the reduces-to-zero verdict
+
+
+_WEIGHTED = ((1, 2, 1), (0, 0, -1), (0, -1, 0))
+
+
+@pytest.mark.parametrize("field", [RationalField(), PrimeField(32003)], ids=["Q", "F32003"])
+@pytest.mark.parametrize("order", ["degrevlex", "lex", "weighted"])
+def test_divisor_route_matches_w_spaces(field, order):
+    # under a term order, first-divisor reduction takes every step the
+    # one-dimensional W-spaces take, with the same element and coefficient
+    ring = PolyRing(field, ("x", "y", "z"))
+    rows = {"degrevlex": TermOrderGrading.degrevlex(3), "lex": TermOrderGrading.lex(3),
+            "weighted": TermOrderGrading(_WEIGHTED)}[order]
+    rng = random.Random(f"{field!r} {order}")
+    for rank, shifts, tie in ((1, None, POT), (2, ((0, 0, 0), (1, 0, 1)), POT), (2, ((0, 2, 0), (1, 0, 0)), TOP)):
+        spec = TermModuleGrading(rows, rank, shifts, tie)
+
+        def draw(max_degree):
+            m = random_element(ring, rank, rng, max_degree=max_degree, terms=3)
+            return m if not m.is_zero() else draw(max_degree)
+
+        X = [draw(2) for _ in range(4)]
+        elements = X + [draw(5) for _ in range(3)] + [random_ideal_element(ring, X, rng, 2) for _ in range(2)]
+        fast, slow = Reducer(X, spec), Reducer(X, _Opaque(spec))
+        _assert_routes_agree(fast, slow, elements)
+        # the first added element repeats the leading monomial of X[1]
+        ys, y = [X[1].scale(field.from_int(2)), draw(2)], draw(2)
+        for reducer in (fast, slow):
+            reducer.extend(ys)
+        _assert_routes_agree(fast, slow, elements)
+        for reducer in (fast, slow):
+            reducer.replace(0, y)
+        _assert_routes_agree(fast, slow, elements)
+        # each took its own route
+        assert fast._divisors and not fast._cache
+        assert slow._cache and not slow._divisors
