@@ -349,7 +349,9 @@ def run_command(command, problem: ProblemFile, args) -> dict:
         if args.reduced:
             basis = interreduce(basis, spec)
         if args.certify:
-            cert = buchberger_criterion(list(basis.elements), spec)
+            # interreduce certified exactly these elements under this grading;
+            # completion's certificate was never computed
+            cert = basis.certificate if args.reduced else buchberger_criterion(list(basis.elements), spec)
             if not cert.holds:
                 raise UsageError("output failed recertification")
         doc["elements"] = _element_entries(basis.elements, spec)
@@ -403,9 +405,9 @@ def run_command(command, problem: ProblemFile, args) -> dict:
     elif command == "hilbert":
         if not args.degrees:
             raise UsageError("hilbert needs --degrees a..b")
-        lo, _, hi = args.degrees.partition("..")
+        lo, dots, hi = args.degrees.partition("..")
         try:
-            degrees = list(range(int(lo), int(hi) + 1)) if hi else [int(lo)]
+            degrees = list(range(int(lo), int(hi) + 1)) if dots else [int(lo)]
         except ValueError:
             raise UsageError(f"bad degree range {args.degrees!r} (expected a..b)") from None
         if not degrees:

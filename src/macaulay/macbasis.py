@@ -14,7 +14,8 @@ workspace that no new leading form reaches, and on the lcm path only the
 pairs with an adjoined element are formed at all (Gebauer and Moeller's
 "new pairs only").  Interreduction keeps one ``Reducer`` per pass over the
 set and leaves the element being reduced out only at its own degree, the one
-workspace it can change.
+workspace it can change.  An element that reduces to zero leaves the set and
+the ``Reducer`` at once, and the same pass goes on with the next element.
 
 Syzygies of leading forms are produced two ways.  When every leading form is
 a single term, the pairwise lcm combinations generate (the classical S-pairs),
@@ -111,9 +112,18 @@ def _syntactic_degree(m: ModuleElement) -> int:
 
 
 def canonical_order(elements, spec):
-    """Ascending by degree, ties broken by the rendered text."""
-    elements = sorted(elements, key=str)
-    return sorted(elements, key=lambda m: spec.key(degree_of(m, spec)))
+    """Ascending by degree, ties broken by the rendered text.
+
+    Only elements of equal degree are rendered, to compare with each other.
+    """
+    groups = {}
+    for m in elements:
+        groups.setdefault(spec.key(degree_of(m, spec)), []).append(m)
+    out = []
+    for k in sorted(groups):
+        group = groups[k]
+        out.extend(sorted(group, key=str) if len(group) > 1 else group)
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -369,9 +379,16 @@ def buchberger_algorithm(generators, spec, config=None) -> MacaulayBasis:
 def interreduce(basis_or_elements, spec, policy=None) -> MacaulayBasis:
     """Reduce every element against the others until a fixed point.
 
-    Elements that reduce to zero are dropped; survivors are normalized.  The
-    result generates the same submodule with the same leading-form submodule
-    and is certified against the criterion before being returned.
+    Each pass reduces the elements in canonical order against one
+    ``Reducer``.  An element that reduces to zero is dropped from the list
+    and from the Reducer (``Reducer.remove``), and the pass continues with
+    the element that moves into its place; survivors are normalized.  Only a
+    full pass that changes nothing ends the loop.  Under a term order the
+    result is the reduced Groebner basis, which is unique whatever order the
+    drops came in.  The result generates the same submodule with the same
+    leading-form submodule and is certified against the criterion before
+    being returned; the certificate covers exactly the returned elements
+    under ``spec``.
     """
     if isinstance(basis_or_elements, MacaulayBasis):
         elements = list(basis_or_elements.elements)
@@ -386,18 +403,21 @@ def interreduce(basis_or_elements, spec, policy=None) -> MacaulayBasis:
             break
         reducer = Reducer(elements, spec, policy)
         changed = False
-        for idx in range(len(elements)):
+        idx = 0
+        while idx < len(elements):
             nf, _ = reducer.normal_form(elements[idx], skip=idx)
             if nf.is_zero():
-                # the order changes, and with it the pivot rows: a new pass
+                # the pass goes on with the next element, now at this index
                 elements.pop(idx)
+                reducer.remove(idx)
                 changed = True
-                break
+                continue
             nf = normalize_element(nf, spec)
             if nf != elements[idx]:
                 elements[idx] = nf
                 reducer.replace(idx, nf)
                 changed = True
+            idx += 1
         if not changed:
             break
     else:

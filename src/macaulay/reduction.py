@@ -130,7 +130,9 @@ class Reducer:
     either drops only the cached W_b and divisors that an added or removed
     leading form reaches.  Every other workspace keeps the very same
     generator multiples in the same order, so its echelon form, and every
-    step taken against it, does not change.
+    step taken against it, does not change.  ``remove`` drops one element
+    and every cached workspace and divisor, since those number X by
+    position.
     """
 
     def __init__(self, X, spec, policy=None):
@@ -151,6 +153,9 @@ class Reducer:
         self.tails = []
         self._cache = {}
         self._divisors = {}
+        # module monomial -> (key, degree, monomial) on the divisor route;
+        # it depends on the grading alone, so no change to X touches it
+        self._keyed = {}
         self.extend(X)
 
     def _split(self, m):
@@ -192,6 +197,18 @@ class Reducer:
         self.tails[idx] = tail
         self.X = self.X[:idx] + [y] + self.X[idx + 1 :]
 
+    def remove(self, idx):
+        """Drop X[idx], as if the Reducer had been built without it.
+
+        Cached workspaces and divisors number the elements by position, so
+        both caches are cleared.
+        """
+        del self.lf_parts[idx]
+        del self.tails[idx]
+        self.X = self.X[:idx] + self.X[idx + 1 :]
+        self._cache.clear()
+        self._divisors.clear()
+
     def w_space(self, degree, skip=None):
         """W_b(X), or W_b of X without X[skip] (built afresh where X[skip] reaches b)."""
         if skip is not None and self.spec.multipliers(self.lf_parts[skip].degree, degree):
@@ -220,19 +237,26 @@ class Reducer:
                 return idx, tuple(map(sub, value, lead_value)), one if inv == one else inv
         return None
 
+    def _key_entry(self, term):
+        """(key, degree, term) of a module monomial, computed and kept."""
+        degree = self.spec.degree_of_term(*term)
+        entry = self._keyed[term] = (self.spec.key(degree), degree, term)
+        return entry
+
     def _divide(self, m, skip):
         """The descending pass when every degree is one module monomial.
 
         Each live term is reduced by its first divisor (the first after
         X[skip] when that is X[skip]); the step and its tail update are the
         ones the workspace route makes.  Terms sit in one flat map, and
-        ``live`` holds (key, degree, term) in key order.
+        ``live`` holds (key, degree, term) in key order; each monomial's
+        entry is computed once per Reducer and kept in ``_keyed``.
         """
-        spec, field = self.spec, self.field
-        degree_of, key = spec.degree_of_term, spec.key
+        field = self.field
         mul, one = field.mul, field.one
+        keyed = self._keyed
         terms = dict(m.term_map())
-        live = sorted((key(deg), deg, t) for t in terms for deg in (degree_of(*t),))
+        live = sorted(keyed.get(t) or self._key_entry(t) for t in terms)
         divisors = self._divisors
         trace = ReductionTrace(self.X, m)
         rest = {}
@@ -257,8 +281,7 @@ class Reducer:
                 term = (i, tuple(map(add, exps, mult)))
                 old = terms.get(term)
                 if old is None:
-                    deg = degree_of(*term)
-                    insort(live, (key(deg), deg, term))
+                    insort(live, keyed.get(term) or self._key_entry(term))
                     terms[term] = field.neg(mul(q, tc))
                 else:
                     terms[term] = field.sub(old, mul(q, tc))

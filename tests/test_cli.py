@@ -294,9 +294,12 @@ def test_cli_bad_coeff_spec_exits_3(tmp_path, capsys):
 
 def test_cli_bad_degree_range_exits_3(tmp_path, capsys):
     path = write(tmp_path, "mono.mac", "ring q: x1 x2\ngrading total\ngen x1^2\n")
-    for degrees in ("1..x", "a", "..3"):
+    for degrees in ("1..x", "a", "..3", "3.."):
         code, out, err = run_cli(tmp_path, capsys, "hilbert", path, "--degrees", degrees)
         assert code == 3 and out == "" and "degree" in err
+    # one degree needs no dots
+    code, out, _ = run_cli(tmp_path, capsys, "hilbert", path, "--degrees", "3")
+    assert code == 0 and "H(3) = 2" in out
 
 
 def test_cli_missing_group_file_exits_2(tmp_path, capsys):
@@ -366,6 +369,27 @@ def test_equivariance_rejects_negative_samples():
     action = parse_group_file(C4_GROUP, problem.ring)
     with pytest.raises(UsageError):
         check_equivariant_normal_form(problem.generators, problem.grading(), action, samples=-1)
+
+
+@pytest.mark.parametrize("flags", [["--reduced", "--certify"], ["--certify"], ["--reduced"]])
+def test_basis_runs_the_criterion_once(tmp_path, capsys, monkeypatch, flags):
+    # --reduced --certify takes interreduce's certificate of the printed
+    # elements; without --reduced the criterion runs for --certify alone
+    from macaulay import macbasis
+
+    calls = []
+    criterion = macbasis.buchberger_criterion
+
+    def counting(*args, **kwargs):
+        calls.append(args)
+        return criterion(*args, **kwargs)
+
+    monkeypatch.setattr(macbasis, "buchberger_criterion", counting)
+    monkeypatch.setattr(cli, "buchberger_criterion", counting)
+    path = write(tmp_path, "circle.mac", CIRCLE)
+    code, out, _ = run_cli(tmp_path, capsys, "basis", path, *flags)
+    assert code == 0 and "criterion: pass" in out
+    assert len(calls) == 1
 
 
 def test_grading_verified_once_per_declaration(monkeypatch):

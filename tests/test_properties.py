@@ -496,6 +496,99 @@ def test_interreduce_matches_fresh_reducer_reference(case, policy):
     assert [str(m) for m in got] == [str(m) for m in expected]
 
 
+@st.composite
+def redundant_extras(draw):
+    """Recipes for 1-4 elements lying in a basis' module: a duplicate, a
+    scalar multiple, a sum of two members, or a monomial multiple of one."""
+    recipes = []
+    for _ in range(draw(st.integers(1, 4))):
+        kind = draw(st.sampled_from(["duplicate", "scale", "sum", "multiple"]))
+        i, j = draw(st.integers(0, 50)), draw(st.integers(0, 50))
+        c = draw(st.integers(-3, 3).filter(bool))
+        mono = draw(st.sampled_from(monomials_of_degree(3, draw(st.integers(1, 2)))))
+        recipes.append((kind, i, j, c, mono))
+    return recipes
+
+
+def _extra(basis, recipe, field):
+    kind, i, j, c, mono = recipe
+    a, b = basis[i % len(basis)], basis[j % len(basis)]
+    if kind == "duplicate":
+        return a
+    if kind == "scale":
+        return a.scale(field.from_int(c))
+    if kind == "sum":
+        return a + b.scale(field.from_int(c))
+    return a.mul_term(mono, field.from_int(c))
+
+
+@settings(derandomize=True, max_examples=40, deadline=None, database=None)
+@given(
+    case=triangular_sets(),
+    recipes=redundant_extras(),
+    order=st.sampled_from(["total", "degrevlex"]),
+    policy=st.sampled_from([PIVOT, ORTHOGONAL]),
+)
+def test_interreduce_drops_like_the_restarting_reference(case, recipes, order, policy):
+    """Members of the module added to a basis reduce to zero and are dropped
+    within the pass; the result is the one a restart after every drop gives."""
+    rank, forms, lower = case
+    ring = PolyRing(RationalField(), ("x", "y", "z"))
+    if order == "total":
+        spec = CoarseModuleGrading(TotalDegreeGrading(3), rank)
+    else:
+        spec = TermModuleGrading(TermOrderGrading.degrevlex(3), rank)
+    field = ring.field
+    hs = [
+        ModuleElement.from_terms(ring, rank, {key: field.from_int(c) for key, c in terms.items()})
+        for terms in forms
+    ]
+    ms = list(hs)
+    for i, j, mono, c in lower:
+        ms[i] = ms[i] + hs[j].mul_term(mono, field.from_int(c))
+    basis = list(buchberger_algorithm(ms, spec))
+    inputs = basis + [_extra(basis, recipe, field) for recipe in recipes]
+    expected = _reference_interreduce(inputs, spec, policy)
+    got = interreduce(inputs, spec, policy).elements
+    assert got == expected
+    assert [str(m) for m in got] == [str(m) for m in expected]
+    distinct = dict.fromkeys(normalize_element(m, spec) for m in inputs if not m.is_zero())
+    if len(distinct) > len(basis):
+        # a reduced basis has no more elements than any basis of its module
+        assert len(got) < len(distinct)
+
+
+# ---------------------------------------------------------------------------
+# canonical order against sorting every element by its text, then by degree
+
+_SMALL_MONOMIALS = [e for d in range(3) for e in monomials_of_degree(2, d)]
+
+
+@PROPERTY
+@given(
+    rank=st.integers(1, 2),
+    order=st.sampled_from(["total", "degrevlex"]),
+    raws=st.lists(
+        st.dictionaries(
+            st.tuples(st.integers(0, 1), st.sampled_from(_SMALL_MONOMIALS)), coefficients, min_size=1, max_size=3
+        ),
+        max_size=12,
+    ),
+)
+def test_canonical_order_matches_two_sorts(rank, order, raws):
+    # six monomials of degree at most 2 per component: most degrees repeat
+    ring = PolyRing(RationalField(), ("x", "y"))
+    if order == "total":
+        spec = CoarseModuleGrading(TotalDegreeGrading(2), rank)
+    else:
+        spec = TermModuleGrading(TermOrderGrading.degrevlex(2), rank)
+    elements = [ModuleElement.from_terms(ring, rank, {(i % rank, e): c for (i, e), c in raw.items()}) for raw in raws]
+    reference = sorted(sorted(elements, key=str), key=lambda m: spec.key(degree_of(m, spec)))
+    got = canonical_order(elements, spec)
+    assert [str(m) for m in got] == [str(m) for m in reference]
+    assert got == reference
+
+
 # ---------------------------------------------------------------------------
 # normal forms are linear and idempotent
 

@@ -8,7 +8,15 @@ from oracles import ideal_member, raw_poly
 from macaulay.coeff import PrimeField, RationalField
 from macaulay.errors import UsageError
 from macaulay.gradlin import ORTHOGONAL, PIVOT
-from macaulay.grading import POT, TOP, ModuleGrading, TermModuleGrading, TermOrderGrading
+from macaulay.grading import (
+    POT,
+    TOP,
+    CoarseModuleGrading,
+    ModuleGrading,
+    TermModuleGrading,
+    TermOrderGrading,
+    TotalDegreeGrading,
+)
 from macaulay.polymod import ModuleElement, PolyRing, degree_of
 from macaulay.reduction import Reducer, dot, normal_form, reduces_to_zero
 from macaulay.symmetry import random_element
@@ -375,3 +383,29 @@ def test_divisor_route_matches_w_spaces(field, order):
         # each took its own route
         assert fast._divisors and not fast._cache
         assert slow._cache and not slow._divisors
+
+
+def test_removed_reducer_traces_match_fresh():
+    # remove renumbers X, so no cached workspace or divisor may survive it
+    ring = PolyRing(RationalField(), ("x", "y"))
+    rng = random.Random(21)
+    drl = TermModuleGrading(TermOrderGrading.degrevlex(2), 2)
+    total = CoarseModuleGrading(TotalDegreeGrading(2), 2)
+
+    def draw(max_degree):
+        m = random_element(ring, 2, rng, max_degree=max_degree, terms=3)
+        return m if not m.is_zero() else draw(max_degree)
+
+    X = [draw(2) for _ in range(4)]
+    # X[4] repeats the leading monomial of X[1]: once X[1] goes, X[4] divides in its place
+    X.append(X[1].scale(ring.field.from_int(2)) + draw(1))
+    elements = X + [draw(3) for _ in range(2)] + [random_ideal_element(ring, X, rng, 1)]
+    routes = [(drl, None), (_Opaque(drl), None), (total, PIVOT), (total, ORTHOGONAL)]
+    for spec, policy in routes:
+        warm, kept = Reducer(X, spec, policy), list(X)
+        for idx in (1, 0, len(X) - 3):
+            _assert_routes_agree(warm, Reducer(kept, spec, policy), elements)
+            warm.remove(idx)
+            del kept[idx]
+            assert warm.X == kept
+        _assert_routes_agree(warm, Reducer(kept, spec, policy), elements)
