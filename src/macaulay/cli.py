@@ -67,6 +67,10 @@ COMMANDS = (
     "check-invariant",
 )
 
+# a module grading holds one shift per component, so an unbounded rank is
+# an unbounded allocation before any work starts
+MAX_MODULE_RANK = 1000
+
 
 # ---------------------------------------------------------------------------
 # problem files
@@ -157,6 +161,10 @@ def parse_problem(text, default_field=None) -> ProblemFile:
                         rank = _ascii_int(tokens[k + 1])
                         if rank < 1:
                             raise ParseError(f"module rank must be at least 1, got {rank}", line_no, 1)
+                        if rank > MAX_MODULE_RANK:
+                            raise ResourceLimitError(
+                                f"module rank {rank} is above the limit of {MAX_MODULE_RANK}"
+                            )
                         k += 2
                     elif tokens[k] == "shifts":
                         literal = " ".join(tokens[k + 1 :])

@@ -20,7 +20,24 @@ the ``Reducer`` at once, and the same pass goes on with the next element.
 Syzygies of leading forms are produced two ways.  When every leading form is
 a single term, the pairwise lcm combinations generate (the classical S-pairs),
 and Buchberger's chain criterion drops the pairs that two pairs of strictly
-smaller lcm already generate.  Otherwise the generators are found by
+smaller lcm already generate.  The generating set keeps every other pair,
+since callers outside completion need all of it, and two more tests skip
+pairs only where a pair is about to be reduced:
+
+- the product criterion (Buchberger 1979), in the criterion and in
+  completion, skips a pair of coprime leading monomials.  It holds in rank 1
+  under a term order only: there f and g with tails f' and g' have the
+  lower-degree representation (g f' - f g') / (lc f lc g) of their
+  S-combination, but in rank >= 2 a tail may lie in another component, and
+  under POT degrevlex [x, 1] and [y, 0] leave the irreducible [0, y];
+- Gebauer and Moeller's M and F tests, in completion on every lcm path (the
+  elimination route's inner completions included), skip a new pair whose
+  lcm an earlier pair of the same new element divides, when both older
+  elements predate the last adjoin (see ``buchberger_algorithm``).  Their
+  B test, on pairs kept from one round to the next, has nothing to prune:
+  no pair outlives its round.
+
+Otherwise the generators are found by
 elimination: inside N + R^n, complete the elements (lf m_i, e_i) under a
 block term order that ranks every N-monomial above every coordinate
 monomial and refines the induced syzygy grading on the coordinate block, but
@@ -46,13 +63,13 @@ from .grading import (
 )
 from .gradlin import vector_of
 from .polymod import (
+    HomogeneousPart,
     ModuleElement,
     _canonical_key,
     _leading_terms,
     degree_of,
     homogeneous_components,
     is_homogeneous,
-    leading_form,
 )
 from .reduction import Reducer, dot
 
@@ -97,33 +114,55 @@ class MacaulayBasis:
 
 def normalize_element(m: ModuleElement, spec) -> ModuleElement:
     """Scale so the canonical first term of the leading form has coefficient 1."""
-    if m.is_zero():
-        return m
-    _, lead = _leading_terms(m, spec)
+    return m if m.is_zero() else _normalized(m, spec)[0]
+
+
+def _normalized(m, spec):
+    """(m normalized, its leading part), from one pass over the terms of nonzero m."""
+    top, lead = _leading_terms(m, spec)
     _, coeff = max(lead.items(), key=_canonical_key)
     field = m.ring.field
-    if coeff == field.one:
-        return m
-    return m.scale(field.inv(coeff))
+    if coeff != field.one:
+        inv = field.inv(coeff)
+        m = m.scale(inv)
+        lead = {t: field.mul(inv, c) for t, c in lead.items()}
+    return m, HomogeneousPart(top, ModuleElement._wrap(m.ring, m.rank, lead))
+
+
+def _distinct_normalized(elements, spec):
+    """{normalized element: its leading part} over the nonzero elements, first seen first."""
+    parts = {}
+    for m in elements:
+        if not m.is_zero():
+            m, part = _normalized(m, spec)
+            parts.setdefault(m, part)
+    return parts
 
 
 def _syntactic_degree(m: ModuleElement) -> int:
     return max((sum(exps) for _, exps in m.term_map()), default=0)
 
 
-def canonical_order(elements, spec):
-    """Ascending by degree, ties broken by the rendered text.
+def _canonical_positions(keys, elements):
+    """Positions of the elements ascending by key, equal keys by rendered text.
 
-    Only elements of equal degree are rendered, to compare with each other.
+    Only elements of equal key are rendered, to compare with each other.
     """
     groups = {}
-    for m in elements:
-        groups.setdefault(spec.key(degree_of(m, spec)), []).append(m)
+    for pos, k in enumerate(keys):
+        groups.setdefault(k, []).append(pos)
     out = []
     for k in sorted(groups):
         group = groups[k]
-        out.extend(sorted(group, key=str) if len(group) > 1 else group)
+        out.extend(sorted(group, key=lambda pos: str(elements[pos])) if len(group) > 1 else group)
     return out
+
+
+def canonical_order(elements, spec):
+    """Ascending by degree, ties broken by the rendered text."""
+    elements = list(elements)
+    keys = [spec.key(degree_of(m, spec)) for m in elements]
+    return [elements[pos] for pos in _canonical_positions(keys, elements)]
 
 
 # ---------------------------------------------------------------------------
@@ -234,9 +273,27 @@ def syzygy_grading(spec, lf_elements) -> SyzygyGrading:
     return SyzygyGrading(spec, tuple(degree_of(m, spec) for m in lf_elements))
 
 
+def _order_pairs(pairs, syzspec):
+    """lcm pairs normalized and in canonical order, from data each pair carries.
+
+    The pair (i, j), i < j, is homogeneous of the degree of its e_i term, the
+    lcm's, and that term is its canonical first term, so normalizing scales
+    by the inverse of its coefficient.
+    """
+    if not pairs:
+        return []
+    field = pairs[0].ring.field
+    keys, normalized = [], []
+    for s in pairs:
+        (i, u), c = min(s.term_map().items())
+        keys.append(syzspec.key(syzspec.degree_of_term(i, u)))
+        normalized.append(s if c == field.one else s.scale(field.inv(c)))
+    return [normalized[pos] for pos in _canonical_positions(keys, normalized)]
+
+
 def _split_homogeneous(elements, spec):
     parts = (part.element for m in elements for part in homogeneous_components(m, spec))
-    return list(dict.fromkeys(normalize_element(p, spec) for p in parts))
+    return list(_distinct_normalized(parts, spec))
 
 
 def leading_syzygy_generators(lf_elements, spec, config=None, *, since=0):
@@ -266,7 +323,7 @@ def leading_syzygy_generators(lf_elements, spec, config=None, *, since=0):
             gens = spec.n_block_syzygies(lf_elements, since)
         else:
             gens = monomial_syzygy_generators(lf_elements, since)
-        return canonical_order([normalize_element(s, syzspec) for s in gens], syzspec)
+        return _order_pairs(gens, syzspec)
 
     ring = lf_elements[0].ring
     field = ring.field
@@ -294,8 +351,23 @@ def leading_syzygy_generators(lf_elements, spec, config=None, *, since=0):
 # criterion and completion
 
 
+def _coprime_leads(lfs, spec):
+    """The leading exponents the product criterion reads, or None where it is false.
+
+    It holds in rank 1 under a term order only (see the module docstring).
+    """
+    if spec.rank != 1 or not isinstance(spec, TermModuleGrading):
+        return None
+    if any(len(m.term_map()) != 1 for m in lfs):
+        return None
+    return [next(iter(m.term_map()))[1] for m in lfs]
+
+
 def buchberger_criterion(X, spec, config=None) -> CriterionResult:
-    """Does every leading-form syzygy of X, applied to X, reduce to zero?"""
+    """Does every leading-form syzygy of X, applied to X, reduce to zero?
+
+    Pairs the product criterion covers are skipped (``_coprime_leads``).
+    """
     X = list(X)
     if not X:
         return CriterionResult(True, None)
@@ -307,7 +379,12 @@ def buchberger_criterion(X, spec, config=None) -> CriterionResult:
         # homogeneous generators span a graded submodule, whose leading forms
         # are the generators themselves: the criterion holds outright
         return CriterionResult(True, None)
+    coprime = _coprime_leads(lfs, spec)
     for s in leading_syzygy_generators(lfs, spec, config):
+        if coprime is not None:
+            (_, u), (j, _) = sorted(s.term_map())
+            if u == coprime[j]:
+                continue
         v = dot(s, X)
         if v.is_zero():
             continue
@@ -328,51 +405,76 @@ def buchberger_algorithm(generators, spec, config=None) -> MacaulayBasis:
     module of their leading forms, which don't change; the generators of that
     module were reduced when it was current, and their normal forms are now
     in X, so each has a lower-degree representation over X and so does every
-    combination of them.  Every adjoined element has its leading form outside
-    the old workspace, so the leading-form submodule grows strictly and the
-    loop halts; the iteration cap only guards against runaway inputs.
+    combination of them: such a syzygy is settled.  Every adjoined element
+    has its leading form outside the old workspace, so the leading-form
+    submodule grows strictly and the loop halts; the iteration cap only
+    guards against runaway inputs.
+
+    On the lcm path two more tests skip a pair before it is reduced.  The
+    product criterion skips a pair of coprime leading monomials in rank 1
+    under a term order (``_coprime_leads``).  Gebauer and Moeller's M and F
+    tests skip the pair (i, j) with i < since when an earlier pair (k, j) of
+    the same round, k < since, was not skipped by them and lcm(k, j) divides
+    lcm(i, j): then sigma_ij is a monomial combination of sigma_ik, which
+    is settled, and sigma_kj, which this round handles.  Each skipped pair
+    depends only on pairs before it, so the argument closes by induction
+    along the round.
 
     One ``Reducer`` serves every round.  Its leading forms feed the syzygy
     generation, and after each adjoin ``Reducer.extend`` drops only the
     workspaces a new leading form reaches; the others keep the same
     generators in the same order, so every normal form is the one a fresh
-    Reducer over the grown set would give.
+    Reducer over the grown set would give.  Each element's leading part is
+    found once, when it is normalized, and handed to the Reducer.
     """
     config = config or BuchbergerConfig()
-    X = list(dict.fromkeys(normalize_element(g, spec) for g in generators if not g.is_zero()))
+    parts = _distinct_normalized(generators, spec)
+    X = list(parts)
     if not X:
         return MacaulayBasis((), spec, config.policy, True, CriterionResult(True, None))
 
-    reducer = Reducer(X, spec, config.policy)
+    reducer = Reducer(X, spec, config.policy, parts=parts.values())
     policy = reducer.policy
     since = 0
     for _ in range(config.max_iterations):
         lfs = [p.element for p in reducer.lf_parts]
         sygens = leading_syzygy_generators(lfs, spec, config, since=since)
-        added = []
+        lcm_path = all(len(m.term_map()) == 1 for m in lfs)
+        coprime = _coprime_leads(lfs, spec)
+        # j -> lcm(k, j) / lm_j for each earlier pair (k, j), k < since, the M and F tests kept
+        kept = {}
+        added = {}
         for s in sygens:
+            if lcm_path:
+                (i, u), (j, w) = sorted(s.term_map())
+                if i < since:
+                    earlier = kept.setdefault(j, [])
+                    if any(all(map(operator.le, e, w)) for e in earlier):
+                        continue
+                    earlier.append(w)
+                if coprime is not None and u == coprime[j]:
+                    continue
             v = dot(s, X)
             if v.is_zero():
                 continue
             nf, _ = reducer.normal_form(v)
             if nf.is_zero():
                 continue
-            nf = normalize_element(nf, spec)
+            nf, part = _normalized(nf, spec)
             if nf in added:
                 continue
             if config.degree_cap is not None and _syntactic_degree(nf) > config.degree_cap:
-                raise ResourceLimitError("degree cap exceeded", partial=tuple(X + added))
-            added.append(nf)
+                raise ResourceLimitError("degree cap exceeded", partial=tuple(X + list(added)))
+            added[nf] = part
         if not added:
             return MacaulayBasis(tuple(X), spec, policy, False, CriterionResult(True, None))
-        for y in added:
-            part = leading_form(y, spec)
+        for y, part in added.items():
             sub = reducer.w_space(part.degree)
             if sub.contains(vector_of(part.element, sub.ambient, y.ring.field)):
                 raise AssertionError("normal form left its leading form inside the workspace")
         since = len(X)
         X.extend(added)
-        reducer.extend(added)
+        reducer.extend(added, added.values())
     raise ResourceLimitError("iteration cap exceeded", partial=tuple(X))
 
 
@@ -395,13 +497,15 @@ def interreduce(basis_or_elements, spec, policy=None) -> MacaulayBasis:
         policy = policy if policy is not None else basis_or_elements.policy
     else:
         elements = list(basis_or_elements)
-    elements = list(dict.fromkeys(normalize_element(m, spec) for m in elements if not m.is_zero()))
+    parts = _distinct_normalized(elements, spec)
+    elements, parts = list(parts), list(parts.values())
 
     for _ in range(100):
-        elements = canonical_order(elements, spec)
+        order = _canonical_positions([spec.key(p.degree) for p in parts], elements)
+        elements, parts = [elements[pos] for pos in order], [parts[pos] for pos in order]
         if len(elements) < 2:
             break
-        reducer = Reducer(elements, spec, policy)
+        reducer = Reducer(elements, spec, policy, parts=parts)
         changed = False
         idx = 0
         while idx < len(elements):
@@ -409,13 +513,14 @@ def interreduce(basis_or_elements, spec, policy=None) -> MacaulayBasis:
             if nf.is_zero():
                 # the pass goes on with the next element, now at this index
                 elements.pop(idx)
+                parts.pop(idx)
                 reducer.remove(idx)
                 changed = True
                 continue
-            nf = normalize_element(nf, spec)
+            nf, part = _normalized(nf, spec)
             if nf != elements[idx]:
-                elements[idx] = nf
-                reducer.replace(idx, nf)
+                elements[idx], parts[idx] = nf, part
+                reducer.replace(idx, nf, part)
                 changed = True
             idx += 1
         if not changed:

@@ -135,7 +135,7 @@ class Reducer:
     position.
     """
 
-    def __init__(self, X, spec, policy=None):
+    def __init__(self, X, spec, policy=None, parts=None):
         X = list(X)
         if not X:
             raise UsageError("reduction needs a nonempty set")
@@ -156,39 +156,56 @@ class Reducer:
         # module monomial -> (key, degree, monomial) on the divisor route;
         # it depends on the grading alone, so no change to X touches it
         self._keyed = {}
-        self.extend(X)
+        self.extend(X, parts)
 
-    def _split(self, m):
-        """(leading-form part, tail) of a reduction-set element, validated."""
+    def _split(self, m, part=None):
+        """(leading-form part, tail) of a reduction-set element, validated.
+
+        ``part`` is m's leading part when the caller has it already.
+        """
         if m.is_zero():
             raise UsageError("reduction set must not contain zero")
         if (m.ring is not self.ring and m.ring != self.ring) or m.rank != self.rank:
             raise UsageError("reduction set mixes rings or ranks")
-        part = leading_form(m, self.spec)
+        if part is None:
+            part = leading_form(m, self.spec)
         lead = part.element.term_map()
         tail = [(i, exps, c) for (i, exps), c in m.term_map().items() if (i, exps) not in lead]
         return part, tail
 
+    def _reaches(self, source, target):
+        """Does a leading form of degree source have a multiple of degree target?"""
+        if isinstance(self.spec, TermModuleGrading):
+            # the test _divisor makes: same component, exponents no larger
+            return source[0] == target[0] and all(map(le, source[1], target[1]))
+        return bool(self.spec.multipliers(source, target))
+
     def _forget(self, degree):
         """Drop the cached workspaces and divisors a leading form of this degree reaches."""
-        reaches = self.spec.multipliers
         for cache in (self._cache, self._divisors):
-            for b in [b for b in cache if reaches(degree, b)]:
+            for b in [b for b in cache if self._reaches(degree, b)]:
                 del cache[b]
 
-    def extend(self, ys):
-        """Append elements to X, as if the Reducer had been built on X + ys."""
+    def extend(self, ys, parts=None):
+        """Append elements to X, as if the Reducer had been built on X + ys.
+
+        ``parts``, if given, are the leading parts of ys, in the same order.
+        """
         ys = list(ys)
-        for part, tail in [self._split(y) for y in ys]:
+        parts = [None] * len(ys) if parts is None else list(parts)
+        for part, tail in [self._split(y, part) for y, part in zip(ys, parts, strict=True)]:
             self._forget(part.degree)
             self.lf_parts.append(part)
             self.tails.append(tail)
         # a new list, so traces taken earlier keep the X they index
         self.X = self.X + ys
 
-    def replace(self, idx, y):
-        """Put y in place of X[idx], as if the Reducer had been built that way."""
-        part, tail = self._split(y)
+    def replace(self, idx, y, part=None):
+        """Put y in place of X[idx], as if the Reducer had been built that way.
+
+        ``part``, if given, is the leading part of y.
+        """
+        part, tail = self._split(y, part)
         old = self.lf_parts[idx]
         if part.element != old.element:
             self._forget(old.degree)
@@ -211,7 +228,7 @@ class Reducer:
 
     def w_space(self, degree, skip=None):
         """W_b(X), or W_b of X without X[skip] (built afresh where X[skip] reaches b)."""
-        if skip is not None and self.spec.multipliers(self.lf_parts[skip].degree, degree):
+        if skip is not None and self._reaches(self.lf_parts[skip].degree, degree):
             return w_space(self.X, degree, self.spec, self.lf_parts, skip=skip)
         sub = self._cache.get(degree)
         if sub is None:

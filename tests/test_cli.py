@@ -496,6 +496,25 @@ def test_cli_module_rank_below_one_exits_2(tmp_path, capsys, rank):
     assert code == 2 and out == "" and f"module rank must be at least 1, got {rank}" in err
 
 
+def test_cli_module_rank_at_the_bound_runs(tmp_path, capsys):
+    rank = cli.MAX_MODULE_RANK
+    gen = "[x, y" + ", 0" * (rank - 2) + "]"
+    path = write(tmp_path, "rank.mac", f"ring q: x y\nmodule rank {rank}\ngen {gen}\n")
+    code, out, err = run_cli(tmp_path, capsys, "basis", path, "--format", "json")
+    assert code == 0 and err == ""
+    (element,) = json.loads(out)["elements"]
+    assert element["element"].count(",") == rank - 1
+
+
+def test_cli_module_rank_past_the_bound_exits_4(tmp_path, capsys):
+    # rejected while parsing, before a grading builds one shift per component
+    rank = cli.MAX_MODULE_RANK + 1
+    path = write(tmp_path, "rank.mac", f"ring q: x y\nmodule rank {rank}\ngen [x, y]\n")
+    code, out, err = run_cli(tmp_path, capsys, "basis", path)
+    assert code == 4 and out == ""
+    assert err == f"resource limit: module rank {rank} is above the limit of {cli.MAX_MODULE_RANK}\n"
+
+
 # odd words for declaration slots: non-ASCII digits, floats, bools, brackets,
 # keywords out of place; the integers stay small because a rank allocates
 _WORDS = st.sampled_from(

@@ -176,6 +176,66 @@ def test_criterion_examples(el, total2, drl2, circle_pair):
     assert buchberger_criterion([], total2).holds
 
 
+def test_product_criterion_is_rank_one_only(R2):
+    # under POT degrevlex the leading monomials x1 e_0 and x2 e_0 of [x1, 1]
+    # and [x2, 0] are coprime, yet their S-combination [0, x2] is irreducible
+    spec = TermModuleGrading(TermOrderGrading.degrevlex(2), 2)
+    X = [
+        ModuleElement(R2, (R2.parse("x1"), R2.parse("1"))),
+        ModuleElement(R2, (R2.parse("x2"), R2.parse("0"))),
+    ]
+    missing = ModuleElement(R2, (R2.parse("0"), R2.parse("x2")))
+    result = buchberger_criterion(X, spec)
+    assert not result.holds and result.witness.remainder == missing
+    assert missing in buchberger_algorithm(X, spec).elements
+
+
+@st.composite
+def term_led_sets(draw):
+    """Rank 1 or 2, then 2-3 nonzero elements of 1-3 terms over x, y, z.
+
+    Four elements can complete to over a hundred, too slow for the all-pairs
+    reference; with three, about half the inputs are bases already.
+    """
+    rank = draw(st.integers(1, 2))
+    term = st.tuples(st.integers(0, rank - 1), st.tuples(*[st.integers(0, 2)] * 3))
+    items = st.dictionaries(term, st.integers(-2, 2).filter(bool), min_size=1, max_size=3)
+    return rank, draw(st.lists(items, min_size=2, max_size=3))
+
+
+def _all_pairs_verdict(X, spec):
+    """Does every pairwise lcm combination of X reduce to zero?  No criterion skips one."""
+    reducer = Reducer(X, spec)
+    lfs = [p.element for p in reducer.lf_parts]
+    return all(reducer.reduces_to_zero(dot(s, X))[0] for s in _all_lcm_pairs(lfs, X[0].ring))
+
+
+@pytest.mark.parametrize("tie", ["pot", "top"])
+@pytest.mark.parametrize("order", ["degrevlex", "lex"])
+@settings(derandomize=True, max_examples=40, deadline=None, database=None)
+@given(case=term_led_sets())
+def test_criterion_verdict_matches_all_pairs(order, tie, case):
+    # the chain and product criteria change which pairs are reduced, never
+    # the verdict, on bases and non-bases alike; completion's own pruning
+    # leaves a set that the all-pairs reference accepts
+    rank, items = case
+    ring = PolyRing(RationalField(), ("x", "y", "z"))
+    field = ring.field
+    spec = TermModuleGrading(getattr(TermOrderGrading, order)(3), rank, tie=tie)
+    X = [
+        ModuleElement.from_terms(ring, rank, {t: field.from_int(c) for t, c in terms.items()})
+        for terms in items
+    ]
+    assert buchberger_criterion(X, spec).holds == _all_pairs_verdict(X, spec)
+    try:
+        # a few inputs keep growing for many rounds (one rank-2 lex input
+        # passes 1,500 unreduced elements in 8), too many for the reference
+        basis = list(buchberger_algorithm(X, spec, BuchbergerConfig(max_iterations=5)).elements)
+    except ResourceLimitError:
+        return
+    assert buchberger_criterion(basis, spec).holds and _all_pairs_verdict(basis, spec)
+
+
 def test_buchberger_groebner_special_case(el, drl2, circle_pair):
     basis = buchberger_algorithm(circle_pair, drl2)
     red = interreduce(basis, drl2)

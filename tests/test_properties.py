@@ -3,7 +3,8 @@ order keys against the three-way comparator formulas they replace, the
 elimination-route order's degrees and multipliers against direct formulas,
 term-module degrees against the ring grading's degree-plus-shift, the
 elimination route's syzygies against kernel dimensions, reduced
-total-degree bases against reordering and rescaling of their inputs, normal
+total-degree, degrevlex and lex bases against reordering and rescaling of
+their inputs and against the textbook Buchberger oracle, normal
 forms for linearity and idempotence, and the complement projections against
 the raw generator rows."""
 
@@ -20,6 +21,7 @@ from oracles import (
     drl_key,
     ideal_member,
     in_span,
+    lex_key,
     monomials_of_degree,
     rank_of,
     raw_element_vectors,
@@ -320,10 +322,17 @@ INVARIANCE_PROBLEMS = {
 }
 
 
-def _reduced_total_basis(name, order, scales):
+INVARIANCE_GRADINGS = {
+    "total": lambda nvars: CoarseModuleGrading(TotalDegreeGrading(nvars), 1),
+    "degrevlex": lambda nvars: TermModuleGrading(TermOrderGrading.degrevlex(nvars), 1),
+    "lex": lambda nvars: TermModuleGrading(TermOrderGrading.lex(nvars), 1),
+}
+
+
+def _reduced_basis(name, grading, order, scales):
     names, texts = INVARIANCE_PROBLEMS[name]
     ring = PolyRing(RationalField(), names)
-    spec = CoarseModuleGrading(TotalDegreeGrading(len(names)), 1)
+    spec = INVARIANCE_GRADINGS[grading](len(names))
     gens = [
         ModuleElement.from_polynomial(ring.parse(texts[i])).scale(c) for i, c in zip(order, scales)
     ]
@@ -332,20 +341,45 @@ def _reduced_total_basis(name, order, scales):
 
 @pytest.fixture(scope="module")
 def reference_bases():
-    return {name: _reduced_total_basis(name, (0, 1, 2), (1, 1, 1)) for name in INVARIANCE_PROBLEMS}
+    """The reduced basis of each problem and grading, from the generators as written.
+
+    Under a term order it is the reduced Groebner basis, so it must equal the
+    textbook Buchberger oracle's; completion skips pairs by criteria that
+    depend on the generator order, which the invariance tests then vary.
+    """
+    out = {}
+    for name, (names, texts) in INVARIANCE_PROBLEMS.items():
+        ring = PolyRing(RationalField(), names)
+        for grading in INVARIANCE_GRADINGS:
+            basis = out[name, grading] = _reduced_basis(name, grading, (0, 1, 2), (1, 1, 1))
+            if grading != "total":
+                raws = [raw_poly(ring.parse(t)) for t in texts]
+                oracle = classic_buchberger(raws, {"degrevlex": drl_key, "lex": lex_key}[grading])
+                assert {frozenset(raw_poly(m.polys[0]).items()) for m in basis} == {
+                    frozenset(g.items()) for g in oracle
+                }
+    return out
 
 
-@pytest.mark.parametrize("name", sorted(INVARIANCE_PROBLEMS))
-def test_reduced_basis_invariant_under_generator_order(reference_bases, name):
+# total degree keeps the bare problem name as its id
+INVARIANCE_CASES = [
+    pytest.param(name, grading, id=name if grading == "total" else f"{name}-{grading}")
+    for name in sorted(INVARIANCE_PROBLEMS)
+    for grading in INVARIANCE_GRADINGS
+]
+
+
+@pytest.mark.parametrize("name, grading", INVARIANCE_CASES)
+def test_reduced_basis_invariant_under_generator_order(reference_bases, name, grading):
     for order in itertools.permutations(range(3)):
-        assert _reduced_total_basis(name, order, (1, 1, 1)) == reference_bases[name]
+        assert _reduced_basis(name, grading, order, (1, 1, 1)) == reference_bases[name, grading]
 
 
-@pytest.mark.parametrize("name", sorted(INVARIANCE_PROBLEMS))
+@pytest.mark.parametrize("name, grading", INVARIANCE_CASES)
 @settings(derandomize=True, max_examples=8, deadline=None, database=None)
 @given(order=st.permutations(range(3)), scales=st.lists(coefficients, min_size=3, max_size=3))
-def test_reduced_basis_invariant_under_rescaling(reference_bases, name, order, scales):
-    assert _reduced_total_basis(name, order, scales) == reference_bases[name]
+def test_reduced_basis_invariant_under_rescaling(reference_bases, name, grading, order, scales):
+    assert _reduced_basis(name, grading, order, scales) == reference_bases[name, grading]
 
 
 # ---------------------------------------------------------------------------
@@ -600,7 +634,7 @@ def warm_reducers(reference_bases):
     for name, (names, _) in INVARIANCE_PROBLEMS.items():
         spec = CoarseModuleGrading(TotalDegreeGrading(len(names)), 1)
         for policy in (PIVOT, ORTHOGONAL):
-            out[name, policy] = Reducer(list(reference_bases[name]), spec, policy)
+            out[name, policy] = Reducer(list(reference_bases[name, "total"]), spec, policy)
     return out
 
 
