@@ -99,13 +99,15 @@ def schreyer_syzygy_basis(basis: MacaulayBasis, config=None) -> MacaulayBasis:
     spec = basis.spec
     if not X:
         raise UsageError("cannot take syzygies of an empty basis")
-    lf_elements = [leading_form(m, spec).element for m in X]
-    syzspec = syzygy_grading(spec, lf_elements)
-    sygens = leading_syzygy_generators(lf_elements, spec, config)
+    parts = [leading_form(m, spec) for m in X]
+    lf_elements = [p.element for p in parts]
+    degrees = [p.degree for p in parts]
+    syzspec = syzygy_grading(spec, lf_elements, degrees)
+    sygens = leading_syzygy_generators(lf_elements, spec, config, degrees=degrees)
     for s in sygens:
         if not is_homogeneous(s, syzspec):
             raise UsageError("leading-form syzygy generators must be homogeneous")
-    reducer = Reducer(X, spec)
+    reducer = Reducer(X, spec, parts=parts)
     lifted = [t for t in (_lift(s, reducer) for s in sygens) if not t.is_zero()]
     certificate = buchberger_criterion(lifted, syzspec) if lifted else CriterionResult(True, None)
     if not certificate.holds:

@@ -7,7 +7,10 @@ so they hash, compare and travel between threads without ceremony.
 ``rref`` is the one exact Gauss-Jordan elimination of the package.  It lives
 here, beside the field arithmetic it is generic over, because both ``grading``
 (weight-matrix rank) and ``gradlin`` (graded components) need it, and
-``gradlin`` already imports ``grading``.
+``gradlin`` already imports ``grading``.  It is sparse: rows and their
+combinations are ``{column: nonzero}`` maps, because the rows of a workspace
+are monomial multiples of leading forms with a few terms each, and the dense
+callers (a weight matrix, a group generator) convert once at the call.
 """
 
 from fractions import Fraction
@@ -165,36 +168,52 @@ def field_from_spec(text: str):
 
 
 def rref(rows, field, track=True):
-    """Reduced row echelon form with combination tracking.
+    """Sparse reduced row echelon form with combination tracking.
 
-    Returns (echelon rows, pivot columns, combos) where ``combos[k]`` expresses
-    echelon row k in the original rows.  Zero rows are dropped.  The pivot
-    search takes the first nonzero candidate in row order, so the result is
-    deterministic in the input order.
+    Rows go in and come out as ``{column: nonzero}`` maps; stored zeros are
+    dropped on the way in.  Returns (echelon rows, pivot columns, combos)
+    where ``combos[k]`` is a ``{row index: nonzero}`` map expressing echelon
+    row k in the original rows, or None with ``track`` false.  Zero rows are
+    dropped.  The pivot is the lowest column any row from the current one on
+    stores, taken from the first such row, so the result is deterministic in
+    the input order and equals dense Gauss-Jordan elimination's.  The pivot
+    search and the elimination visit only stored entries.
     """
-    n = len(rows)
-    work = [list(r) for r in rows]
-    combos = [[field.one if i == j else field.zero for j in range(n)] for i in range(n)] if track else None
-    ncols = len(work[0]) if work else 0
+    is_zero, mul, one = field.is_zero, field.mul, field.one
+    work = [{j: v for j, v in row.items() if not is_zero(v)} for row in rows]
+    combos = [{i: one} for i in range(len(work))]
     pivots = []
-    r = 0
-    for c in range(ncols):
-        piv = next((i for i in range(r, n) if not field.is_zero(work[i][c])), None)
-        if piv is None:
-            continue
+    for r in range(len(work)):
+        # every row from r on is zero left of the last pivot, so its lowest
+        # stored column is the next candidate
+        c = min((min(row) for row in work[r:] if row), default=None)
+        if c is None:
+            break
+        piv = next(i for i in range(r, len(work)) if c in work[i])
         work[r], work[piv] = work[piv], work[r]
-        if track:
-            combos[r], combos[piv] = combos[piv], combos[r]
-        inv = field.inv(work[r][c])
-        work[r] = [field.mul(inv, v) for v in work[r]]
-        if track:
-            combos[r] = [field.mul(inv, v) for v in combos[r]]
-        for i in range(n):
-            if i != r and not field.is_zero(work[i][c]):
-                f = work[i][c]
-                work[i] = [field.sub(v, field.mul(f, w)) for v, w in zip(work[i], work[r])]
-                if track:
-                    combos[i] = [field.sub(v, field.mul(f, w)) for v, w in zip(combos[i], combos[r])]
+        combos[r], combos[piv] = combos[piv], combos[r]
+        row, combo = work[r], combos[r]
+        if row[c] != one:
+            scale = field.inv(row[c])
+            row = work[r] = {j: mul(scale, v) for j, v in row.items()}
+            combo = combos[r] = {g: mul(scale, v) for g, v in combo.items()}
+        for i, other in enumerate(work):
+            if i != r and c in other:
+                f = other[c]
+                _subtract_multiple(other, f, row, field)
+                _subtract_multiple(combos[i], f, combo, field)
         pivots.append(c)
-        r += 1
+    r = len(pivots)
     return work[:r], pivots, (combos[:r] if track else None)
+
+
+def _subtract_multiple(target, f, source, field):
+    """target -= f * source in place, on ``{column: nonzero}`` maps."""
+    for j, w in source.items():
+        prod = field.mul(f, w)
+        v = target.get(j)
+        v = field.neg(prod) if v is None else field.sub(v, prod)
+        if field.is_zero(v):
+            del target[j]
+        else:
+            target[j] = v

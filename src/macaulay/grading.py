@@ -167,7 +167,8 @@ class TermOrderGrading(Grading):
         if len(self.rows) != self.nvars:
             fails.append("weight matrix is not square")
             return tuple(fails)
-        if len(rref(self.rows, RationalField(), track=False)[0]) != self.nvars:
+        weights = [dict(enumerate(row)) for row in self.rows]
+        if len(rref(weights, RationalField(), track=False)[0]) != self.nvars:
             fails.append("weight matrix is singular over Q")
         for j in range(self.nvars):
             col = [row[j] for row in self.rows]

@@ -6,6 +6,10 @@ leading forms of X that land in degree b, is kept as a reduced row-echelon
 matrix over that basis, with bookkeeping that expresses every echelon row as a
 combination of the original generator multiples: membership tests, canonical
 complements and explicit decompositions all come from the same elimination.
+Each multiple is a row of a few nonzeros, read straight off its term map, so
+the matrix, its echelon rows and their combinations are all kept sparse, as
+``{position: value}`` and ``{generator index: value}`` maps without zeros,
+and the elimination (``coeff.rref``) visits only stored entries.
 
 Two complement policies are supported.  The pivot-canonical complement (the
 span of the non-pivot monomials) exists in every characteristic.  The
@@ -21,15 +25,17 @@ vector e_j and its combination over the generator multiples.  Under the pivot
 policy that is the echelon row pivoting at j, or nothing; under the
 orthogonal policy it is G^-1 applied to column j of the rows, with the Gram
 matrix G inverted once per workspace.  Projecting, decomposing and testing
-membership then cost one pass over the terms an element has, and the stored
-columns never exceed n * (n + g) entries per policy for n ambient monomials
-and g generator multiples.
+membership then cost one pass over the terms an element has.  For n ambient
+monomials, g generator multiples and a d-dimensional W, the echelon rows and
+combinations store at most d * (n + g) entries, and the stored columns at most
+n * (n + g) per policy; both bounds count nonzeros only.
 
 Projections and decompositions take a homogeneous element as its term map
 ``{(component, exponents): coeff}``, the form the reduction loop keeps.
 """
 
 from functools import cached_property
+from operator import add
 from typing import NamedTuple
 
 from .coeff import rref
@@ -82,15 +88,18 @@ class GradedSubspace:
     """Echelonized subspace of one graded component, with generator bookkeeping.
 
     ``gens`` labels the raw rows whose span this is (for a W-space, the
-    generator multiples (element index, multiplier exponents)); ``combos``
-    expresses each echelon row in those rows.
+    generator multiples (element index, multiplier exponents)).  The raw
+    rows, the echelon ``rows`` and their ``combos`` are sparse, as ``rref``
+    takes and returns them: row k is a ``{position: value}`` map over the
+    ambient basis, and ``combos[k]`` a ``{generator index: value}`` map that
+    expresses it in the raw rows.
 
     Both complement projections are kept as per-column maps: the first time a
     policy meets ambient column j, the W-part of the unit vector e_j and its
     combination over ``gens`` are stored as (position, value) and (generator
     index, value) pairs.  A split then costs one pass over the nonzero terms
     of its input.  The maps hold at most n * (n + g) entries per policy for n
-    ambient columns and g generators, the size of the rows and combos.
+    ambient columns and g generators.
     """
 
     def __init__(self, ambient: ComponentBasis, field, gens, raw_rows):
@@ -152,17 +161,19 @@ class GradedSubspace:
             if j not in self.pivots:
                 return (), ()
             k = self.pivots.index(j)
-            column = _sparse(self.rows[k], field), _sparse(self.combos[k], field)
+            column = sorted(self.rows[k].items()), sorted(self.combos[k].items())
         else:
             # c = G^-1 (column j of the rows); the W-part is sum c_k row_k
-            rhs = [(l, row[j]) for l, row in enumerate(self.rows) if not field.is_zero(row[j])]
-            coeffs = [_sparse_dot(rhs, inv_row, field) for inv_row in self.gram_inverse]
+            rhs = [(l, row[j]) for l, row in enumerate(self.rows) if j in row]
+            coeffs = [_dot(rhs, inv_row, field) for inv_row in self.gram_inverse]
             column = _combine(coeffs, self.rows, field), _combine(coeffs, self.combos, field)
         one = field.one
         return tuple(tuple((p, one if v == one else v) for p, v in pairs) for pairs in column)
 
     def contains(self, vec) -> bool:
-        kept, _ = self.split(_sparse(vec, self.field), PIVOT)
+        """Is the dense coordinate vector ``vec`` (see ``vector_of``) in the span?"""
+        is_zero = self.field.is_zero
+        kept, _ = self.split([(p, v) for p, v in enumerate(vec) if not is_zero(v)], PIVOT)
         return not kept
 
     @cached_property
@@ -171,37 +182,34 @@ class GradedSubspace:
 
         The rows are independent, so over a field of characteristic zero the
         Gram matrix is invertible and its echelon form is the identity; the
-        combination matrix of that elimination is the inverse.
+        combination matrix of that elimination is the inverse, one sparse
+        ``{row index: value}`` map per row of G^-1.
         """
         field = self.field
-        sparse = [_sparse(row, field) for row in self.rows]
-        gram = [[_sparse_dot(u, v, field) for v in self.rows] for u in sparse]
+        rows = self.rows
+        gram = [{l: _dot(u.items(), v, field) for l, v in enumerate(rows)} for u in rows]
         _, _, inverse = rref(gram, field)
         return inverse
 
 
-def _sparse(vec, field):
-    return tuple((p, v) for p, v in enumerate(vec) if not field.is_zero(v))
-
-
-def _sparse_dot(pairs, vec, field):
-    """sum a * vec[p] over the (position, a) pairs."""
+def _dot(pairs, vec, field):
+    """sum a * vec[p] over the (position, a) pairs, for a sparse map ``vec``."""
     acc = field.zero
     for p, a in pairs:
-        acc = field.add(acc, field.mul(a, vec[p]))
+        if p in vec:
+            acc = field.add(acc, field.mul(a, vec[p]))
     return acc
 
 
 def _combine(coeffs, vectors, field):
-    """sum coeffs[k] * vectors[k] as sparse (position, value) pairs."""
+    """sum coeffs[k] * vectors[k], for sparse maps, as (position, value) pairs."""
     acc = {}
     for c, vec in zip(coeffs, vectors):
         if field.is_zero(c):
             continue
-        for p, v in enumerate(vec):
-            if not field.is_zero(v):
-                prod = field.mul(c, v)
-                acc[p] = field.add(acc[p], prod) if p in acc else prod
+        for p, v in vec.items():
+            prod = field.mul(c, v)
+            acc[p] = field.add(acc[p], prod) if p in acc else prod
     return tuple(sorted((p, v) for p, v in acc.items() if not field.is_zero(v)))
 
 
@@ -218,15 +226,17 @@ def w_space(X, degree, spec, lf_parts=None, skip=None) -> GradedSubspace:
     if lf_parts is None:
         lf_parts = [leading_form(m, spec) for m in X]
     ambient = component_monomials(spec, degree)
+    index = ambient.index
     gens = []
     raw_rows = []
     for idx, part in enumerate(lf_parts):
         if idx == skip:
             continue
+        terms = part.element.term_map()
         for mult in spec.multipliers(part.degree, degree):
-            shifted = part.element.mul_term(mult)
             gens.append((idx, mult))
-            raw_rows.append(vector_of(shifted, ambient, field))
+            # the row of x^mult * (leading form), read off the shifted terms
+            raw_rows.append({index[i, tuple(map(add, m, mult))]: c for (i, m), c in terms.items()})
     return GradedSubspace(ambient, field, gens, raw_rows)
 
 

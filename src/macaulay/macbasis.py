@@ -268,9 +268,14 @@ class _ExtendedOrder(TermModuleGrading):
         ]
 
 
-def syzygy_grading(spec, lf_elements) -> SyzygyGrading:
-    """The grading of coordinate space over the degrees of the given forms."""
-    return SyzygyGrading(spec, tuple(degree_of(m, spec) for m in lf_elements))
+def syzygy_grading(spec, lf_elements, degrees=None) -> SyzygyGrading:
+    """The grading of coordinate space over the degrees of the given forms.
+
+    ``degrees``, if given, are those degrees, as the caller already holds them.
+    """
+    if degrees is None:
+        degrees = (degree_of(m, spec) for m in lf_elements)
+    return SyzygyGrading(spec, tuple(degrees))
 
 
 def _order_pairs(pairs, syzspec):
@@ -296,7 +301,7 @@ def _split_homogeneous(elements, spec):
     return list(_distinct_normalized(parts, spec))
 
 
-def leading_syzygy_generators(lf_elements, spec, config=None, *, since=0):
+def leading_syzygy_generators(lf_elements, spec, config=None, *, since=0, degrees=None):
     """A homogeneous generating set of Syz(lf m_1, ..., lf m_n).
 
     Inputs must be homogeneous.  Single-term inputs take the lcm fast path;
@@ -310,6 +315,8 @@ def leading_syzygy_generators(lf_elements, spec, config=None, *, since=0):
     With ``since`` > 0 only the generators that involve an element from
     index ``since`` on are returned, in the same canonical order.  The lcm
     path forms only those pairs; the elimination path filters its result.
+    ``degrees``, if given, are the degrees of the inputs (a ``Reducer``'s
+    leading parts carry them), so that they are not derived again.
     """
     lf_elements = list(lf_elements)
     for m in lf_elements:
@@ -317,7 +324,7 @@ def leading_syzygy_generators(lf_elements, spec, config=None, *, since=0):
             raise UsageError("leading-form syzygies need nonzero homogeneous inputs")
     if len(lf_elements) <= 1:
         return []
-    syzspec = syzygy_grading(spec, lf_elements)
+    syzspec = syzygy_grading(spec, lf_elements, degrees)
     if all(len(m.term_map()) == 1 for m in lf_elements):
         if isinstance(spec, _ExtendedOrder):
             gens = spec.n_block_syzygies(lf_elements, since)
@@ -375,12 +382,13 @@ def buchberger_criterion(X, spec, config=None) -> CriterionResult:
         raise UsageError("criterion inputs must be nonzero")
     reducer = Reducer(X, spec)
     lfs = [p.element for p in reducer.lf_parts]
+    degrees = [p.degree for p in reducer.lf_parts]
     if lfs == X:
         # homogeneous generators span a graded submodule, whose leading forms
         # are the generators themselves: the criterion holds outright
         return CriterionResult(True, None)
     coprime = _coprime_leads(lfs, spec)
-    for s in leading_syzygy_generators(lfs, spec, config):
+    for s in leading_syzygy_generators(lfs, spec, config, degrees=degrees):
         if coprime is not None:
             (_, u), (j, _) = sorted(s.term_map())
             if u == coprime[j]:
@@ -438,7 +446,8 @@ def buchberger_algorithm(generators, spec, config=None) -> MacaulayBasis:
     since = 0
     for _ in range(config.max_iterations):
         lfs = [p.element for p in reducer.lf_parts]
-        sygens = leading_syzygy_generators(lfs, spec, config, since=since)
+        degrees = [p.degree for p in reducer.lf_parts]
+        sygens = leading_syzygy_generators(lfs, spec, config, since=since, degrees=degrees)
         lcm_path = all(len(m.term_map()) == 1 for m in lfs)
         coprime = _coprime_leads(lfs, spec)
         # j -> lcm(k, j) / lm_j for each earlier pair (k, j), k < since, the M and F tests kept

@@ -105,14 +105,22 @@ class Polynomial:
         if len(images) != self.ring.nvars:
             raise UsageError("one image per variable required")
         target = images[0].ring if images else self.ring
-        out = target.zero()
-        for m, c in self.sorted_terms():
-            part = target.constant(c)
+        fld = target.field
+        unit = target.constant(fld.one)
+        powers = [[image] for image in images]  # powers[j][e - 1] = images[j]**e
+        out = {}
+        for m, c in self.terms.items():
+            part = unit
             for j, e in enumerate(m):
-                for _ in range(e):
-                    part = part * images[j]
-            out = out + part
-        return out
+                if e:
+                    known = powers[j]
+                    while len(known) < e:
+                        known.append(known[-1] * images[j])
+                    part = known[e - 1] if part is unit else part * known[e - 1]
+            for mono, v in part.terms.items():
+                prod = fld.mul(c, v)
+                out[mono] = fld.add(out[mono], prod) if mono in out else prod
+        return Polynomial(target, out)
 
     def __eq__(self, other):
         return isinstance(other, Polynomial) and other.ring == self.ring and other.terms == self.terms

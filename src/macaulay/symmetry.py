@@ -11,7 +11,7 @@ from typing import NamedTuple
 
 from .coeff import rref
 from .errors import ResourceLimitError, UsageError
-from .gradlin import ORTHOGONAL, PIVOT, ComponentBasis, GradedSubspace, vector_of
+from .gradlin import ORTHOGONAL, PIVOT, ComponentBasis, GradedSubspace
 from .polymod import ModuleElement, Polynomial
 from .reduction import Reducer
 
@@ -43,7 +43,7 @@ def _identity(n, field):
 
 
 def _is_invertible(mat, field):
-    rows, _, _ = rref([list(r) for r in mat], field, track=False)
+    rows, _, _ = rref([dict(enumerate(r)) for r in mat], field, track=False)
     return len(rows) == len(mat)
 
 
@@ -169,12 +169,14 @@ def span_is_invariant(X, action: GroupAction) -> InvarianceReport:
         | {key for row in images for image in row for key in image.term_map()}
     )
     basis = ComponentBasis(tuple(support), {key: k for k, key in enumerate(support)})
-    sub = GradedSubspace(basis, field, range(len(X)), [vector_of(m, basis, field) for m in X])
+    index = basis.index
+    rows = [{index[key]: c for key, c in m.term_map().items()} for m in X]
+    sub = GradedSubspace(basis, field, range(len(X)), rows)
     witnesses = []
     invariant = True
     for gi, row in enumerate(images):
         for mi, image in enumerate(row):
-            terms = [(basis.index[key], c) for key, c in image.term_map().items()]
+            terms = [(index[key], c) for key, c in image.term_map().items()]
             kept, sparse_combo = sub.split(terms, PIVOT)
             if not kept:
                 combo = [field.zero] * len(X)
@@ -250,6 +252,10 @@ def check_equivariant_normal_form(
 
 def permutation_matrix(nvars: int, cycle) -> list:
     """Matrix of the substitution given by a cycle on 1-based variable indices."""
+    if any(c < 1 or c > nvars for c in cycle):
+        raise UsageError(f"cycle entry out of range 1..{nvars}")
+    if len(set(cycle)) != len(cycle):
+        raise UsageError("cycle repeats a variable")
     image = list(range(nvars))
     cycle = [c - 1 for c in cycle]
     for pos, src in enumerate(cycle):

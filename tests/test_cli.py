@@ -130,6 +130,16 @@ def test_group_file_parsing(R2, tmp_path, capsys):
         assert code == 2 and out == "" and "Traceback" not in err
 
 
+@pytest.mark.parametrize("cycle", ["(1 5)", "(0 1)", "(-1 2)", "(1 1)"])
+def test_cli_bad_perm_cycle_exits_3(tmp_path, capsys, cycle):
+    # out of range, zero and negative entries would index past the ring or
+    # wrap around to the last variable; a repeat is no cycle
+    circle = write(tmp_path, "circle.mac", CIRCLE)
+    group = write(tmp_path, "bad.grp", f"perm {cycle}\n")
+    code, out, err = run_cli(tmp_path, capsys, "check-invariant", circle, "--group", group)
+    assert code == 3 and out == "" and "cycle" in err and "Traceback" not in err
+
+
 def test_cli_basis_reduced(tmp_path, capsys):
     path = write(tmp_path, "circle.mac", CIRCLE)
     code, out, err = run_cli(tmp_path, capsys, "basis", path, "--reduced")

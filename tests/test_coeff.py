@@ -3,7 +3,7 @@ from fractions import Fraction
 
 import pytest
 
-from macaulay.coeff import PrimeField, RationalField, field_from_spec, is_prime
+from macaulay.coeff import PrimeField, RationalField, field_from_spec, is_prime, rref
 from macaulay.errors import UsageError
 
 
@@ -92,3 +92,112 @@ def test_render_parse_round_trip():
         assert Q.render(Q.parse(text)) == text
     F = PrimeField(32003)
     assert F.render(F.parse("32004")) == "1"
+
+
+# ---------------------------------------------------------------------------
+# sparse rref against dense Gauss-Jordan
+
+
+def _dense_rref(rows, field, track=True):
+    """Dense Gauss-Jordan on lists, with an n x n identity of combinations.
+
+    The pivot is the first row from r on that is nonzero in the lowest
+    column any such row has; every entry, zeros included, is scaled and
+    eliminated.
+    """
+    n = len(rows)
+    work = [list(r) for r in rows]
+    combos = [[field.one if i == j else field.zero for j in range(n)] for i in range(n)]
+    ncols = len(work[0]) if work else 0
+    pivots = []
+    r = 0
+    for c in range(ncols):
+        piv = next((i for i in range(r, n) if not field.is_zero(work[i][c])), None)
+        if piv is None:
+            continue
+        work[r], work[piv] = work[piv], work[r]
+        combos[r], combos[piv] = combos[piv], combos[r]
+        inv = field.inv(work[r][c])
+        work[r] = [field.mul(inv, v) for v in work[r]]
+        combos[r] = [field.mul(inv, v) for v in combos[r]]
+        for i in range(n):
+            if i != r and not field.is_zero(work[i][c]):
+                f = work[i][c]
+                work[i] = [field.sub(v, field.mul(f, w)) for v, w in zip(work[i], work[r])]
+                combos[i] = [field.sub(v, field.mul(f, w)) for v, w in zip(combos[i], combos[r])]
+        pivots.append(c)
+        r += 1
+    return work[:r], pivots, (combos[:r] if track else None)
+
+
+def _random_sparse_matrix(rng, field):
+    """Dense rows with few nonzeros, some zero rows, repeats and multiples."""
+    nrows, ncols = rng.randrange(1, 9), rng.randrange(1, 10)
+    density = rng.choice((0.15, 0.3, 0.6))
+    rows = [
+        [field.from_int(rng.randrange(-4, 5)) if rng.random() < density else field.zero for _ in range(ncols)]
+        for _ in range(nrows)
+    ]
+    for _ in range(rng.randrange(3)):
+        kind = rng.randrange(3)
+        if kind == 0:
+            row = [field.zero] * ncols
+        elif kind == 1:
+            row = list(rng.choice(rows))
+        else:
+            scale = field.from_int(rng.choice((-3, -1, 2, 5)))
+            row = [field.mul(scale, v) for v in rng.choice(rows)]
+        rows.insert(rng.randrange(len(rows) + 1), row)
+    return rows
+
+
+def _sparse(row, field):
+    return {j: v for j, v in enumerate(row) if not field.is_zero(v)}
+
+
+def _densify(row, n, field):
+    assert not any(field.is_zero(v) for v in row.values())
+    assert all(0 <= j < n for j in row)
+    return [row.get(j, field.zero) for j in range(n)]
+
+
+@pytest.mark.parametrize("field", [RationalField(), PrimeField(32003), PrimeField(7)], ids=repr)
+def test_rref_matches_dense_reference(field):
+    rng = random.Random(14)
+    for _ in range(150):
+        dense = _random_sparse_matrix(rng, field)
+        n, ncols = len(dense), len(dense[0])
+        sparse = [_sparse(row, field) for row in dense]
+        snapshot = [dict(row) for row in sparse]
+        want_rows, want_pivots, want_combos = _dense_rref(dense, field)
+        rows, pivots, combos = rref(sparse, field)
+        assert sparse == snapshot  # the input is not touched
+        assert pivots == want_pivots
+        assert [_densify(row, ncols, field) for row in rows] == want_rows
+        assert [_densify(combo, n, field) for combo in combos] == want_combos
+        # each combination applied to the raw rows gives its echelon row
+        for row, combo in zip(rows, combos):
+            applied = {}
+            for i, c in combo.items():
+                for j, v in sparse[i].items():
+                    applied[j] = field.add(applied.get(j, field.zero), field.mul(c, v))
+            assert {j: v for j, v in applied.items() if not field.is_zero(v)} == row
+        # untracked: the same rows and pivots, no combinations
+        assert rref(sparse, field, track=False) == (rows, pivots, None)
+        # stored zeros are ignored
+        padded = [{**row, ncols: field.zero} for row in sparse]
+        assert rref(padded, field) == (rows, pivots, combos)
+
+
+@pytest.mark.parametrize("field", [RationalField(), PrimeField(32003)], ids=repr)
+def test_rref_edge_cases(field):
+    assert rref([], field) == ([], [], [])
+    assert rref([], field, track=False) == ([], [], None)
+    # zero rows only: no pivot, every row dropped
+    assert rref([{}, {}], field) == ([], [], [])
+    # duplicate rows: the second cancels against the first
+    two, three = field.from_int(2), field.from_int(3)
+    rows, pivots, combos = rref([{1: two, 4: three}, {1: two, 4: three}, {}], field)
+    assert pivots == [1]
+    assert rows == [{1: field.one, 4: field.div(three, two)}]
+    assert combos == [{0: field.inv(two)}]

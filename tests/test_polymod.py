@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from macaulay.coeff import RationalField
+from macaulay.coeff import PrimeField, RationalField
 from macaulay.errors import ParseError, UsageError
 from macaulay.grading import (
     CoarseModuleGrading,
@@ -246,3 +246,81 @@ def test_rank_is_part_of_equality(R2):
     zero1, zero2 = ModuleElement.from_terms(R2, 1, {}), ModuleElement.from_terms(R2, 2, {})
     assert zero1 != zero2 and zero2 == ModuleElement(R2, (R2.zero(), R2.zero()))
     assert ModuleElement(R2, (R2.parse("x1"), R2.zero())).component(1).is_zero()
+
+
+# ---------------------------------------------------------------------------
+# substitution against one product per unit of every exponent
+
+
+def _substitute_by_products(p, images):
+    """x_j -> images[j], one polynomial product per unit of every exponent."""
+    target = images[0].ring
+    out = target.zero()
+    for m, c in p.sorted_terms():
+        part = target.constant(c)
+        for j, e in enumerate(m):
+            for _ in range(e):
+                part = part * images[j]
+        out = out + part
+    return out
+
+
+def _random_polynomial(ring, rng, max_degree=4, terms=6):
+    fld = ring.field
+    data = {}
+    for _ in range(rng.randrange(terms + 1)):
+        exps = tuple(rng.randrange(max_degree + 1) for _ in range(ring.nvars))
+        data[exps] = fld.add(data.get(exps, fld.zero), fld.from_int(rng.randrange(-5, 6)))
+    return Polynomial(ring, data)
+
+
+def _determinant(mat):
+    if len(mat) == 1:
+        return mat[0][0]
+    return sum(
+        (-1) ** j * mat[0][j] * _determinant([row[:j] + row[j + 1 :] for row in mat[1:]])
+        for j in range(len(mat))
+    )
+
+
+def _linear_images(ring, mat):
+    """x_j -> sum_i mat[i][j] x_i, as GroupAction applies a generator matrix."""
+    n = ring.nvars
+    unit = [tuple(int(i == k) for k in range(n)) for i in range(n)]
+    return [Polynomial(ring, {unit[i]: ring.field.from_int(mat[i][j]) for i in range(n)}) for j in range(n)]
+
+
+def _random_matrix(rng, n, p):
+    """A random integer matrix, invertible mod p (or over Q for p = 0), not monomial."""
+    while True:
+        mat = [[rng.randrange(-2, 3) for _ in range(n)] for _ in range(n)]
+        det = _determinant(mat)
+        monomial = all(sum(1 for v in row if v) == 1 for row in mat)
+        if det != 0 and (p == 0 or det % p) and not monomial:
+            return mat
+
+
+def _signed_permutation(rng, n):
+    perm = list(range(n))
+    rng.shuffle(perm)
+    mat = [[0] * n for _ in range(n)]
+    for j, i in enumerate(perm):
+        mat[i][j] = rng.choice((-1, 1))
+    return mat
+
+
+@pytest.mark.parametrize("field", [RationalField(), PrimeField(32003), PrimeField(7)], ids=repr)
+def test_substitute_matches_repeated_products(field):
+    rng = random.Random(14)
+    p = field.characteristic
+    for names in (("x1", "x2"), ("x1", "x2", "x3")):
+        ring = PolyRing(field, names)
+        for _ in range(25):
+            poly = _random_polynomial(ring, rng)
+            for mat in (_random_matrix(rng, ring.nvars, p), _signed_permutation(rng, ring.nvars)):
+                images = _linear_images(ring, mat)
+                assert poly.substitute(images) == _substitute_by_products(poly, images)
+            # general images: nonlinear, into a ring with other variables
+            target = PolyRing(field, ("y1", "y2"))
+            images = [_random_polynomial(target, rng, max_degree=2, terms=3) for _ in names]
+            assert poly.substitute(images) == _substitute_by_products(poly, images)
