@@ -160,7 +160,7 @@ def hilbert_function(generators, coarse: CoarseModuleGrading, degrees, config=No
         dim = 0
         for (i, exps) in coarse.component_monomials(b):
             fine_deg = fine.degree_of_term(i, exps)
-            dim += any(fine.multipliers(d, fine_deg) for d in lead_degrees)
+            dim += any(fine.reaches(d, fine_deg) for d in lead_degrees)
         values.append(dim)
     return HilbertTable(tuple(degrees), tuple(values))
 

@@ -330,6 +330,10 @@ class ModuleGrading(Grading):
         """All module monomials (component, exponents) of the given degree."""
         raise NotImplementedError
 
+    def reaches(self, source, target):
+        """Does v of degree source have a monomial multiple of degree target?"""
+        return bool(self.multipliers(source, target))
+
 
 class CoarseModuleGrading(ModuleGrading):
     """Module grading whose degree values live in the ring-degree monoid.
@@ -407,6 +411,10 @@ class TermModuleGrading(ModuleGrading):
         if diff is None:
             return []
         return self.ring.monomials(diff)
+
+    def reaches(self, source, target):
+        # the multipliers test without the list: same component, values no larger
+        return source[0] == target[0] and all(map(operator.le, source[1], target[1]))
 
     def component_monomials(self, deg):
         self._check(deg)

@@ -9,13 +9,15 @@ until the criterion holds.  Each round it reduces only the generators that
 involve an element adjoined in the round before: a syzygy supported on the
 older elements lies in their syzygy module, whose generators were reduced
 when it was current.  The work is incremental: one ``Reducer`` serves the
-whole completion and is extended after each adjoin, keeping every cached
-workspace that no new leading form reaches, and on the lcm path only the
-pairs with an adjoined element are formed at all (Gebauer and Moeller's
-"new pairs only").  Interreduction keeps one ``Reducer`` per pass over the
-set and leaves the element being reduced out only at its own degree, the one
-workspace it can change.  An element that reduces to zero leaves the set and
-the ``Reducer`` at once, and the same pass goes on with the next element.
+whole completion, and each normal form joins it as soon as it is found,
+keeping every cached workspace that its leading form does not reach, so
+the later combinations of the same round reduce against it too; on the lcm
+path only the pairs with an adjoined element are formed at all (Gebauer
+and Moeller's "new pairs only").  Interreduction keeps one ``Reducer`` per
+pass over the set and leaves the element being reduced out only at its own
+degree, the one workspace it can change.  An element that reduces to zero
+leaves the set and the ``Reducer`` at once, and the same pass goes on with
+the next element.
 
 Syzygies of leading forms are produced two ways.  When every leading form is
 a single term, the pairwise lcm combinations generate (the classical S-pairs),
@@ -48,7 +50,18 @@ S-pairs leave behind elements with vanishing N-part: by Schreyer's theorem
 these generate Syz(lf m_1, ..., lf m_n).  They are a generating set, not a
 basis of the syzygy module, which is all the criterion needs.  Since the
 block order is a term order, the inner computation only ever needs the
-S-pair path and terminates.
+S-pair path and terminates.  There it matters most that a normal form
+joins the ``Reducer`` at once: reduced only against the set as the round
+began, one round can adjoin many elements with the same leading term, and
+their pairs multiply.
+
+A completion on the elimination route needs these syzygies in every round,
+and the inner basis of one round is where the next one starts: appending
+the components e_y of the adjoined y changes the order key of no old
+monomial, so the old inner basis keeps its leading terms and its settled
+pairs in N + R^n.  The completion carries it from round to round, appends
+only the new (lf y, e_y) and resumes the inner completion on the pairs that
+involve them.
 """
 
 import operator
@@ -301,7 +314,21 @@ def _split_homogeneous(elements, spec):
     return list(_distinct_normalized(parts, spec))
 
 
-def leading_syzygy_generators(lf_elements, spec, config=None, *, since=0, degrees=None):
+class _InnerBasis:
+    """One outer completion's last elimination-route inner basis, over N + R^n.
+
+    ``buchberger_algorithm`` owns one and hands it to each round's
+    ``leading_syzygy_generators``, which resumes it when n is that round's
+    ``since`` and stores the grown basis back.
+    """
+
+    __slots__ = ("n", "elements")
+
+    def __init__(self):
+        self.n, self.elements = None, ()
+
+
+def leading_syzygy_generators(lf_elements, spec, config=None, *, since=0, degrees=None, _inner=None):
     """A homogeneous generating set of Syz(lf m_1, ..., lf m_n).
 
     Inputs must be homogeneous.  Single-term inputs take the lcm fast path;
@@ -314,9 +341,14 @@ def leading_syzygy_generators(lf_elements, spec, config=None, *, since=0, degree
 
     With ``since`` > 0 only the generators that involve an element from
     index ``since`` on are returned, in the same canonical order.  The lcm
-    path forms only those pairs; the elimination path filters its result.
-    ``degrees``, if given, are the degrees of the inputs (a ``Reducer``'s
-    leading parts carry them), so that they are not derived again.
+    path forms only those pairs.  The elimination path keeps the coordinate
+    elements that involve such an index; when ``_inner``, the caller's
+    ``_InnerBasis``, holds the inner basis over the first ``since`` inputs,
+    it resumes that basis with the rest appended instead of completing all
+    n afresh, so only the pairs with a new element are formed.  ``_inner``
+    then holds the grown basis.  ``degrees``, if given, are the degrees of
+    the inputs (a ``Reducer``'s leading parts carry them), so that they are
+    not derived again.
     """
     lf_elements = list(lf_elements)
     for m in lf_elements:
@@ -337,16 +369,25 @@ def leading_syzygy_generators(lf_elements, spec, config=None, *, since=0, degree
     r = lf_elements[0].rank
     n = len(lf_elements)
     ext = _ExtendedOrder(syzspec, r)
+    # the last round's inner basis lies in N + R^since; re-ranked, every
+    # monomial keeps its order key, so its leading terms and settled pairs hold
+    resume = _inner is not None and _inner.n == since
+    settled = []
+    if resume:
+        settled = [ModuleElement._wrap(ring, r + n, g.term_map()) for g in _inner.elements]
     zero_exps = (0,) * ring.nvars
-    extended = []
-    for i, m in enumerate(lf_elements):
-        terms = dict(m.term_map())
+    extended = list(settled)
+    for i in range(since if resume else 0, n):
+        terms = dict(lf_elements[i].term_map())
         terms[(r + i, zero_exps)] = field.one
         extended.append(ModuleElement.from_terms(ring, r + n, terms))
     inner = BuchbergerConfig(max_iterations=(config.max_iterations if config else 64))
-    basis = buchberger_algorithm(extended, ext, inner)
+    basis = buchberger_algorithm(extended, ext, inner, _settled=len(settled))
+    if _inner is not None:
+        _inner.n, _inner.elements = n, basis.elements
     raw = []
-    for g in basis.elements:
+    # a settled element has coordinates below since only: the filter below drops it
+    for g in basis.elements[len(settled):]:
         terms = g.term_map()
         if all(i >= r for i, _ in terms):
             raw.append(ModuleElement._wrap(ring, n, {(i - r, u): c for (i, u), c in terms.items()}))
@@ -402,21 +443,23 @@ def buchberger_criterion(X, spec, config=None) -> CriterionResult:
     return CriterionResult(True, None)
 
 
-def buchberger_algorithm(generators, spec, config=None) -> MacaulayBasis:
+def buchberger_algorithm(generators, spec, config=None, *, _settled=0) -> MacaulayBasis:
     """Complete a generating set to a Macaulay basis.
 
     Each round takes a homogeneous syzygy generating set of the current
-    leading forms, reduces to a normal form against the frozen set every
-    combination whose syzygy involves an element adjoined in the round
-    before, and adjoins the nonzero results.  A syzygy supported on
-    X[:since], the elements before that round's adjoin, lies in the syzygy
-    module of their leading forms, which don't change; the generators of that
-    module were reduced when it was current, and their normal forms are now
-    in X, so each has a lower-degree representation over X and so does every
-    combination of them: such a syzygy is settled.  Every adjoined element
-    has its leading form outside the old workspace, so the leading-form
-    submodule grows strictly and the loop halts; the iteration cap only
-    guards against runaway inputs.
+    leading forms, reduces to a normal form every combination whose syzygy
+    involves an element adjoined in the round before, and adjoins each
+    nonzero result at once, so that the later ones of the round reduce
+    against it; the syzygies still index the set as the round began.  A
+    syzygy supported on X[:since], the elements before that round's adjoin,
+    lies in the syzygy module of their leading forms, which don't change;
+    the generators of that module were reduced when it was current, and
+    their normal forms are now in X, so each has a lower-degree
+    representation over X and so does every combination of them: such a
+    syzygy is settled.  Every adjoined element
+    has its leading form outside the workspace of the elements before it,
+    so the leading-form submodule grows strictly and the loop halts; the
+    iteration cap only guards against runaway inputs.
 
     On the lcm path two more tests skip a pair before it is reduced.  The
     product criterion skips a pair of coprime leading monomials in rank 1
@@ -429,11 +472,18 @@ def buchberger_algorithm(generators, spec, config=None) -> MacaulayBasis:
     along the round.
 
     One ``Reducer`` serves every round.  Its leading forms feed the syzygy
-    generation, and after each adjoin ``Reducer.extend`` drops only the
-    workspaces a new leading form reaches; the others keep the same
+    generation, and on each adjoin ``Reducer.extend`` drops only the
+    workspaces the new leading form reaches; the others keep the same
     generators in the same order, so every normal form is the one a fresh
     Reducer over the grown set would give.  Each element's leading part is
     found once, when it is normalized, and handed to the Reducer.
+
+    On the elimination route the round's inner completion is the last
+    round's resumed (``_InnerBasis``, held here for the whole run).  That
+    resumed run is this function again: with ``_settled`` > 0 the first
+    ``_settled`` generators are a finished completion, whose pairs are
+    settled, and the run starts as if they had just been completed, with
+    ``since`` at ``_settled``.
     """
     config = config or BuchbergerConfig()
     parts = _distinct_normalized(generators, spec)
@@ -443,16 +493,17 @@ def buchberger_algorithm(generators, spec, config=None) -> MacaulayBasis:
 
     reducer = Reducer(X, spec, config.policy, parts=parts.values())
     policy = reducer.policy
-    since = 0
+    since = _settled
+    inner = _InnerBasis()
     for _ in range(config.max_iterations):
         lfs = [p.element for p in reducer.lf_parts]
         degrees = [p.degree for p in reducer.lf_parts]
-        sygens = leading_syzygy_generators(lfs, spec, config, since=since, degrees=degrees)
+        sygens = leading_syzygy_generators(lfs, spec, config, since=since, degrees=degrees, _inner=inner)
         lcm_path = all(len(m.term_map()) == 1 for m in lfs)
         coprime = _coprime_leads(lfs, spec)
         # j -> lcm(k, j) / lm_j for each earlier pair (k, j), k < since, the M and F tests kept
         kept = {}
-        added = {}
+        added = []
         for s in sygens:
             if lcm_path:
                 (i, u), (j, w) = sorted(s.term_map())
@@ -470,20 +521,17 @@ def buchberger_algorithm(generators, spec, config=None) -> MacaulayBasis:
             if nf.is_zero():
                 continue
             nf, part = _normalized(nf, spec)
-            if nf in added:
-                continue
             if config.degree_cap is not None and _syntactic_degree(nf) > config.degree_cap:
-                raise ResourceLimitError("degree cap exceeded", partial=tuple(X + list(added)))
-            added[nf] = part
+                raise ResourceLimitError("degree cap exceeded", partial=tuple(X + added))
+            sub = reducer.w_space(part.degree)
+            if sub.contains(vector_of(part.element, sub.ambient, nf.ring.field)):
+                raise AssertionError("normal form left its leading form inside the workspace")
+            added.append(nf)
+            reducer.extend([nf], [part])
         if not added:
             return MacaulayBasis(tuple(X), spec, policy, False, CriterionResult(True, None))
-        for y, part in added.items():
-            sub = reducer.w_space(part.degree)
-            if sub.contains(vector_of(part.element, sub.ambient, y.ring.field)):
-                raise AssertionError("normal form left its leading form inside the workspace")
         since = len(X)
         X.extend(added)
-        reducer.extend(added, added.values())
     raise ResourceLimitError("iteration cap exceeded", partial=tuple(X))
 
 

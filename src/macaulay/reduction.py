@@ -173,17 +173,10 @@ class Reducer:
         tail = [(i, exps, c) for (i, exps), c in m.term_map().items() if (i, exps) not in lead]
         return part, tail
 
-    def _reaches(self, source, target):
-        """Does a leading form of degree source have a multiple of degree target?"""
-        if isinstance(self.spec, TermModuleGrading):
-            # the test _divisor makes: same component, exponents no larger
-            return source[0] == target[0] and all(map(le, source[1], target[1]))
-        return bool(self.spec.multipliers(source, target))
-
     def _forget(self, degree):
         """Drop the cached workspaces and divisors a leading form of this degree reaches."""
         for cache in (self._cache, self._divisors):
-            for b in [b for b in cache if self._reaches(degree, b)]:
+            for b in [b for b in cache if self.spec.reaches(degree, b)]:
                 del cache[b]
 
     def extend(self, ys, parts=None):
@@ -228,7 +221,7 @@ class Reducer:
 
     def w_space(self, degree, skip=None):
         """W_b(X), or W_b of X without X[skip] (built afresh where X[skip] reaches b)."""
-        if skip is not None and self._reaches(self.lf_parts[skip].degree, degree):
+        if skip is not None and self.spec.reaches(self.lf_parts[skip].degree, degree):
             return w_space(self.X, degree, self.spec, self.lf_parts, skip=skip)
         sub = self._cache.get(degree)
         if sub is None:

@@ -122,11 +122,30 @@ class GroupAction:
         return cached
 
     def act(self, mat, m):
-        """Apply one group element to a polynomial or module element."""
+        """Apply one group element to a polynomial or module element.
+
+        Under a monomial matrix each x_j goes to one term c_j x_i, so a module
+        term x^a e_k goes to one term as well: the exponents move to their
+        images and the coefficient takes the factor prod c_j^a_j.
+        """
         images = self.variable_images(mat)
         if isinstance(m, Polynomial):
             return m.substitute(images)
-        return ModuleElement(m.ring, tuple(p.substitute(images) for p in m.polys))
+        if any(len(p.terms) != 1 for p in images):
+            return ModuleElement(m.ring, tuple(p.substitute(images) for p in m.polys))
+        field = m.ring.field
+        moves = [(u.index(1), c) for p in images for u, c in p.terms.items()]
+        out = {}
+        for (comp, a), coeff in m.term_map().items():
+            b = [0] * len(a)
+            for e, (i, c) in zip(a, moves):
+                b[i] += e
+                for _ in range(e):
+                    coeff = field.mul(coeff, c)
+            key = (comp, tuple(b))
+            # a singular monomial matrix can send two terms to one
+            out[key] = field.add(out[key], coeff) if key in out else coeff
+        return ModuleElement.from_terms(m.ring, m.rank, out)
 
 
 def is_homogeneous_action(action: GroupAction, ring_grading) -> bool:

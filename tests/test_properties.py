@@ -2,7 +2,8 @@
 order keys against the three-way comparator formulas they replace, the
 elimination-route order's degrees and multipliers against direct formulas,
 term-module degrees against the ring grading's degree-plus-shift, the
-elimination route's syzygies against kernel dimensions, reduced
+elimination route's syzygies, fresh and resumed, against kernel dimensions,
+resumed and fresh inner completions against each other, reduced
 total-degree, degrevlex and lex bases against reordering and rescaling of
 their inputs and against the textbook Buchberger oracle, normal
 forms for linearity and idempotence, and the complement projections against
@@ -29,6 +30,7 @@ from oracles import (
     rref_fractions,
 )
 
+from macaulay import macbasis
 from macaulay.coeff import PrimeField, RationalField
 from macaulay.grading import (
     BlockGrading,
@@ -41,8 +43,11 @@ from macaulay.grading import (
 )
 from macaulay.gradlin import ORTHOGONAL, PIVOT, project_complement, w_space
 from macaulay.macbasis import (
+    BuchbergerConfig,
     _ExtendedOrder,
+    _InnerBasis,
     buchberger_algorithm,
+    buchberger_criterion,
     canonical_order,
     interreduce,
     leading_syzygy_generators,
@@ -259,11 +264,11 @@ def test_term_module_degree_matches_ring_formula(name, terms):
 
 
 @st.composite
-def homogeneous_forms(draw):
-    """Rank, then 2-3 homogeneous elements of degree 1-2 with 2-3 terms each."""
+def homogeneous_forms(draw, count=(2, 3)):
+    """Rank, then 2-3 (or ``count``) homogeneous elements of degree 1-2 with 2-3 terms each."""
     rank = draw(st.integers(1, 2))
     forms = []
-    for _ in range(draw(st.integers(2, 3))):
+    for _ in range(draw(st.integers(*count))):
         d = draw(st.integers(1, 2))
         support = st.tuples(st.integers(0, rank - 1), st.sampled_from(monomials_of_degree(3, d)))
         terms = draw(st.dictionaries(support, st.integers(-3, 3).filter(bool), min_size=2, max_size=3))
@@ -282,17 +287,34 @@ def _graded_span_rank(elements, degrees, b):
     return rank_of(raw_element_vectors(multiples)[0]) if multiples else 0
 
 
-@PROPERTY
-@given(case=homogeneous_forms())
-def test_elimination_route_generates_the_syzygies(case):
-    rank, forms = case
+def _forms(rank, forms):
     ring = PolyRing(RationalField(), ("x", "y", "z"))
-    spec = CoarseModuleGrading(TotalDegreeGrading(3), rank)
     field = ring.field
+    spec = CoarseModuleGrading(TotalDegreeGrading(3), rank)
     lfs = [
         ModuleElement.from_terms(ring, rank, {key: field.from_int(c) for key, c in terms.items()})
         for terms in forms
     ]
+    return spec, lfs
+
+
+def _assert_spans_the_kernel(out, lfs, spec, top=0):
+    """Every multiple of a syzygy is one, so equal dimensions mean the
+    syzygies span the whole kernel of sum R_{b - d_i} -> N_b, for b up to
+    the generator degrees plus one, or ``top``."""
+    syzspec = syzygy_grading(spec, lfs)
+    lf_degrees = [degree_of(m, spec) for m in lfs]
+    out_degrees = [degree_of(s, syzspec) for s in out]
+    for b in range(max(lf_degrees + out_degrees + [top]) + 2):
+        domain = sum(len(monomials_of_degree(3, b - d)) for d in lf_degrees if d <= b)
+        kernel = domain - _graded_span_rank(lfs, lf_degrees, b)
+        assert _graded_span_rank(out, out_degrees, b) == kernel
+
+
+@PROPERTY
+@given(case=homogeneous_forms())
+def test_elimination_route_generates_the_syzygies(case):
+    spec, lfs = _forms(*case)
     out = leading_syzygy_generators(lfs, spec)
     syzspec = syzygy_grading(spec, lfs)
     for s in out:
@@ -303,23 +325,104 @@ def test_elimination_route_generates_the_syzygies(case):
         assert leading_syzygy_generators(lfs, spec, since=since) == [
             s for s in out if any(not p.is_zero() for p in s.polys[since:])
         ]
-    # every multiple of a generator is a syzygy, so equal dimensions mean the
-    # generators span the whole kernel of sum R_{b - d_i} -> N_b
-    lf_degrees = [degree_of(m, spec) for m in lfs]
-    out_degrees = [degree_of(s, syzspec) for s in out]
-    for b in range(max(lf_degrees + out_degrees) + 2):
-        domain = sum(len(monomials_of_degree(3, b - d)) for d in lf_degrees if d <= b)
-        kernel = domain - _graded_span_rank(lfs, lf_degrees, b)
-        assert _graded_span_rank(out, out_degrees, b) == kernel
+    _assert_spans_the_kernel(out, lfs, spec)
+
+
+def _check_resumed_route(lfs, spec, k, config=None):
+    """Resume the inner basis of lfs[:k] with the rest appended and check the
+    result; return the resumed inner basis."""
+    n = len(lfs)
+    inner = _InnerBasis()
+    head = leading_syzygy_generators(lfs[:k], spec, _inner=inner)
+    assert inner.n == k
+    settled = inner.elements
+    tail = leading_syzygy_generators(lfs, spec, config, since=k, _inner=inner)
+    # the resumed basis extends the settled one, re-ranked into N + R^n
+    assert inner.n == n
+    assert [g.term_map() for g in inner.elements[: len(settled)]] == [g.term_map() for g in settled]
+    assert all(g.rank == settled[0].rank + n - k for g in inner.elements)
+    syzspec = syzygy_grading(spec, lfs)
+    for s in tail:
+        assert is_homogeneous(s, syzspec)
+        assert dot(s, lfs).is_zero()
+        assert any(i >= k for i, _ in s.term_map())
+    # the prefix's generators and the resumed ones together generate the
+    # syzygies of all; the fresh route generates (the property above), so
+    # spanning up to its generator degrees proves it
+    ring = lfs[0].ring
+    out = [ModuleElement._wrap(ring, n, s.term_map()) for s in head] + tail
+    fresh = leading_syzygy_generators(lfs, spec)
+    top = max((degree_of(s, syzspec) for s in fresh), default=0)
+    _assert_spans_the_kernel(out, lfs, spec, top)
+    return inner
+
+
+@settings(PROPERTY, max_examples=15)
+@given(case=homogeneous_forms(count=(3, 4)), data=st.data())
+def test_resumed_elimination_route_completes_the_syzygies(case, data):
+    spec, lfs = _forms(*case)
+    _check_resumed_route(lfs, spec, data.draw(st.integers(2, len(lfs) - 1)))
+
+
+# rank 2, four forms: when the inner completion adjoined a round's normal
+# forms only at the round's end, the resumed inner basis passed 380 elements
+# here (the fresh one had 51), many of them sharing a leading term
+CROWDED_FORMS = [
+    {(0, (1, 1, 0)): -3, (0, (0, 2, 0)): 2, (1, (1, 1, 0)): -3},
+    {(0, (2, 0, 0)): -2, (0, (0, 2, 0)): 3, (0, (1, 1, 0)): 1},
+    {(1, (1, 0, 0)): 2, (1, (0, 0, 1)): -2, (0, (0, 1, 0)): 2},
+    {(0, (1, 0, 0)): -3, (1, (1, 0, 0)): -1, (0, (0, 0, 1)): 2},
+]
+
+
+@pytest.mark.parametrize("k", [2, 3])
+def test_resumed_inner_basis_stays_small(k):
+    spec, lfs = _forms(2, CROWDED_FORMS)
+    # five rounds finish it; the cap makes a regrowth fail fast
+    inner = _check_resumed_route(lfs, spec, k, BuchbergerConfig(max_iterations=6))
+    assert len(inner.elements) <= 20
+
+
+TOTAL_DEGREE_PROBLEMS = {
+    "c4": (("x1", "x2"), ("x1^2 + x2^2 - 1", "x1^2*x2^2", "x1^3*x2 - x1*x2^3")),
+    "cyclic3": (("x", "y", "z"), ("x + y + z", "x*y + y*z + z*x", "x*y*z - 1")),
+    "katsura3": (("x", "y", "z"), KATSURA3),
+}
+
+
+@pytest.mark.parametrize("name", sorted(TOTAL_DEGREE_PROBLEMS))
+def test_resumed_inner_completion_keeps_reduced_bases(name, monkeypatch):
+    names, texts = TOTAL_DEGREE_PROBLEMS[name]
+    ring = PolyRing(RationalField(), names)
+    spec = CoarseModuleGrading(TotalDegreeGrading(len(names)), 1)
+    gens = [ModuleElement.from_polynomial(ring.parse(t)) for t in texts]
+    original = macbasis.leading_syzygy_generators
+    resumes = []
+
+    def resuming(*args, _inner=None, **kwargs):
+        resumes.append(_inner is not None and _inner.n == kwargs.get("since"))
+        return original(*args, _inner=_inner, **kwargs)
+
+    monkeypatch.setattr(macbasis, "leading_syzygy_generators", resuming)
+    resumed = buchberger_algorithm(gens, spec)
+    assert buchberger_criterion(list(resumed.elements), spec).holds
+    reduced = interreduce(resumed, spec).elements
+    # the reference runs every round's inner completion afresh
+    monkeypatch.setattr(
+        macbasis, "leading_syzygy_generators", lambda *args, _inner=None, **kwargs: original(*args, **kwargs)
+    )
+    fresh = buchberger_algorithm(gens, spec)
+    monkeypatch.undo()
+    assert buchberger_criterion(list(fresh.elements), spec).holds
+    assert interreduce(fresh, spec).elements == reduced
+    # C4 takes several elimination rounds, so there the resume was exercised
+    assert any(resumes) == (name == "c4")
 
 
 # ---------------------------------------------------------------------------
 # reduced bases do not depend on the order or the scale of the inputs
 
-INVARIANCE_PROBLEMS = {
-    "c4": (("x1", "x2"), ("x1^2 + x2^2 - 1", "x1^2*x2^2", "x1^3*x2 - x1*x2^3")),
-    "katsura3": (("x", "y", "z"), KATSURA3),
-}
+INVARIANCE_PROBLEMS = {name: TOTAL_DEGREE_PROBLEMS[name] for name in ("c4", "katsura3")}
 
 
 INVARIANCE_GRADINGS = {
@@ -669,7 +772,7 @@ def test_normal_form_is_linear_and_idempotent(warm_reducers, name, policy, raw1,
 MODP_PROBLEMS = {
     "c4": INVARIANCE_PROBLEMS["c4"],
     "katsura3": INVARIANCE_PROBLEMS["katsura3"],
-    "cyclic3": (("x", "y", "z"), ("x + y + z", "x*y + y*z + z*x", "x*y*z - 1")),
+    "cyclic3": TOTAL_DEGREE_PROBLEMS["cyclic3"],
 }
 small_polys = st.dictionaries(
     st.tuples(st.integers(0, 3), st.integers(0, 3)), st.integers(-5, 5).filter(bool), min_size=1, max_size=3

@@ -1,12 +1,14 @@
 import random
+from fractions import Fraction
 
 import pytest
 
+from macaulay.coeff import PrimeField, RationalField
 from macaulay.errors import ResourceLimitError, UsageError
 from macaulay.gradlin import ORTHOGONAL
 from macaulay.grading import TermOrderGrading, TotalDegreeGrading
 from macaulay.macbasis import buchberger_algorithm
-from macaulay.polymod import ModuleElement
+from macaulay.polymod import ModuleElement, PolyRing
 from macaulay.reduction import Reducer
 from macaulay.symmetry import (
     GroupAction,
@@ -184,6 +186,41 @@ def test_group_acts_componentwise(R2, swap):
     m = ModuleElement(R2, (R2.parse("x1"), R2.parse("x2^2")))
     out = swap.act(swap.generators[0], m)
     assert out == ModuleElement(R2, (R2.parse("x2"), R2.parse("x1^2")))
+
+
+def _substituted(action, mat, m):
+    """The action through Polynomial.substitute, component by component."""
+    images = action.variable_images(mat)
+    return ModuleElement(m.ring, tuple(p.substitute(images) for p in m.polys))
+
+
+def _typed_terms(m):
+    return {t: (type(c), c) for t, c in m.term_map().items()}
+
+
+@pytest.mark.parametrize("field", [RationalField(), PrimeField(7)], ids=["Q", "F7"])
+@pytest.mark.parametrize("rank", [1, 2])
+def test_monomial_action_matches_substitution(field, rank):
+    # signed and scaled permutations relabel and rescale terms; the result is
+    # the substitution's, coefficient types included
+    ring = PolyRing(field, ("x", "y", "z"))
+    action = GroupAction(ring, [permutation_matrix(3, (1, 2, 3))])
+    rng = random.Random(rank)
+    scales = [field.from_int(c) for c in (1, -1, 2, -3)]
+    if isinstance(field, RationalField):
+        scales.append(Fraction(-1, 2))
+    for _ in range(40):
+        perm = rng.sample(range(3), 3)
+        mat = [[field.zero] * 3 for _ in range(3)]
+        for j, i in enumerate(perm):
+            mat[i][j] = rng.choice(scales)
+        m = random_element(ring, rank, rng, max_degree=5, terms=6)
+        assert _typed_terms(action.act(mat, m)) == _typed_terms(_substituted(action, mat, m))
+    # a singular matrix whose images are single terms still sums colliding terms
+    collapse = [[field.one, field.from_int(-1), field.zero], [field.zero] * 3, [field.zero, field.zero, field.one]]
+    m = ModuleElement.from_polynomial(ring.parse("x + y + x*z + y*z + z^2"))
+    assert action.act(collapse, m) == _substituted(action, collapse, m)
+    assert action.act(collapse, m) == ModuleElement.from_polynomial(ring.parse("z^2"))
 
 
 def test_reduced_bases_have_invariant_spans(total2, swap, c4, circle_pair, c4_triple):
