@@ -478,11 +478,8 @@ def run_command(command, problem: ProblemFile, args) -> dict:
 
 
 def args_summary(args) -> str:
-    fields = (
-        "coeff grading reduced certify trace format max_iterations degree_cap "
-        "keep var group degrees element policy equivariance_samples"
-    ).split()
-    return "|".join(f"{k}={getattr(args, k, None)}" for k in fields)
+    """The parser's options and their values, in the order ``build_parser`` adds them."""
+    return "|".join(f"{k}={v}" for k, v in vars(args).items() if k not in ("command", "problem"))
 
 
 def format_result(doc, fmt="text") -> str:

@@ -23,21 +23,11 @@ Syzygies of leading forms are produced two ways.  When every leading form is
 a single term, the pairwise lcm combinations generate (the classical S-pairs),
 and Buchberger's chain criterion drops the pairs that two pairs of strictly
 smaller lcm already generate.  The generating set keeps every other pair,
-since callers outside completion need all of it, and two more tests skip
-pairs only where a pair is about to be reduced:
-
-- the product criterion (Buchberger 1979), in the criterion and in
-  completion, skips a pair of coprime leading monomials.  It holds in rank 1
-  under a term order only: there f and g with tails f' and g' have the
-  lower-degree representation (g f' - f g') / (lc f lc g) of their
-  S-combination, but in rank >= 2 a tail may lie in another component, and
-  under POT degrevlex [x, 1] and [y, 0] leave the irreducible [0, y];
-- Gebauer and Moeller's M and F tests, in completion on every lcm path (the
-  elimination route's inner completions included), skip a new pair whose
-  lcm an earlier pair of the same new element divides, when both older
-  elements predate the last adjoin (see ``buchberger_algorithm``).  Their
-  B test, on pairs kept from one round to the next, has nothing to prune:
-  no pair outlives its round.
+since callers outside completion need all of it.  Only where pairs are
+about to be reduced do two more tests skip some (``_combinations``):
+Buchberger's product criterion, in the criterion and in completion, and
+Gebauer and Moeller's M and F tests, in completion on every lcm path, the
+elimination route's inner completions included.
 
 Otherwise the generators are found by
 elimination: inside N + R^n, complete the elements (lf m_i, e_i) under a
@@ -74,7 +64,6 @@ from .grading import (
     TermModuleGrading,
     TermOrderGrading,
 )
-from .gradlin import vector_of
 from .polymod import (
     HomogeneousPart,
     ModuleElement,
@@ -402,7 +391,7 @@ def leading_syzygy_generators(lf_elements, spec, config=None, *, since=0, degree
 def _coprime_leads(lfs, spec):
     """The leading exponents the product criterion reads, or None where it is false.
 
-    It holds in rank 1 under a term order only (see the module docstring).
+    It holds in rank 1 under a term order only (see ``_combinations``).
     """
     if spec.rank != 1 or not isinstance(spec, TermModuleGrading):
         return None
@@ -411,10 +400,51 @@ def _coprime_leads(lfs, spec):
     return [next(iter(m.term_map()))[1] for m in lfs]
 
 
+def _combinations(sygens, lfs, spec, X, since=0):
+    """(s, dot(s, X)) for each syzygy s of the leading forms lfs that must be reduced.
+
+    A zero combination is never yielded.  On the lcm path two tests skip a
+    pair before it is applied to X:
+
+    - the product criterion (Buchberger 1979) skips a pair of coprime leading
+      monomials (``_coprime_leads``).  It holds in rank 1 under a term order
+      only: there f and g with tails f' and g' have the lower-degree
+      representation (g f' - f g') / (lc f lc g) of their S-combination, but
+      in rank >= 2 a tail may lie in another component, and under POT
+      degrevlex [x, 1] and [y, 0] leave the irreducible [0, y];
+    - Gebauer and Moeller's M and F tests skip the pair (i, j) with
+      i < since when an earlier pair (k, j), k < since, was not skipped by
+      them and lcm(k, j) divides lcm(i, j): then sigma_ij is a monomial
+      combination of sigma_ik, which is settled (``buchberger_algorithm``:
+      X[:since] predates the round's adjoin), and sigma_kj, which the round
+      handles.  Each skipped pair depends only on pairs before it, so the
+      argument closes by induction along the round.  With since = 0, as in
+      the criterion, they never fire.  Their B test, on pairs kept from one
+      round to the next, has nothing to prune: no pair outlives its round.
+    """
+    lcm_path = all(len(m.term_map()) == 1 for m in lfs)
+    coprime = _coprime_leads(lfs, spec)
+    # j -> lcm(k, j) / lm_j for each earlier pair (k, j), k < since, the M and F tests kept
+    kept = {}
+    for s in sygens:
+        if lcm_path:
+            (i, u), (j, w) = sorted(s.term_map())
+            if i < since:
+                earlier = kept.setdefault(j, [])
+                if any(all(map(operator.le, e, w)) for e in earlier):
+                    continue
+                earlier.append(w)
+            if coprime is not None and u == coprime[j]:
+                continue
+        v = dot(s, X)
+        if not v.is_zero():
+            yield s, v
+
+
 def buchberger_criterion(X, spec, config=None) -> CriterionResult:
     """Does every leading-form syzygy of X, applied to X, reduce to zero?
 
-    Pairs the product criterion covers are skipped (``_coprime_leads``).
+    Pairs the product criterion covers are skipped (``_combinations``).
     """
     X = list(X)
     if not X:
@@ -428,15 +458,8 @@ def buchberger_criterion(X, spec, config=None) -> CriterionResult:
         # homogeneous generators span a graded submodule, whose leading forms
         # are the generators themselves: the criterion holds outright
         return CriterionResult(True, None)
-    coprime = _coprime_leads(lfs, spec)
-    for s in leading_syzygy_generators(lfs, spec, config, degrees=degrees):
-        if coprime is not None:
-            (_, u), (j, _) = sorted(s.term_map())
-            if u == coprime[j]:
-                continue
-        v = dot(s, X)
-        if v.is_zero():
-            continue
+    sygens = leading_syzygy_generators(lfs, spec, config, degrees=degrees)
+    for s, v in _combinations(sygens, lfs, spec, X):
         ok, trace = reducer.reduces_to_zero(v)
         if not ok:
             return CriterionResult(False, CriterionWitness(s, v, trace.final))
@@ -459,17 +482,8 @@ def buchberger_algorithm(generators, spec, config=None, *, _settled=0) -> Macaul
     syzygy is settled.  Every adjoined element
     has its leading form outside the workspace of the elements before it,
     so the leading-form submodule grows strictly and the loop halts; the
-    iteration cap only guards against runaway inputs.
-
-    On the lcm path two more tests skip a pair before it is reduced.  The
-    product criterion skips a pair of coprime leading monomials in rank 1
-    under a term order (``_coprime_leads``).  Gebauer and Moeller's M and F
-    tests skip the pair (i, j) with i < since when an earlier pair (k, j) of
-    the same round, k < since, was not skipped by them and lcm(k, j) divides
-    lcm(i, j): then sigma_ij is a monomial combination of sigma_ik, which
-    is settled, and sigma_kj, which this round handles.  Each skipped pair
-    depends only on pairs before it, so the argument closes by induction
-    along the round.
+    iteration cap only guards against runaway inputs.  On the lcm path
+    ``_combinations`` skips more pairs before they are reduced.
 
     One ``Reducer`` serves every round.  Its leading forms feed the syzygy
     generation, and on each adjoin ``Reducer.extend`` drops only the
@@ -499,32 +513,16 @@ def buchberger_algorithm(generators, spec, config=None, *, _settled=0) -> Macaul
         lfs = [p.element for p in reducer.lf_parts]
         degrees = [p.degree for p in reducer.lf_parts]
         sygens = leading_syzygy_generators(lfs, spec, config, since=since, degrees=degrees, _inner=inner)
-        lcm_path = all(len(m.term_map()) == 1 for m in lfs)
-        coprime = _coprime_leads(lfs, spec)
-        # j -> lcm(k, j) / lm_j for each earlier pair (k, j), k < since, the M and F tests kept
-        kept = {}
         added = []
-        for s in sygens:
-            if lcm_path:
-                (i, u), (j, w) = sorted(s.term_map())
-                if i < since:
-                    earlier = kept.setdefault(j, [])
-                    if any(all(map(operator.le, e, w)) for e in earlier):
-                        continue
-                    earlier.append(w)
-                if coprime is not None and u == coprime[j]:
-                    continue
-            v = dot(s, X)
-            if v.is_zero():
-                continue
+        for _, v in _combinations(sygens, lfs, spec, X, since):
             nf, _ = reducer.normal_form(v)
             if nf.is_zero():
                 continue
             nf, part = _normalized(nf, spec)
             if config.degree_cap is not None and _syntactic_degree(nf) > config.degree_cap:
                 raise ResourceLimitError("degree cap exceeded", partial=tuple(X + added))
-            sub = reducer.w_space(part.degree)
-            if sub.contains(vector_of(part.element, sub.ambient, nf.ring.field)):
+            # lf nf lies in W_b(X) exactly when a span step exists at b
+            if reducer.span_step(part.element) is not None:
                 raise AssertionError("normal form left its leading form inside the workspace")
             added.append(nf)
             reducer.extend([nf], [part])

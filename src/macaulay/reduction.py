@@ -12,13 +12,13 @@ decreases and the degree monoid is well ordered.
 A step at degree b changes m only in degree b and below: the leading forms of
 the subtracted multiples cancel the W-part of the degree-b component, and
 their tails land strictly lower.  So the components are visited in one
-descending pass.  ``Reducer`` keeps the element as a mutable map
-``{degree: {(component, exponents): coeff}}``, pops the highest live degree
-once, settles it against the cached W_b, and adds each subtracted generator's
-tail straight into the lower buckets; only the final result is built as a
-``ModuleElement``.  Only degrees actually appearing in m are inspected (a zero
-component is never offending), which realizes the maximal-degree selection
-without enumerating the degree monoid.
+descending pass.  ``Reducer`` keeps the element as one mutable term map
+``{(component, exponents): coeff}`` beside a key-sorted list of its live
+terms, pops the terms of the highest live degree together, settles that
+degree, and adds each subtracted generator's tail straight into the map; only
+the final result is built as a ``ModuleElement``.  Only degrees actually
+appearing in m are inspected (a zero component is never offending), which
+realizes the maximal-degree selection without enumerating the degree monoid.
 
 Under a module term order (``TermModuleGrading``, the elimination route's
 order included) every graded component N_b is one module monomial, so W_b(X)
@@ -28,10 +28,10 @@ monomial divides it, with multiplier coeff / lc(X[i]).  That is what the
 workspace route computes there too: in a one-dimensional component span and
 complement steps coincide, both complement policies are the identity on
 W_b = N_b, and the echelon form of the rows [c_1], [c_2], ... pivots on the
-first row, whose combination is the inverse of c_1.  So ``Reducer`` takes
-the divisor route for these gradings, caching per degree the first divisor
-instead of a workspace and keeping a flat term map instead of degree buckets,
-and every trace and final element is the one the workspace route gives.
+first row, whose combination is the inverse of c_1.  So under these
+gradings the pass settles each degree, one term, by its first divisor,
+cached per degree instead of a workspace, and every trace and final element
+is the one the workspace route gives.
 
 Steps are fully deterministic: the multipliers come from echelon
 back-substitution in a fixed generator order, so identical inputs produce
@@ -122,10 +122,13 @@ class ReductionTrace:
 class Reducer:
     """Reduction engine bound to a set X, one grading, one policy.
 
-    Workspaces W_b(X) are cached per degree; under a module term order a
-    reduction caches each degree's first divisor instead, the element and
-    coefficient the one-row echelon form of W_b would pick (see the module
-    docstring), and ``w_space`` still builds W_b on request.  X can grow
+    One descending pass (``_reduce``) serves every grading and both modes.
+    It settles a degree against W_b(X), cached per degree, or, under a
+    module term order, by the degree's first divisor, also cached: the
+    element and coefficient the one-row echelon form of W_b would pick (see
+    the module docstring); ``w_space`` still builds W_b on request there.
+    Each module monomial's sort entry is cached too (``_keyed``); it depends
+    on the grading alone, so no change to X touches it.  X can grow
     through ``extend`` and have one element swapped through ``replace``;
     either drops only the cached W_b and divisors that an added or removed
     leading form reaches.  Every other workspace keeps the very same
@@ -153,8 +156,7 @@ class Reducer:
         self.tails = []
         self._cache = {}
         self._divisors = {}
-        # module monomial -> (key, degree, monomial) on the divisor route;
-        # it depends on the grading alone, so no change to X touches it
+        # module monomial -> (key, degree, monomial)
         self._keyed = {}
         self.extend(X, parts)
 
@@ -253,17 +255,22 @@ class Reducer:
         entry = self._keyed[term] = (self.spec.key(degree), degree, term)
         return entry
 
-    def _divide(self, m, skip):
-        """The descending pass when every degree is one module monomial.
+    def _reduce(self, m, mode, skip=None):
+        """One descending pass over the terms of m; returns the trace.
 
-        Each live term is reduced by its first divisor (the first after
-        X[skip] when that is X[skip]); the step and its tail update are the
-        ones the workspace route makes.  Terms sit in one flat map, and
-        ``live`` holds (key, degree, term) in key order; each monomial's
-        entry is computed once per Reducer and kept in ``_keyed``.
+        Terms sit in one flat map, and ``live`` holds their (key, degree,
+        term) entries from ``_keyed`` in key order.  The pass pops the
+        highest live degree and settles it: a one-monomial degree (under a
+        module term order) by its first divisor, the first after X[skip]
+        when that is X[skip]; any other degree, whose live terms are popped
+        together, against W_b.
         """
+        if (m.ring is not self.ring and m.ring != self.ring) or m.rank != self.rank:
+            raise UsageError("element and reduction set have mismatched ring or rank")
+        # W_b is 0 or N_b: span and complement steps coincide
+        by_divisor = isinstance(self.spec, TermModuleGrading)
         field = self.field
-        mul, one = field.mul, field.one
+        mul, one, is_zero = field.mul, field.one, field.is_zero
         keyed = self._keyed
         terms = dict(m.term_map())
         live = sorted(keyed.get(t) or self._key_entry(t) for t in terms)
@@ -272,75 +279,50 @@ class Reducer:
         rest = {}
         while live:
             _, degree, t = live.pop()
-            c = terms.pop(t)
-            if field.is_zero(c):
-                continue
-            entry = divisors.get(degree, _UNSEEN)
-            if entry is _UNSEEN:
-                entry = divisors[degree] = self._divisor(degree)
-            if entry is not None and entry[0] == skip:
-                entry = self._divisor(degree, skip + 1)
-            if entry is None:
-                rest[t] = c
-                continue
-            idx, mult, inv = entry
-            q = c if inv is one else mul(c, inv)
-            trace.steps.append(ReductionStep(degree, ((idx, mult, q),)))
-            # the leading monomial cancels t; the tail lands lower
-            for i, exps, tc in self.tails[idx]:
-                term = (i, tuple(map(add, exps, mult)))
-                old = terms.get(term)
-                if old is None:
-                    insort(live, keyed.get(term) or self._key_entry(term))
-                    terms[term] = field.neg(mul(q, tc))
-                else:
-                    terms[term] = field.sub(old, mul(q, tc))
-        trace.final = ModuleElement._wrap(self.ring, self.rank, rest)
-        return trace
-
-    def _reduce(self, m, mode, skip=None):
-        """One descending pass over the degrees of m; returns the trace."""
-        if (m.ring is not self.ring and m.ring != self.ring) or m.rank != self.rank:
-            raise UsageError("element and reduction set have mismatched ring or rank")
-        if isinstance(self.spec, TermModuleGrading):
-            # W_b is 0 or N_b: span and complement steps coincide
-            return self._divide(m, skip)
-        spec, field = self.spec, self.field
-        zero = field.zero
-        buckets = {}
-        for (i, exps), c in m.term_map().items():
-            buckets.setdefault(spec.degree_of_term(i, exps), {})[i, exps] = c
-        live = sorted((spec.key(deg), deg) for deg in buckets)
-        trace = ReductionTrace(self.X, m)
-        rest = {}
-        while live:
-            degree = live.pop()[1]
-            terms = {t: c for t, c in buckets.pop(degree).items() if not field.is_zero(c)}
-            if not terms:
-                continue
-            sub = self.w_space(degree, skip)
-            if mode == SPAN:
-                try:
-                    decomposition = decompose_in_w(terms, sub)
-                except MembershipError:
-                    rest.update(terms)
+            if by_divisor:
+                c = terms.pop(t)
+                if is_zero(c):
                     continue
+                entry = divisors.get(degree, _UNSEEN)
+                if entry is _UNSEEN:
+                    entry = divisors[degree] = self._divisor(degree)
+                if entry is not None and entry[0] == skip:
+                    entry = self._divisor(degree, skip + 1)
+                if entry is None:
+                    rest[t] = c
+                    continue
+                idx, mult, inv = entry
+                decomposition = ((idx, mult, c if inv is one else mul(c, inv)),)
             else:
-                kept, decomposition = project_complement(terms, sub, self.policy)
-                rest.update(kept)
-                if not decomposition:
+                component = [t]
+                while live and live[-1][1] == degree:
+                    component.append(live.pop()[2])
+                component = {t: c for t in component if not is_zero(c := terms.pop(t))}
+                if not component:
                     continue
+                sub = self.w_space(degree, skip)
+                if mode == SPAN:
+                    try:
+                        decomposition = decompose_in_w(component, sub)
+                    except MembershipError:
+                        rest.update(component)
+                        continue
+                else:
+                    kept, decomposition = project_complement(component, sub, self.policy)
+                    rest.update(kept)
+                    if not decomposition:
+                        continue
             trace.steps.append(ReductionStep(degree, tuple(decomposition)))
-            # the leading forms cancel the W-part; the tails land lower
-            for idx, mult, c in decomposition:
+            # the leading forms cancel what the step removes; the tails land lower
+            for idx, mult, q in decomposition:
                 for i, exps, tc in self.tails[idx]:
-                    shifted = tuple(map(add, exps, mult))
-                    deg = spec.degree_of_term(i, shifted)
-                    bucket = buckets.get(deg)
-                    if bucket is None:
-                        bucket = buckets[deg] = {}
-                        insort(live, (spec.key(deg), deg))
-                    bucket[i, shifted] = field.sub(bucket.get((i, shifted), zero), field.mul(c, tc))
+                    term = (i, tuple(map(add, exps, mult)))
+                    old = terms.get(term)
+                    if old is None:
+                        insort(live, keyed.get(term) or self._key_entry(term))
+                        terms[term] = field.neg(mul(q, tc))
+                    else:
+                        terms[term] = field.sub(old, mul(q, tc))
         trace.final = ModuleElement._wrap(self.ring, self.rank, rest)
         return trace
 

@@ -5,20 +5,23 @@ import pytest
 
 from oracles import ideal_member, raw_poly
 
+from macaulay import gradlin
 from macaulay.coeff import PrimeField, RationalField
-from macaulay.errors import UsageError
+from macaulay.errors import MembershipError, UsageError
 from macaulay.gradlin import ORTHOGONAL, PIVOT
 from macaulay.grading import (
     POT,
     TOP,
+    BlockGrading,
     CoarseModuleGrading,
     ModuleGrading,
+    SyzygyGrading,
     TermModuleGrading,
     TermOrderGrading,
     TotalDegreeGrading,
 )
-from macaulay.polymod import ModuleElement, PolyRing, degree_of
-from macaulay.reduction import Reducer, dot, normal_form, reduces_to_zero
+from macaulay.polymod import ModuleElement, PolyRing, degree_of, homogeneous_components
+from macaulay.reduction import Reducer, ReductionStep, dot, normal_form, reduces_to_zero
 from macaulay.symmetry import random_element
 
 
@@ -409,3 +412,76 @@ def test_removed_reducer_traces_match_fresh():
             del kept[idx]
             assert warm.X == kept
         _assert_routes_agree(warm, Reducer(kept, spec, policy), elements)
+
+
+def _relation(m, X, spec, policy=None, skip=None):
+    """Steps and end of the paper's reduction relation, from ``gradlin`` alone.
+
+    Each step takes the largest degree b whose component offends: in span
+    mode (``policy`` None) one lying in W_b(X), in complement mode one with a
+    nonzero W-part.  It writes that part over the multiples of the leading
+    forms and subtracts them; W_b is built afresh every time, without X[skip].
+    """
+    steps, current = [], m
+    while True:
+        for part in homogeneous_components(current, spec):
+            sub = gradlin.w_space(X, part.degree, spec, skip=skip)
+            terms = part.element.term_map()
+            if policy is None:
+                try:
+                    decomposition = gradlin.decompose_in_w(terms, sub)
+                except MembershipError:
+                    continue
+            else:
+                decomposition = gradlin.project_complement(terms, sub, policy)[1]
+            if decomposition:
+                break
+        else:
+            return steps, current
+        steps.append(ReductionStep(part.degree, tuple(decomposition)))
+        for i, exps, c in decomposition:
+            current = current - X[i].mul_term(exps, c)
+
+
+def _coarse_gradings():
+    drl = TermModuleGrading(TermOrderGrading.degrevlex(3), 1)
+    # three syzygy coordinates of degrees y, x and xy under degrevlex: the
+    # component of x*y*e_1 also holds x*e_2 and e_3
+    drl_degrees = ((0, (0, 1, 0)), (0, (1, 0, 0)), (0, (1, 1, 0)))
+    return {
+        "total-shifted": CoarseModuleGrading(TotalDegreeGrading(3), 2, shifts=(0, 1)),
+        "elim": CoarseModuleGrading(BlockGrading(3, (0,)), 2),
+        "syzygy-total": SyzygyGrading(CoarseModuleGrading(TotalDegreeGrading(3), 1), (1, 2, 2)),
+        "syzygy-degrevlex": SyzygyGrading(drl, drl_degrees),
+    }
+
+
+@pytest.mark.parametrize("policy", [ORTHOGONAL, PIVOT, "fp"])
+@pytest.mark.parametrize("grading", sorted(_coarse_gradings()))
+def test_one_pass_matches_the_relation(grading, policy):
+    # the descending pass takes the relation's steps, in order, with its
+    # multipliers, and ends where it ends; under these gradings a degree
+    # holds several monomials, so every step goes through W_b
+    field = PrimeField(32003) if policy == "fp" else RationalField()
+    policy = PIVOT if policy == "fp" else policy
+    ring = PolyRing(field, ("x", "y", "z"))
+    spec = _coarse_gradings()[grading]
+    rng = random.Random(f"{grading} {policy} {field!r}")
+
+    def draw(max_degree):
+        m = random_element(ring, spec.rank, rng, max_degree=max_degree, terms=4)
+        return m if not m.is_zero() else draw(max_degree)
+
+    X = [draw(2) for _ in range(3)]
+    elements = [draw(4) for _ in range(4)] + [random_ideal_element(ring, X, rng, 2) for _ in range(3)]
+    reducer = Reducer(X, spec, policy)
+    for m in elements:
+        nf, trace = reducer.normal_form(m)
+        assert (trace.steps, nf) == _relation(m, X, spec, policy)
+        ok, trace = reducer.reduces_to_zero(m)
+        steps, final = _relation(m, X, spec)
+        assert (trace.steps, trace.final, ok) == (steps, final, final.is_zero())
+        for skip in range(len(X)):
+            nf, trace = reducer.normal_form(m, skip=skip)
+            assert (trace.steps, nf) == _relation(m, X, spec, policy, skip)
+    assert reducer._cache and not reducer._divisors
