@@ -10,6 +10,7 @@ Homogenization balances degrees with a distinguished variable t and is
 inverse to setting t = 1.
 """
 
+import operator
 from typing import NamedTuple
 
 from .errors import UsageError
@@ -19,6 +20,7 @@ from .grading import (
     TermModuleGrading,
     TermOrderGrading,
     TotalDegreeGrading,
+    _compositions,
 )
 from .macbasis import (
     CriterionResult,
@@ -144,23 +146,31 @@ def hilbert_function(generators, coarse: CoarseModuleGrading, degrees, config=No
     term order: dim M_b equals the sum over the fiber of b of the workspace
     dimensions, one per module monomial of degree b.  Each such workspace
     sits in a single module monomial, so it has dimension 1 when some
-    leading monomial divides that monomial and 0 otherwise.
+    leading monomial divides that monomial and 0 otherwise.  Counting needs
+    no order: each component's exponents are enumerated unsorted and tested
+    against the leading exponents of that component.
     """
     generators = [g for g in generators if not g.is_zero()]
     for g in generators:
         if not is_homogeneous(g, coarse):
             raise UsageError("hilbert_function needs homogeneous generators")
     fine = default_fine_grading(coarse)
-    lead_degrees = []
+    # component -> leading exponents, the fine degree's value minus its shift
+    leads = [[] for _ in range(coarse.rank)]
     if generators:
-        basis = buchberger_algorithm(generators, fine, config)
-        lead_degrees = [degree_of(m, fine) for m in basis.elements]
+        for m in buchberger_algorithm(generators, fine, config).elements:
+            comp, value = degree_of(m, fine)
+            leads[comp].append(tuple(map(operator.sub, value, fine.shifts[comp])))
+    ring_grading = coarse.ring
     values = []
     for b in degrees:
         dim = 0
-        for (i, exps) in coarse.component_monomials(b):
-            fine_deg = fine.degree_of_term(i, exps)
-            dim += any(fine.reaches(d, fine_deg) for d in lead_degrees)
+        for comp, shift in enumerate(coarse.shifts):
+            residual = ring_grading.sub(b, shift)
+            if residual is None or not leads[comp]:
+                continue
+            for exps in _compositions(residual, ring_grading.nvars):
+                dim += any(all(map(operator.le, lead, exps)) for lead in leads[comp])
         values.append(dim)
     return HilbertTable(tuple(degrees), tuple(values))
 

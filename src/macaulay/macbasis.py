@@ -13,11 +13,12 @@ whole completion, and each normal form joins it as soon as it is found,
 keeping every cached workspace that its leading form does not reach, so
 the later combinations of the same round reduce against it too; on the lcm
 path only the pairs with an adjoined element are formed at all (Gebauer
-and Moeller's "new pairs only").  Interreduction keeps one ``Reducer`` per
-pass over the set and leaves the element being reduced out only at its own
-degree, the one workspace it can change.  An element that reduces to zero
-leaves the set and the ``Reducer`` at once, and the same pass goes on with
-the next element.
+and Moeller's "new pairs only").  Interreduction keeps one ``Reducer``
+from pass to pass while the canonical order holds, hands the last one to
+the closing criterion, and leaves the element being reduced out only at
+its own degree, the one workspace it can change.  An element that reduces
+to zero leaves the set and the ``Reducer`` at once, and the same pass goes
+on with the next element.
 
 Syzygies of leading forms are produced two ways.  When every leading form is
 a single term, the pairwise lcm combinations generate (the classical S-pairs),
@@ -441,17 +442,21 @@ def _combinations(sygens, lfs, spec, X, since=0):
             yield s, v
 
 
-def buchberger_criterion(X, spec, config=None) -> CriterionResult:
+def buchberger_criterion(X, spec, config=None, *, _reducer=None) -> CriterionResult:
     """Does every leading-form syzygy of X, applied to X, reduce to zero?
 
     Pairs the product criterion covers are skipped (``_combinations``).
+    ``_reducer``, if given, is a ``Reducer`` over exactly X under ``spec``,
+    which the criterion uses instead of building one.  Its policy does not
+    matter: the criterion only takes span steps, which split by the pivot
+    policy whatever the Reducer's.
     """
     X = list(X)
     if not X:
         return CriterionResult(True, None)
     if any(m.is_zero() for m in X):
         raise UsageError("criterion inputs must be nonzero")
-    reducer = Reducer(X, spec)
+    reducer = _reducer if _reducer is not None else Reducer(X, spec)
     lfs = [p.element for p in reducer.lf_parts]
     degrees = [p.degree for p in reducer.lf_parts]
     if lfs == X:
@@ -540,12 +545,15 @@ def interreduce(basis_or_elements, spec, policy=None) -> MacaulayBasis:
     ``Reducer``.  An element that reduces to zero is dropped from the list
     and from the Reducer (``Reducer.remove``), and the pass continues with
     the element that moves into its place; survivors are normalized.  Only a
-    full pass that changes nothing ends the loop.  Under a term order the
-    result is the reduced Groebner basis, which is unique whatever order the
-    drops came in.  The result generates the same submodule with the same
-    leading-form submodule and is certified against the criterion before
-    being returned; the certificate covers exactly the returned elements
-    under ``spec``.
+    full pass that changes nothing ends the loop.  The Reducer, which
+    ``replace`` and ``remove`` keep as if built on the current list, carries
+    over to the next pass while the canonical order stays the same, and is
+    rebuilt only when it changes.  Under a term order the result is the
+    reduced Groebner basis, which is unique whatever order the drops came
+    in.  The result generates the same submodule with the same leading-form
+    submodule and is certified against the criterion before being returned,
+    on the last pass's Reducer; the certificate covers exactly the returned
+    elements under ``spec``.
     """
     if isinstance(basis_or_elements, MacaulayBasis):
         elements = list(basis_or_elements.elements)
@@ -555,12 +563,16 @@ def interreduce(basis_or_elements, spec, policy=None) -> MacaulayBasis:
     parts = _distinct_normalized(elements, spec)
     elements, parts = list(parts), list(parts.values())
 
+    reducer = None
     for _ in range(100):
         order = _canonical_positions([spec.key(p.degree) for p in parts], elements)
-        elements, parts = [elements[pos] for pos in order], [parts[pos] for pos in order]
+        if order != list(range(len(order))):
+            elements, parts = [elements[pos] for pos in order], [parts[pos] for pos in order]
+            reducer = None
         if len(elements) < 2:
             break
-        reducer = Reducer(elements, spec, policy, parts=parts)
+        if reducer is None:
+            reducer = Reducer(elements, spec, policy, parts=parts)
         changed = False
         idx = 0
         while idx < len(elements):
@@ -583,7 +595,7 @@ def interreduce(basis_or_elements, spec, policy=None) -> MacaulayBasis:
     else:
         raise ResourceLimitError("interreduction did not stabilize", partial=tuple(elements))
 
-    certificate = buchberger_criterion(elements, spec)
+    certificate = buchberger_criterion(elements, spec, _reducer=reducer)
     if not certificate.holds:
         raise UsageError("interreduce requires a Macaulay basis")
     return MacaulayBasis(tuple(elements), spec, policy, True, certificate)

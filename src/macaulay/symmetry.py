@@ -79,6 +79,8 @@ class GroupAction:
         self.generators = tuple(gens)
         self.elements = self._closure(max_elements)
         self._images = {}
+        # ((tuple(X), spec), Reducer) of the last equivariance check: one entry
+        self._reducer = None
 
     def _closure(self, cap):
         field = self.ring.field
@@ -240,7 +242,10 @@ def check_equivariant_normal_form(
 
     Requires a homogeneous action and a complement that the action preserves:
     normal forms use the monomial-orthogonal policy, and the generator
-    matrices must be monomial.
+    matrices must be monomial.  The action keeps the ``Reducer`` of its last
+    check, so calls again with the same basis and grading reuse its
+    workspaces; a different basis or grading object replaces it.  The check
+    never changes X, so the shared Reducer answers as a fresh one would.
     """
     X = list(X)
     if samples < 0:
@@ -251,7 +256,10 @@ def check_equivariant_normal_form(
     for mat in action.generators:
         if not is_monomial_matrix(mat, field):
             raise UsageError("equivariance needs monomial (signed/scaled permutation) matrices")
-    reducer = Reducer(X, spec, ORTHOGONAL)
+    key = (tuple(X), spec)
+    if action._reducer is None or action._reducer[0] != key:
+        action._reducer = (key, Reducer(X, spec, ORTHOGONAL))
+    reducer = action._reducer[1]
     rng = random.Random(seed)
     rank = X[0].rank
     bad = []

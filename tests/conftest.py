@@ -8,6 +8,7 @@ from macaulay.grading import (
     TotalDegreeGrading,
 )
 from macaulay.polymod import ModuleElement, PolyRing
+from macaulay.reduction import Reducer
 
 
 @pytest.fixture
@@ -54,3 +55,21 @@ def circle_pair(el):
 @pytest.fixture
 def c4_triple(el):
     return [el("x1^2 + x2^2 - 1"), el("x1^2*x2^2"), el("x1^3*x2 - x1*x2^3")]
+
+
+@pytest.fixture
+def count_reducers(monkeypatch):
+    """Call to start counting: returns a list that gains every Reducer built from then on."""
+
+    def start():
+        built = []
+        init = Reducer.__init__
+
+        def counting_init(self, *args, **kwargs):
+            built.append(self)
+            init(self, *args, **kwargs)
+
+        monkeypatch.setattr(Reducer, "__init__", counting_init)
+        return built
+
+    return start

@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 
 from oracles import classic_buchberger, drl_key, ideals_equal, in_span, raw_element_vectors, raw_poly
 
+from macaulay import macbasis
 from macaulay.coeff import RationalField
 from macaulay.errors import ResourceLimitError, UsageError
 from macaulay.grading import CoarseModuleGrading, TermModuleGrading, TermOrderGrading, TotalDegreeGrading
@@ -535,6 +536,74 @@ def test_rank_two_coarse_hbasis(R2):
     reducer = Reducer(list(basis.elements), spec)
     for g in gens:
         assert reducer.reduces_to_zero(g)[0]
+
+
+KATSURA3 = ("x + 2*y + 2*z - 1", "x^2 + 2*y^2 + 2*z^2 - x", "2*x*y + 2*y*z - y")
+
+
+def _katsura3(Q):
+    ring = PolyRing(Q, ("x", "y", "z"))
+    return [ModuleElement.from_polynomial(ring.parse(t)) for t in KATSURA3]
+
+
+def _record_criterion(monkeypatch):
+    """(keywords, result, result on a fresh Reducer) of every criterion call through the module."""
+    calls = []
+    criterion = macbasis.buchberger_criterion
+
+    def recording(X, spec, config=None, **kwargs):
+        got = criterion(X, spec, config, **kwargs)
+        calls.append((kwargs, got, criterion(X, spec, config)))
+        return got
+
+    monkeypatch.setattr(macbasis, "buchberger_criterion", recording)
+    return calls
+
+
+def test_interreduce_keeps_its_reducer_for_the_criterion(Q, count_reducers):
+    drl3 = TermModuleGrading(TermOrderGrading.degrevlex(3), 1)
+    completed = list(buchberger_algorithm(_katsura3(Q), drl3).elements)
+    built = count_reducers()
+    red = interreduce(completed, drl3)
+    # one Reducer serves both passes and the closing criterion (three before)
+    assert len(built) == 1
+    assert red.certificate == buchberger_criterion(list(red.elements), drl3) == (True, None)
+
+
+def test_interreduce_certificate_matches_a_fresh_criterion(Q, monkeypatch):
+    drl3 = TermModuleGrading(TermOrderGrading.degrevlex(3), 1)
+    calls = _record_criterion(monkeypatch)
+    red = interreduce(buchberger_algorithm(_katsura3(Q), drl3), drl3)
+    (kwargs, got, fresh), = calls
+    assert isinstance(kwargs["_reducer"], Reducer) and got == fresh == red.certificate
+
+    # the generators alone are no basis: the failing verdict, witness included,
+    # is the fresh Reducer's
+    calls.clear()
+    with pytest.raises(UsageError, match="requires a Macaulay basis"):
+        interreduce(_katsura3(Q), drl3)
+    (kwargs, got, fresh), = calls
+    assert isinstance(kwargs["_reducer"], Reducer) and got == fresh and not got.holds
+
+
+@pytest.mark.parametrize(
+    "texts, reduced",
+    [
+        (["x1", "x1 + x2"], ["x1 + x2", "x1 - x2"]),
+        (["x1^2 + x1*x2", "x2^2", "x1^2"], ["x1^2 + x1*x2", "x1^2 - x1*x2", "x2^2"]),
+    ],
+)
+def test_interreduce_rebuilds_when_the_order_changes(el, total2, texts, reduced, monkeypatch, count_reducers):
+    # 'x1' sorts before 'x1 + x2', but its reduction 'x1 - x2' sorts after it;
+    # the expected bases are those of a fresh Reducer for every pass
+    calls = _record_criterion(monkeypatch)
+    built = count_reducers()
+    red = interreduce([el(t) for t in texts], total2)
+    assert [str(m) for m in red.elements] == reduced
+    (kwargs, got, fresh), = calls
+    assert got == fresh == red.certificate and got.holds
+    # the pass Reducer was rebuilt once, for the new order, before the criterion
+    assert built.index(kwargs["_reducer"]) == 1
 
 
 def test_cyclic3_total_degree_interreduce(Q):

@@ -6,11 +6,12 @@ import pytest
 from macaulay.coeff import PrimeField, RationalField
 from macaulay.errors import ResourceLimitError, UsageError
 from macaulay.gradlin import ORTHOGONAL
-from macaulay.grading import TermOrderGrading, TotalDegreeGrading
+from macaulay.grading import CoarseModuleGrading, TermOrderGrading, TotalDegreeGrading
 from macaulay.macbasis import buchberger_algorithm
 from macaulay.polymod import ModuleElement, PolyRing
 from macaulay.reduction import Reducer
 from macaulay.symmetry import (
+    EquivarianceReport,
     GroupAction,
     check_equivariant_normal_form,
     is_homogeneous_action,
@@ -180,6 +181,55 @@ def test_equivariance_preconditions(el, total2, swap, circle_pair, R2):
     with pytest.raises(UsageError) as err:
         check_equivariant_normal_form(circle_pair, total2, rotationish, samples=2)
     assert "monomial" in str(err.value)
+
+
+def _reference_report(X, spec, action, samples, seed):
+    """The equivariance check on a fresh orthogonal Reducer."""
+    reducer = Reducer(X, spec, ORTHOGONAL)
+    rng = random.Random(seed)
+    bad = []
+    for _ in range(samples):
+        m = random_element(action.ring, X[0].rank, rng)
+        nf_m, _ = reducer.normal_form(m)
+        for mat in action.generators:
+            if reducer.normal_form(action.act(mat, m))[0] != action.act(mat, nf_m):
+                bad.append((m, mat))
+    return EquivarianceReport(not bad, samples, tuple(bad))
+
+
+def test_equivariance_reuses_one_reducer_per_basis(el, total2, swap, c4, c4_triple, count_reducers):
+    basis = list(buchberger_algorithm(c4_triple, total2).elements)
+    # the swap does not fix the ideal of x1^2 - x2, so some samples fail
+    lopsided = [el("x1^2 - x2")]
+    cases = [(basis, c4, seed) for seed in (3, 4, 5)] + [(lopsided, swap, seed) for seed in (6, 7, 8)]
+    expected = [_reference_report(X, total2, action, 6, seed) for X, action, seed in cases]
+    assert expected[0].equivariant and not expected[3].equivariant
+
+    built = count_reducers()
+    got = [check_equivariant_normal_form(X, total2, action, samples=6, seed=seed) for X, action, seed in cases]
+    assert got == expected
+    # one Reducer per (action, basis, grading), whatever the seed
+    assert len(built) == 2
+
+
+def test_equivariance_rebuilds_for_another_basis_or_grading(R2, el, total2, c4, c4_triple, count_reducers):
+    basis = list(buchberger_algorithm(c4_triple, total2).elements)
+    other = [el("x1^2 + x2^2"), el("x1*x2")]
+    same_degrees = CoarseModuleGrading(TotalDegreeGrading(2), 1)  # equal, but another object
+    built = count_reducers()
+    calls = [(basis, total2), (list(basis), total2), (other, total2), (basis, total2), (basis, same_degrees)]
+    counts = []
+    for X, spec in calls:
+        report = check_equivariant_normal_form(X, spec, c4, samples=3, seed=11)
+        assert report == _reference_report(X, spec, c4, 3, 11)
+        counts.append(len(built))
+    # each call builds the reference's Reducer; a new basis, the old one
+    # again (the memo holds one entry) or a new grading object builds one more
+    assert counts == [2, 3, 5, 7, 9]
+    # another action keeps its own Reducer
+    fresh = GroupAction(R2, c4.generators)
+    check_equivariant_normal_form(basis, same_degrees, fresh, samples=3, seed=11)
+    assert len(built) == 10
 
 
 def test_group_acts_componentwise(R2, swap):
