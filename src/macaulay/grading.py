@@ -37,6 +37,7 @@ be equal.
 
 import operator
 import random
+from functools import lru_cache
 from typing import NamedTuple
 
 from .coeff import RationalField, rref
@@ -126,6 +127,28 @@ def _lex_rows(d):
     return tuple(tuple(1 if i == j else 0 for i in range(d)) for j in range(d))
 
 
+@lru_cache(maxsize=64)
+def _structural_failures(rows):
+    """Why a weight matrix fails to give a term order; () if it gives one.
+
+    Kept per matrix: the rank test is an exact elimination over Q, and the
+    elimination route builds a degrevlex grading for every inner completion.
+    The grading objects stay distinct; only this result is shared.
+    """
+    d = len(rows[0]) if rows else 0
+    if len(rows) != d:
+        return ("weight matrix is not square",)
+    fails = []
+    weights = [dict(enumerate(row)) for row in rows]
+    if len(rref(weights, RationalField(), track=False)[0]) != d:
+        fails.append("weight matrix is singular over Q")
+    for j in range(d):
+        lead = next((row[j] for row in rows if row[j] != 0), 0)
+        if lead <= 0:
+            fails.append(f"column {j + 1} weight sequence is not positive")
+    return tuple(fails)
+
+
 class TermOrderGrading(Grading):
     """Grading of k[x_1..x_d] by N^d, ordered through an integer weight matrix.
 
@@ -152,7 +175,7 @@ class TermOrderGrading(Grading):
         self.name = name
         # degrevlex keys have a closed form, taken whatever the grading's name
         self._degrevlex = rows == _degrevlex_rows(d)
-        self.structural_failures = self._structural_check()
+        self.structural_failures = _structural_failures(rows)
 
     @classmethod
     def lex(cls, nvars):
@@ -161,21 +184,6 @@ class TermOrderGrading(Grading):
     @classmethod
     def degrevlex(cls, nvars):
         return cls(_degrevlex_rows(nvars), name="degrevlex")
-
-    def _structural_check(self):
-        fails = []
-        if len(self.rows) != self.nvars:
-            fails.append("weight matrix is not square")
-            return tuple(fails)
-        weights = [dict(enumerate(row)) for row in self.rows]
-        if len(rref(weights, RationalField(), track=False)[0]) != self.nvars:
-            fails.append("weight matrix is singular over Q")
-        for j in range(self.nvars):
-            col = [row[j] for row in self.rows]
-            lead = next((v for v in col if v != 0), 0)
-            if lead <= 0:
-                fails.append(f"column {j + 1} weight sequence is not positive")
-        return tuple(fails)
 
     def zero(self):
         return (0,) * self.nvars

@@ -41,6 +41,26 @@ snapshot hashes are replayed from those records on demand.  The coordinates
 are one element over X, the multipliers summed term by term: no (index,
 monomial) pair repeats, because a multiplier x^u of X[i] fixes the degree of
 its step and the pass settles each degree once.
+
+Complement-mode reduction is k-linear.  With X and the fixed complement of
+every W_b(X) chosen, each step is a fixed linear map of the component it
+settles, so NF(sum c_t t) = sum c_t NF(t), and the multipliers of the step
+at any degree b are the sum of c_t times those of the pass on t alone; a
+degree whose summed multipliers all cancel takes no step, as in the pass on
+the sum, where that component is zero or lies in the complement.
+Faugere, Gianni, Lazard and Mora (1993) tabulate monomial normal forms on
+the same ground.  So a ``Reducer`` under a grading that is not a module
+term order keeps a table {module monomial t: (NF(t), the steps of the pass
+on t)}.  An entry is filled the second time t is seen as a term of an input
+to ``normal_form``, by the pass run on t alone; the table therefore holds no
+more entries than monomials seen twice since X last changed, and no more
+than ``_keyed``.  A normal form sums the entries of its known monomials and
+runs one ordinary pass over the first-seen ones; its trace merges the steps
+only when they are first read, from immutable entries.  Any change to X
+changes normal forms, a new tail behind the same leading form included, so
+``extend``, ``replace`` and ``remove`` clear the table and the record of
+monomials seen.  Under a module term order a step is one cached divisor
+lookup, and completion changes X after every adjoin, so no table is kept.
 """
 
 from bisect import insort
@@ -84,14 +104,27 @@ class ReductionTrace:
     monomial) pair once.  ``representation`` reads the accumulated ring
     multiplier r_i of each X[i] off it.  Both, and the per-step snapshots,
     are computed from the step records when first asked for.
+
+    A normal form served from a Reducer's monomial table comes with no
+    ``steps`` but with ``parts``, (scale, tabled steps) pairs; its steps are
+    their scaled sum, merged when first read: degrees descending by key,
+    multipliers in W_b's generator order, zero multipliers and empty steps
+    dropped, which are the steps of the pass on the input.  The parts are
+    immutable, so the trace still reads them after the table is cleared.
     """
 
-    def __init__(self, X, initial: ModuleElement):
+    def __init__(self, X, initial: ModuleElement, final, steps=None, parts=()):
         self.X = X
         self.ring = initial.ring
         self.initial = initial
-        self.steps = []
-        self.final = None
+        self.final = final
+        if steps is not None:
+            self.steps = steps
+        self._parts = parts
+
+    @cached_property
+    def steps(self):
+        return _merge_steps(self._parts, self.ring.field)
 
     @cached_property
     def coordinates(self) -> ModuleElement:
@@ -136,6 +169,10 @@ class Reducer:
     step taken against it, does not change.  ``remove`` drops one element
     and every cached workspace and divisor, since those number X by
     position.
+
+    Warm normal forms under a grading that is not a module term order come
+    from a table of monomial normal forms (see the module docstring), which
+    each of the three mutators clears.
     """
 
     def __init__(self, X, spec, policy=None, parts=None):
@@ -158,6 +195,9 @@ class Reducer:
         self._divisors = {}
         # module monomial -> (key, degree, monomial)
         self._keyed = {}
+        # module monomial -> (normal form pairs, tabled steps), and the input monomials seen
+        self._table = {}
+        self._seen = set()
         self.extend(X, parts)
 
     def _split(self, m, part=None):
@@ -181,6 +221,11 @@ class Reducer:
             for b in [b for b in cache if self.spec.reaches(degree, b)]:
                 del cache[b]
 
+    def _changed(self):
+        """X changed, and with it every normal form: clear the monomial table."""
+        self._table.clear()
+        self._seen.clear()
+
     def extend(self, ys, parts=None):
         """Append elements to X, as if the Reducer had been built on X + ys.
 
@@ -194,6 +239,7 @@ class Reducer:
             self.tails.append(tail)
         # a new list, so traces taken earlier keep the X they index
         self.X = self.X + ys
+        self._changed()
 
     def replace(self, idx, y, part=None):
         """Put y in place of X[idx], as if the Reducer had been built that way.
@@ -208,6 +254,8 @@ class Reducer:
         self.lf_parts[idx] = part
         self.tails[idx] = tail
         self.X = self.X[:idx] + [y] + self.X[idx + 1 :]
+        # a new tail behind the same leading form changes normal forms too
+        self._changed()
 
     def remove(self, idx):
         """Drop X[idx], as if the Reducer had been built without it.
@@ -220,6 +268,7 @@ class Reducer:
         self.X = self.X[:idx] + self.X[idx + 1 :]
         self._cache.clear()
         self._divisors.clear()
+        self._changed()
 
     def w_space(self, degree, skip=None):
         """W_b(X), or W_b of X without X[skip] (built afresh where X[skip] reaches b)."""
@@ -255,6 +304,10 @@ class Reducer:
         entry = self._keyed[term] = (self.spec.key(degree), degree, term)
         return entry
 
+    def _check(self, m):
+        if (m.ring is not self.ring and m.ring != self.ring) or m.rank != self.rank:
+            raise UsageError("element and reduction set have mismatched ring or rank")
+
     def _reduce(self, m, mode, skip=None):
         """One descending pass over the terms of m; returns the trace.
 
@@ -265,8 +318,7 @@ class Reducer:
         when that is X[skip]; any other degree, whose live terms are popped
         together, against W_b.
         """
-        if (m.ring is not self.ring and m.ring != self.ring) or m.rank != self.rank:
-            raise UsageError("element and reduction set have mismatched ring or rank")
+        self._check(m)
         # W_b is 0 or N_b: span and complement steps coincide
         by_divisor = isinstance(self.spec, TermModuleGrading)
         field = self.field
@@ -275,7 +327,7 @@ class Reducer:
         terms = dict(m.term_map())
         live = sorted(keyed.get(t) or self._key_entry(t) for t in terms)
         divisors = self._divisors
-        trace = ReductionTrace(self.X, m)
+        steps = []
         rest = {}
         while live:
             _, degree, t = live.pop()
@@ -312,19 +364,67 @@ class Reducer:
                     rest.update(kept)
                     if not decomposition:
                         continue
-            trace.steps.append(ReductionStep(degree, tuple(decomposition)))
+            steps.append(ReductionStep(degree, tuple(decomposition)))
             # the leading forms cancel what the step removes; the tails land lower
             for idx, mult, q in decomposition:
+                nq = field.neg(q)
                 for i, exps, tc in self.tails[idx]:
                     term = (i, tuple(map(add, exps, mult)))
                     old = terms.get(term)
                     if old is None:
                         insort(live, keyed.get(term) or self._key_entry(term))
-                        terms[term] = field.neg(mul(q, tc))
+                        terms[term] = mul(nq, tc)
                     else:
-                        terms[term] = field.sub(old, mul(q, tc))
-        trace.final = ModuleElement._wrap(self.ring, self.rank, rest)
-        return trace
+                        terms[term] = field.add(old, mul(nq, tc))
+        return ReductionTrace(self.X, m, ModuleElement._wrap(self.ring, self.rank, rest), steps)
+
+    def _tabled_steps(self, steps):
+        """A pass's steps as (key, degree, W_b, multipliers) tuples, for ``_merge_steps``."""
+        key, cache = self.spec.key, self._cache
+        return tuple((key(s.degree), s.degree, cache[s.degree], s.multipliers) for s in steps)
+
+    def _entry(self, t):
+        """(normal form pairs, tabled steps) of the module monomial t, from the pass on t alone."""
+        unit = ModuleElement._wrap(self.ring, self.rank, {t: self.field.one})
+        trace = self._reduce(unit, COMPLEMENT)
+        return tuple(trace.final.term_map().items()), self._tabled_steps(trace.steps)
+
+    def _tabled(self, m):
+        """The complement-mode pass on m, summed from the table where m's monomials are known.
+
+        A monomial seen before since X last changed takes its entry, filled
+        now if this is its second sighting; the first-seen monomials are
+        reduced together in one pass.
+        """
+        self._check(m)
+        table, seen = self._table, self._seen
+        hits, fresh = [], {}
+        for t, c in m.term_map().items():
+            entry = table.get(t)
+            if entry is None:
+                if t not in seen:
+                    seen.add(t)
+                    fresh[t] = c
+                    continue
+                entry = table[t] = self._entry(t)
+            hits.append((c, entry))
+        if not hits:
+            return self._reduce(m, COMPLEMENT)
+        field = self.field
+        mul, add = field.mul, field.add
+        acc, parts = {}, []
+        if fresh:
+            trace = self._reduce(ModuleElement._wrap(self.ring, self.rank, fresh), COMPLEMENT)
+            acc.update(trace.final.term_map())
+            parts.append((field.one, self._tabled_steps(trace.steps)))
+        for c, (nf, steps) in hits:
+            for t, v in nf:
+                v = mul(c, v)
+                acc[t] = add(acc[t], v) if t in acc else v
+            parts.append((c, steps))
+        is_zero = field.is_zero
+        final = {t: v for t, v in acc.items() if not is_zero(v)}
+        return ReductionTrace(self.X, m, ModuleElement._wrap(self.ring, self.rank, final), parts=parts)
 
     def _first_step(self, m, mode):
         trace = self._reduce(m, mode)
@@ -348,15 +448,47 @@ class Reducer:
         """Iterate => steps to the fixed point; returns (normal form, trace).
 
         With ``skip`` an index into X, reduce against X without X[skip]; the
-        trace still numbers elements by their place in X.
+        trace still numbers elements by their place in X.  Without ``skip``,
+        and under a grading that is not a module term order, the answer is
+        summed from the monomial table (``_tabled``); it equals the pass's,
+        step for step.
         """
-        trace = self._reduce(m, COMPLEMENT, skip)
+        if skip is not None or isinstance(self.spec, TermModuleGrading):
+            trace = self._reduce(m, COMPLEMENT, skip)
+        else:
+            trace = self._tabled(m)
         return trace.final, trace
 
     def reduces_to_zero(self, m):
         """Iterate -> steps; True iff the closure reaches zero."""
         trace = self._reduce(m, SPAN)
         return trace.final.is_zero(), trace
+
+
+def _merge_steps(parts, field):
+    """The steps of sum c * steps over the (c, tabled steps) parts.
+
+    Each degree's multipliers are summed per generator and put in W_b's
+    generator order; zero multipliers, and steps left with none, are dropped.
+    """
+    mul, add, one, is_zero = field.mul, field.add, field.one, field.is_zero
+    by_degree = {}
+    for c, steps in parts:
+        for key, degree, sub, multipliers in steps:
+            slot = by_degree.get(degree)
+            if slot is None:
+                slot = by_degree[degree] = (key, sub, {})
+            acc = slot[2]
+            for idx, mult, q in multipliers:
+                q = q if c is one else mul(c, q)
+                acc[idx, mult] = add(acc[idx, mult], q) if (idx, mult) in acc else q
+    merged = []
+    for degree, (_, sub, acc) in sorted(by_degree.items(), key=lambda item: item[1][0], reverse=True):
+        order = sub.gen_index
+        gens = sorted((gen for gen, q in acc.items() if not is_zero(q)), key=order.__getitem__)
+        if gens:
+            merged.append(ReductionStep(degree, tuple((*gen, acc[gen]) for gen in gens)))
+    return merged
 
 
 def normal_form(m, X, spec, policy=None):

@@ -46,6 +46,28 @@ def test_verify_monoid_order_examples():
     assert not verify_monoid_order(singular).passed
 
 
+def test_weight_matrix_checked_once(monkeypatch):
+    # the exact rank test runs once per weight matrix, and every build still
+    # gives its own grading object, with the same verdict
+    from macaulay import grading
+
+    calls = []
+    rref = grading.rref
+
+    def counting(*args, **kwargs):
+        calls.append(args)
+        return rref(*args, **kwargs)
+
+    monkeypatch.setattr(grading, "rref", counting)
+    grading._structural_failures.cache_clear()
+    built = [TermOrderGrading.degrevlex(3) for _ in range(3)]
+    built += [TermOrderGrading([[1, 1], [2, 2]]) for _ in range(2)]
+    assert len(calls) == 2
+    assert len({id(g) for g in built}) == 5
+    assert [g.structural_failures for g in built] == [()] * 3 + [("weight matrix is singular over Q",)] * 2
+    assert TermOrderGrading([[1, 0, 0], [0, 1, 0]]).structural_failures == ("weight matrix is not square",)
+
+
 def test_strict_total_order_sampled():
     rng = random.Random(1)
     for spec in (TermOrderGrading.degrevlex(3), TermOrderGrading.lex(3), BlockGrading(3, (0,))):

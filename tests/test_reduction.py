@@ -21,7 +21,7 @@ from macaulay.grading import (
     TotalDegreeGrading,
 )
 from macaulay.polymod import ModuleElement, PolyRing, degree_of, homogeneous_components
-from macaulay.reduction import Reducer, ReductionStep, dot, normal_form, reduces_to_zero
+from macaulay.reduction import COMPLEMENT, Reducer, ReductionStep, dot, normal_form, reduces_to_zero
 from macaulay.symmetry import random_element
 
 
@@ -485,3 +485,113 @@ def test_one_pass_matches_the_relation(grading, policy):
             nf, trace = reducer.normal_form(m, skip=skip)
             assert (trace.steps, nf) == _relation(m, X, spec, policy, skip)
     assert reducer._cache and not reducer._divisors
+
+
+@pytest.mark.parametrize("policy", [ORTHOGONAL, PIVOT, "fp"])
+@pytest.mark.parametrize("grading", sorted(_coarse_gradings()))
+def test_tabled_normal_forms_match_the_pass(grading, policy):
+    # a normal form summed from the monomial table is the pass's own, step
+    # for step, whether its monomials are seen for the first time, the
+    # second (their entries are filled) or later, or a mix of these
+    field = PrimeField(32003) if policy == "fp" else RationalField()
+    policy = PIVOT if policy == "fp" else policy
+    ring = PolyRing(field, ("x", "y", "z"))
+    spec = _coarse_gradings()[grading]
+    rng = random.Random(f"tabled {grading} {policy} {field!r}")
+
+    def draw(max_degree):
+        m = random_element(ring, spec.rank, rng, max_degree=max_degree, terms=4)
+        return m if not m.is_zero() else draw(max_degree)
+
+    X = [draw(2) for _ in range(3)]
+    first = [draw(4) for _ in range(4)]
+    elements = first + [m + draw(4) for m in first]
+    elements += [random_ideal_element(ring, X, rng, 2) for _ in range(2)]
+    reducer, reference = Reducer(X, spec, policy), Reducer(X, spec, policy)
+    sightings = []
+    for _ in range(3):
+        for m in elements:
+            table, seen = reducer._table, reducer._seen
+            kinds = {"table" if t in table else "second" if t in seen else "first" for t in m.term_map()}
+            sightings.append(kinds)
+            nf, trace = reducer.normal_form(m)
+            want = reference._reduce(m, COMPLEMENT)
+            assert (trace.steps, nf) == (want.steps, want.final)
+            assert trace.final + trace.representation_sum(X) == m
+    assert set().union(*sightings) == {"first", "second", "table"}
+    assert any(len(seen) > 1 for seen in sightings)
+    assert set(reducer._table) <= reducer._seen
+    assert reducer._cache and not reducer._divisors
+
+
+def test_replace_with_a_new_tail_clears_the_table(R2, el, total2, circle_pair):
+    # the leading form, and so every W-space, stays; the normal forms change
+    same_lead = el("x1^2 + x2^2 + x1 - 2")
+    rng = random.Random(7)
+    elements = [random_element(R2, 1, rng, max_degree=6) for _ in range(8)]
+    for policy in (ORTHOGONAL, PIVOT):
+        warm, old = Reducer(circle_pair, total2, policy), Reducer(circle_pair, total2, policy)
+        for _ in range(2):
+            for m in elements:
+                warm.normal_form(m)
+        assert warm._table
+        cached = dict(warm._cache)
+        warm.replace(0, same_lead)
+        assert warm._cache == cached and not warm._table and not warm._seen
+        fresh = Reducer([same_lead, circle_pair[1]], total2, policy)
+        assert any(fresh.normal_form(m)[0] != old.normal_form(m)[0] for m in elements)
+        for _ in range(3):
+            for m in elements:
+                nf, trace = warm.normal_form(m)
+                want = fresh._reduce(m, COMPLEMENT)
+                assert (trace.steps, nf) == (want.steps, want.final)
+
+
+def test_tabled_trace_outlives_a_change(R2, el, total2, circle_pair):
+    # steps are merged when first read, from entries a later change does not touch
+    rng = random.Random(8)
+    elements = [random_element(R2, 1, rng, max_degree=6) for _ in range(6)]
+    reducer, reference = Reducer(circle_pair, total2), Reducer(circle_pair, total2)
+    for _ in range(2):
+        for m in elements:
+            reducer.normal_form(m)
+    traces = [reducer.normal_form(m)[1] for m in elements]
+    assert all("steps" not in vars(trace) for trace in traces)
+    reducer.extend([el("x1*x2 - x2 + 1"), el("x2^3 - x1")])
+    reducer.replace(0, el("x1^2 + x2^2 + x1 - 2"))
+    reducer.remove(2)
+    for m in elements:
+        reducer.normal_form(m)
+    for m, trace in zip(elements, traces):
+        want = reference._reduce(m, COMPLEMENT)
+        assert trace.X == circle_pair
+        assert (trace.steps, trace.final) == (want.steps, want.final)
+        assert trace.final + trace.representation_sum(trace.X) == m
+
+
+def test_warm_normal_forms_run_no_pass(monkeypatch, R2, el, total2, drl2, c4_triple):
+    # once every monomial has its entry, a normal form is a sum of entries;
+    # skip, membership and the term-order route still run the pass
+    rng = random.Random(10)
+    elements = [random_element(R2, 1, rng, max_degree=6) for _ in range(10)]
+    reducer, divisor = Reducer(c4_triple, total2), Reducer(c4_triple, drl2)
+    for _ in range(2):
+        for m in elements:
+            reducer.normal_form(m)
+    assert len(reducer._table) <= len(reducer._keyed)
+    calls = []
+    reduce = Reducer._reduce
+
+    def counting(self, *args, **kwargs):
+        calls.append(self)
+        return reduce(self, *args, **kwargs)
+
+    monkeypatch.setattr(Reducer, "_reduce", counting)
+    for m in elements:
+        reducer.normal_form(m)
+    assert calls == []
+    reducer.normal_form(elements[0], skip=0)
+    reducer.reduces_to_zero(elements[0])
+    for _ in range(3):
+        divisor.normal_form(elements[0])
+    assert calls == [reducer] * 2 + [divisor] * 3
