@@ -12,7 +12,6 @@ out of memory.
 import argparse
 import functools
 import json
-import re
 import sys
 
 from .apps import (
@@ -25,7 +24,7 @@ from .apps import (
     schreyer_syzygy_basis,
     verify_homogenization_equivalence,
 )
-from .coeff import field_from_spec
+from .coeff import ascii_int, field_from_spec
 from .errors import ParseError, ResourceLimitError, UsageError
 from .gradlin import ORTHOGONAL, PIVOT, check_policy
 from .grading import (
@@ -93,22 +92,41 @@ class ProblemFile:
 
 
 def _parse_bracket_list(text, line_no):
-    """Parse a nested [..] literal of integers; returns (value, rest)."""
+    """Parse a JSON literal that starts with '['; returns (value, rest), entries unchecked."""
     text = text.strip()
     if not text.startswith("["):
         raise ParseError("expected '['", line_no, 1)
     try:
         value, end = json.JSONDecoder().raw_decode(text)
-    except json.JSONDecodeError as exc:
+    except (json.JSONDecodeError, RecursionError) as exc:  # RecursionError: nested too deep to decode
         raise ParseError(f"bad list literal: {exc}", line_no, 1) from None
     return value, text[end:]
 
 
-def _ascii_int(text):
-    """The integer an optionally signed run of ASCII digits spells; ValueError otherwise."""
-    if not re.fullmatch(r"[+-]?[0-9]+", text):
-        raise ValueError(f"not an ASCII integer: {text!r}")
-    return int(text)
+def _int_matrix(text, what, line_no=None):
+    """The integer rows a literal spells; text after it is a ParseError, other entries a UsageError."""
+    rows, rest = _parse_bracket_list(text, line_no)
+    if rest.strip():
+        raise ParseError(f"unexpected {rest.strip()!r} after the {what}", line_no, 1)
+    if not all(isinstance(row, list) and all(map(_is_int, row)) for row in rows):
+        raise UsageError(f"{what} entries must be integers in rows")
+    return rows
+
+
+def _declarations(text):
+    """(line number, head, rest) of each declaration line, comments and blanks skipped."""
+    for line_no, raw in enumerate(text.splitlines(), start=1):
+        line = raw.split("#", 1)[0].strip()
+        if line:
+            head, _, rest = line.partition(" ")
+            yield line_no, head, rest.strip()
+
+
+def _once(seen, name, line_no):
+    """Record a declaration, rejecting a second one of the same name."""
+    if name in seen:
+        raise ParseError(f"repeated {name} declaration", line_no, 1)
+    seen.add(name)
 
 
 def _no_trailing(tokens, n):
@@ -119,32 +137,26 @@ def _no_trailing(tokens, n):
 
 def parse_problem(text, default_field=None) -> ProblemFile:
     field = default_field
-    names = None
     ring = None
-    grading_decl = None
+    grading_decl = "total"
     rank, shifts, tie = 1, None, None
     gen_lines = []
     group_path = None
-    for line_no, raw in enumerate(text.splitlines(), start=1):
-        line = raw.split("#", 1)[0].strip()
-        if not line:
-            continue
-        head, _, rest = line.partition(" ")
-        rest = rest.strip()
+    seen = set()
+    for line_no, head, rest in _declarations(text):
+        if head not in ("gen", "module"):
+            _once(seen, head, line_no)
         if head == "ring":
             # the field spec may itself contain a colon (fp:<p>)
             spec, _, var_part = rest.rpartition(":")
             if not spec.strip() or not var_part.strip():
                 raise ParseError("ring declaration needs 'ring <field>: <vars>'", line_no, 1)
-            if field is None:
-                try:
-                    field = field_from_spec(spec.strip())
-                except UsageError as exc:
-                    raise ParseError(str(exc), line_no, 1) from None
-            names = tuple(v for v in var_part.replace(",", " ").split() if v)
+            names = tuple(var_part.replace(",", " ").split())
             if not names:
                 raise ParseError("ring declaration lists no variables", line_no, 1)
             try:
+                if field is None:
+                    field = field_from_spec(spec.strip())
                 ring = PolyRing(field, names)
             except UsageError as exc:
                 raise ParseError(str(exc), line_no, 1) from None
@@ -157,8 +169,9 @@ def parse_problem(text, default_field=None) -> ProblemFile:
             k = 0
             try:
                 while k < len(tokens):
+                    _once(seen, f"module {tokens[k]}", line_no)
                     if tokens[k] == "rank":
-                        rank = _ascii_int(tokens[k + 1])
+                        rank = ascii_int(tokens[k + 1])
                         if rank < 1:
                             raise ParseError(f"module rank must be at least 1, got {rank}", line_no, 1)
                         if rank > MAX_MODULE_RANK:
@@ -188,8 +201,6 @@ def parse_problem(text, default_field=None) -> ProblemFile:
             raise ParseError(f"unknown declaration {head!r}", line_no, 1)
     if ring is None:
         raise ParseError("missing ring declaration", 1, 1)
-    if grading_decl is None:
-        grading_decl = "total"
     generators = [parse_element(ring, rank, expr, line) for line, expr in gen_lines]
     return ProblemFile(field, ring, grading_decl, rank, shifts, tie, generators, group_path, text)
 
@@ -232,10 +243,7 @@ def _ring_grading(decl, d):
             grading = TermOrderGrading.degrevlex(d) if name == "degrevlex" else TermOrderGrading.lex(d)
         elif name == "matrix":
             # the declaration may come from --grading, so errors carry no position
-            rows, rest = _parse_bracket_list(decl.split("matrix", 1)[1], None)
-            if rest.strip():
-                raise ParseError(f"unexpected {rest.strip()!r} after the weight matrix")
-            grading = TermOrderGrading(rows)
+            grading = TermOrderGrading(_int_matrix(decl.split("matrix", 1)[1], "weight matrix"))
             if len(grading.rows) != d or grading.nvars != d:
                 raise UsageError(
                     f"weight matrix is {len(grading.rows)}x{grading.nvars}, "
@@ -247,7 +255,7 @@ def _ring_grading(decl, d):
         if len(tokens) < 2:
             raise UsageError("grading elim needs a split index")
         try:
-            k = _ascii_int(tokens[1])
+            k = ascii_int(tokens[1])
         except ValueError:
             raise UsageError("grading elim needs an integer split index") from None
         _no_trailing(tokens, 2)
@@ -290,21 +298,15 @@ def build_grading(ring, decl, rank, shifts, tie):
 
 def parse_group_file(text, ring) -> GroupAction:
     matrices = []
-    for line_no, raw in enumerate(text.splitlines(), start=1):
-        line = raw.split("#", 1)[0].strip()
-        if not line:
-            continue
-        head, _, rest = line.partition(" ")
-        rest = rest.strip()
+    for line_no, head, rest in _declarations(text):
         try:
             if head == "matrix":
-                rows, _ = _parse_bracket_list(rest, line_no)
-                matrices.append(rows)
+                matrices.append(_int_matrix(rest, "group matrix", line_no))
             elif head == "perm":
-                cycle = tuple(int(v) for v in rest.strip("()").split())
+                cycle = tuple(map(ascii_int, rest.strip("()").split()))
                 matrices.append(permutation_matrix(ring.nvars, cycle))
             elif head == "signed-perm":
-                images = [int(v) for v in rest.strip("()").split()]
+                images = list(map(ascii_int, rest.strip("()").split()))
                 matrices.append(signed_permutation_matrix(ring.nvars, images))
             else:
                 raise ParseError(f"unknown group declaration {head!r}", line_no, 1)
@@ -415,7 +417,7 @@ def run_command(command, problem: ProblemFile, args) -> dict:
             raise UsageError("hilbert needs --degrees a..b")
         lo, dots, hi = args.degrees.partition("..")
         try:
-            degrees = list(range(int(lo), int(hi) + 1)) if dots else [int(lo)]
+            degrees = list(range(ascii_int(lo), ascii_int(hi) + 1)) if dots else [ascii_int(lo)]
         except ValueError:
             raise UsageError(f"bad degree range {args.degrees!r} (expected a..b)") from None
         if not degrees:
@@ -447,13 +449,11 @@ def run_command(command, problem: ProblemFile, args) -> dict:
             out_spec = ctx.coarse
         doc["elements"] = _element_entries([m for m in out if not m.is_zero()], out_spec)
     elif command == "check-invariant":
-        group_text = None
         path = args.group or problem.group_path
         if not path:
             raise UsageError("check-invariant needs --group <file>")
         with open(path, "r", encoding="utf-8") as fh:
-            group_text = fh.read()
-        action = parse_group_file(group_text, problem.ring)
+            action = parse_group_file(fh.read(), problem.ring)
         report = span_is_invariant(gens, action)
         doc["invariant"] = report.invariant
         doc["witnesses"] = [
@@ -541,8 +541,8 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--certify", action="store_true")
     parser.add_argument("--trace", action="store_true")
     parser.add_argument("--format", default="text", choices=("text", "json"))
-    parser.add_argument("--max-iterations", type=int, default=64, dest="max_iterations")
-    parser.add_argument("--degree-cap", type=int, default=None, dest="degree_cap")
+    parser.add_argument("--max-iterations", type=ascii_int, default=64, dest="max_iterations")
+    parser.add_argument("--degree-cap", type=ascii_int, default=None, dest="degree_cap")
     parser.add_argument("--keep", default=None, help="variables to keep for eliminate")
     parser.add_argument("--var", default=None, help="homogenizing variable name")
     parser.add_argument("--group", default=None, help="group file for check-invariant")
@@ -550,7 +550,7 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--element", default=None, help="element to reduce")
     parser.add_argument("--policy", default=None, choices=("pivot", "orthogonal"))
     parser.add_argument(
-        "--equivariance-samples", type=int, default=0, dest="equivariance_samples"
+        "--equivariance-samples", type=ascii_int, default=0, dest="equivariance_samples"
     )
     return parser
 
@@ -560,10 +560,6 @@ def main(argv=None) -> int:
     try:
         with open(args.problem, "r", encoding="utf-8") as fh:
             text = fh.read()
-    except OSError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    try:
         default_field = field_from_spec(args.coeff) if args.coeff else None
         problem = parse_problem(text, default_field)
         if args.grading:
@@ -572,7 +568,7 @@ def main(argv=None) -> int:
     except ParseError as exc:
         print(f"syntax error: {exc}", file=sys.stderr)
         return 2
-    except OSError as exc:  # a group file named by the problem or --group
+    except (OSError, UnicodeDecodeError) as exc:  # reading the problem file or a group file
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except (UsageError, ZeroDivisionError) as exc:

@@ -153,6 +153,16 @@ class PrimeField:
         return f"F_{self.p}"
 
 
+def ascii_int(text):
+    """The integer an optionally signed run of ASCII digits spells; ValueError otherwise."""
+    if not (text.isascii() and text.lstrip("+-").isdigit()):
+        raise ValueError(f"not an ASCII integer: {text!r}")
+    return int(text)
+
+
+ascii_int.__name__ = "ASCII integer"  # argparse names a rejected value's type by it
+
+
 def field_from_spec(text: str):
     """Build a field from a CLI spec: ``q`` or ``fp:<p>``."""
     text = text.strip().lower()
@@ -160,7 +170,7 @@ def field_from_spec(text: str):
         return RationalField()
     if text.startswith("fp:"):
         try:
-            p = int(text[3:], 10)
+            p = ascii_int(text[3:])
         except ValueError:
             raise UsageError(f"bad field spec {text!r}") from None
         return PrimeField(p)

@@ -580,3 +580,165 @@ def test_malformed_declarations_raise_only_input_errors(grading, mutations):
         cli.parse_problem(text).grading()
     except (ParseError, UsageError):
         pass
+
+
+# group-file lines: JSON literals after `matrix`, words inside a cycle, text
+# after a well-formed matrix
+_GROUP_LINES = st.one_of(
+    st.lists(_JSON, max_size=3).map(json.dumps).map("matrix {}".format),
+    st.lists(st.lists(st.integers(-2, 2), min_size=2, max_size=2), min_size=2, max_size=2)
+    .map(json.dumps).map("matrix {}".format),
+    st.builds("matrix [[0,1],[1,0]] {}".format, _WORDS),
+    st.lists(_WORDS, max_size=3).map(" ".join).map("perm ({})".format),
+    st.lists(_WORDS, max_size=3).map(" ".join).map("signed-perm ({})".format),
+)
+
+
+@settings(derandomize=True, max_examples=200, deadline=None, database=None)
+@given(lines=st.lists(_GROUP_LINES, min_size=1, max_size=2))
+def test_malformed_group_lines_raise_only_input_errors(lines):
+    # over F_3 every invertible 2x2 matrix has finite order, so a closure
+    # stays inside GL_2(F_3) (48 elements) and never meets the element cap
+    ring = parse_problem("ring fp:3: x y\n").ring
+    try:
+        parse_group_file("\n".join(lines) + "\n", ring)
+    except (ParseError, UsageError):
+        pass
+
+
+@pytest.mark.parametrize(
+    "line, code, message",
+    [
+        ("matrix [1, 2]", 3, "group matrix entries must be integers"),
+        ('matrix [["1", 0], [0, 1]]', 3, "group matrix entries must be integers"),
+        ("matrix [[null, 0], [0, 1]]", 3, "group matrix entries must be integers"),
+        ("matrix [[[1], 0], [0, 1]]", 3, "group matrix entries must be integers"),
+        ("matrix [[true, 0], [0, 1]]", 3, "group matrix entries must be integers"),
+        ("matrix [[0,1],[1,0]] extra", 2, "line 1, col 1: unexpected 'extra' after the group matrix"),
+        ("matrix [[0,1],[1,0]]]", 2, "line 1, col 1: unexpected ']' after the group matrix"),
+    ],
+)
+def test_cli_malformed_group_matrix_exits(tmp_path, capsys, line, code, message):
+    circle = write(tmp_path, "circle.mac", CIRCLE)
+    group = write(tmp_path, "bad.grp", line + "\n")
+    got, out, err = run_cli(tmp_path, capsys, "check-invariant", circle, "--group", group)
+    assert (got, out) == (code, "") and message in err and "Traceback" not in err
+
+
+@pytest.mark.parametrize("line", ["perm (\u0661 \u0662)", "perm (1_0 2)", "perm (1 \uff12)", "signed-perm (-2 \u0661)"])
+def test_cli_group_entries_need_ascii_digits(tmp_path, capsys, line):
+    # int() alone reads Arabic-Indic digits and underscores; the cycle
+    # (1_0 2) would be read as (10 2) and fail as out of range, with exit 3
+    circle = write(tmp_path, "circle.mac", CIRCLE)
+    group = write(tmp_path, "bad.grp", line + "\n")
+    code, out, err = run_cli(tmp_path, capsys, "check-invariant", circle, "--group", group)
+    assert code == 2 and out == "" and "malformed group generator" in err
+
+
+@pytest.mark.parametrize("spec", ["fp:\u0667", "fp:7_0", "fp: 7"])
+def test_ring_modulus_needs_ascii_digits(tmp_path, capsys, spec):
+    path = write(tmp_path, "ring.mac", f"ring {spec}: x y\ngen 8*x + 1\n")
+    code, out, err = run_cli(tmp_path, capsys, "basis", path)
+    assert code == 2 and out == "" and "line 1" in err and "bad field spec" in err
+
+
+@pytest.mark.parametrize("spec", ["fp:\u0667", "fp:7_0", "fp: 7"])
+def test_cli_coeff_modulus_needs_ascii_digits(tmp_path, capsys, spec):
+    circle = write(tmp_path, "circle.mac", CIRCLE)
+    code, out, err = run_cli(tmp_path, capsys, "basis", circle, "--coeff", spec)
+    assert code == 3 and out == "" and "bad field spec" in err
+
+
+@pytest.mark.parametrize("degrees", ["\u0660..\u0663", "1_0", " 1..3", "0..\uff13"])
+def test_cli_degree_range_needs_ascii_digits(tmp_path, capsys, degrees):
+    mono = write(tmp_path, "mono.mac", "ring q: x1 x2\ngrading total\ngen x1^2\n")
+    code, out, err = run_cli(tmp_path, capsys, "hilbert", mono, "--degrees", degrees)
+    assert code == 3 and out == "" and "bad degree range" in err
+
+
+@pytest.mark.parametrize(
+    "option, value",
+    [("--max-iterations", "\u0663"), ("--degree-cap", "1_0"), ("--equivariance-samples", " 2")],
+)
+def test_cli_integer_flags_need_ascii_digits(tmp_path, capsys, option, value):
+    circle = write(tmp_path, "circle.mac", CIRCLE)
+    with pytest.raises(SystemExit) as exc:
+        main(["basis", circle, option, value])
+    err = capsys.readouterr().err
+    assert exc.value.code == 2
+    assert f"argument {option}: invalid ASCII integer value: {value!r}" in err
+
+
+@pytest.mark.parametrize(
+    "repeat, line, name",
+    [
+        ("ring q: x y", 4, "ring"),
+        ("grading order lex\ngrading total", 5, "grading"),
+        ("group a.grp\ngroup b.grp", 5, "group"),
+        ("module rank 3", 4, "module rank"),
+        ("module shifts [1, 1]", 4, "module shifts"),
+        ("module tie pot tie top", 4, "module tie"),
+    ],
+)
+def test_cli_repeated_declaration_exits_2(tmp_path, capsys, repeat, line, name):
+    # a module declaration may span lines (lines 2 and 3); a second ring,
+    # grading or group line, or a second rank, shifts or tie, is an error
+    text = f"ring q: x y\nmodule rank 2\nmodule shifts [0, 1]\n{repeat}\ngen [x, y]\n"
+    code, out, err = run_cli(tmp_path, capsys, "basis", write(tmp_path, "twice.mac", text))
+    assert code == 2 and out == ""
+    assert f"line {line}, col 1: repeated {name} declaration" in err
+
+
+def test_cli_group_declared_in_the_problem(tmp_path, capsys):
+    group = write(tmp_path, "swap.grp", SWAP_GROUP)
+    text = CIRCLE + f"group {group}\n"
+    problem = parse_problem(text)
+    assert problem.group_path == group
+    assert render_problem(problem).endswith(f"\ngroup {group}\n")
+    assert parse_problem(render_problem(problem)).group_path == group
+    path = write(tmp_path, "circle.mac", text)
+    code, out, _ = run_cli(tmp_path, capsys, "check-invariant", path, "--grading", "total")
+    assert code == 0 and "invariant: yes" in out
+
+
+@pytest.mark.parametrize(
+    "text, argv, code, message",
+    [
+        ("ring q:\n", ["basis"], 2, "ring <field>: <vars>"),
+        ("ring q: ,\n", ["basis"], 2, "lists no variables"),
+        ("ring q: x x\n", ["basis"], 2, "distinct"),
+        ("ring q: x y\ngrading\n", ["basis"], 2, "empty grading"),
+        ("ring q: x y\nmodule rank 1 size 2\n", ["basis"], 2, "unknown module keyword 'size'"),
+        ("ring q: x y\ngrading order spiral\n", ["basis"], 3, "unknown order 'spiral'"),
+        ("ring q: x y\ngrading spiral\n", ["basis"], 3, "unknown grading 'spiral'"),
+        ("ring q: x y\ngen x\n", ["check-invariant", "--group", "bad.grp"], 2, "malformed group generator"),
+        ("ring q: x y\ngen x\n", ["reduce"], 3, "--element"),
+        ("ring q: x y\ngen x\n", ["eliminate"], 3, "--keep"),
+        ("ring q: x y\ngen x\n", ["hilbert"], 3, "--degrees"),
+        ("ring q: x y\ngrading order lex\ngen x\n", ["hilbert", "--degrees", "0..2"], 3, "total-degree"),
+        ("ring q: x y\ngen x\n", ["dehomogenize", "--var", "t"], 3, "not present"),
+        ("ring q: t x y\ngen x - t\n", ["dehomogenize", "--var", "t"], 3, "declared last"),
+        ("ring q: x y\ngen x\n", ["check-invariant"], 3, "--group"),
+    ],
+)
+def test_cli_documented_failures_exit_cleanly(tmp_path, capsys, text, argv, code, message):
+    write(tmp_path, "bad.grp", "perm (1 x)\n")
+    path = write(tmp_path, "problem.mac", text)
+    argv = [str(tmp_path / a) if a.endswith(".grp") else a for a in argv]
+    got, out, err = run_cli(tmp_path, capsys, argv[0], path, *argv[1:])
+    assert (got, out) == (code, "") and message in err and "Traceback" not in err
+
+
+def test_cli_undecodable_or_deeply_nested_input_exits_2(tmp_path, capsys):
+    circle = write(tmp_path, "circle.mac", CIRCLE)
+    latin1 = tmp_path / "latin1.mac"
+    latin1.write_bytes(b"ring q: x\n# caf\xe9\n")
+    deep = write(tmp_path, "deep.mac", "ring q: x\nmodule shifts " + "[" * 5000 + "\n")
+    for argv in (
+        ["basis", str(latin1)],
+        ["check-invariant", circle, "--group", str(latin1)],
+        ["basis", deep],
+        ["check-invariant", circle, "--group", write(tmp_path, "deep.grp", "matrix " + "[" * 5000 + "\n")],
+    ):
+        code, out, err = run_cli(tmp_path, capsys, *argv)
+        assert code == 2 and out == "" and "Traceback" not in err

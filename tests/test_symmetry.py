@@ -283,3 +283,17 @@ def test_reduced_bases_have_invariant_spans(total2, swap, c4, circle_pair, c4_tr
 
     red_c4 = interreduce(buchberger_algorithm(c4_triple, total2), total2)
     assert span_is_invariant(list(red_c4.elements), c4).invariant
+
+
+def test_non_monomial_action(R2, el):
+    # x1 -> x2, x2 -> -x1 - x2 has order 3 and fixes x1^2 + x1*x2 + x2^2;
+    # each image is a sum of terms, so the action substitutes
+    rot = GroupAction(R2, [[[0, -1], [1, -1]]])
+    g = rot.generators[0]
+    assert len(rot.elements) == 3
+    f = R2.parse("x1^2 + x1*x2 + x2^2")
+    assert rot.act(g, f) == f
+    assert rot.act(g, R2.parse("x1*x2")) == R2.parse("-x1*x2 - x2^2")
+    assert rot.act(g, el("x1*x2")) == el("-x1*x2 - x2^2")
+    assert span_is_invariant([el("x1^2 + x1*x2 + x2^2")], rot).invariant
+    assert not span_is_invariant([el("x1^2")], rot).invariant
