@@ -12,6 +12,7 @@ out of memory.
 import argparse
 import functools
 import json
+import re
 import sys
 
 from .apps import (
@@ -136,7 +137,6 @@ def _no_trailing(tokens, n):
 
 
 def parse_problem(text, default_field=None) -> ProblemFile:
-    field = default_field
     ring = None
     grading_decl = "total"
     rank, shifts, tie = 1, None, None
@@ -155,9 +155,9 @@ def parse_problem(text, default_field=None) -> ProblemFile:
             if not names:
                 raise ParseError("ring declaration lists no variables", line_no, 1)
             try:
-                if field is None:
-                    field = field_from_spec(spec.strip())
-                ring = PolyRing(field, names)
+                # the spec must be valid even where default_field (--coeff) overrides it
+                field = field_from_spec(spec.strip())
+                ring = PolyRing(field if default_field is None else default_field, names)
             except UsageError as exc:
                 raise ParseError(str(exc), line_no, 1) from None
         elif head == "grading":
@@ -202,7 +202,7 @@ def parse_problem(text, default_field=None) -> ProblemFile:
     if ring is None:
         raise ParseError("missing ring declaration", 1, 1)
     generators = [parse_element(ring, rank, expr, line) for line, expr in gen_lines]
-    return ProblemFile(field, ring, grading_decl, rank, shifts, tie, generators, group_path, text)
+    return ProblemFile(ring.field, ring, grading_decl, rank, shifts, tie, generators, group_path, text)
 
 
 def render_problem(problem: ProblemFile) -> str:
@@ -302,12 +302,15 @@ def parse_group_file(text, ring) -> GroupAction:
         try:
             if head == "matrix":
                 matrices.append(_int_matrix(rest, "group matrix", line_no))
-            elif head == "perm":
-                cycle = tuple(map(ascii_int, rest.strip("()").split()))
-                matrices.append(permutation_matrix(ring.nvars, cycle))
-            elif head == "signed-perm":
-                images = list(map(ascii_int, rest.strip("()").split()))
-                matrices.append(signed_permutation_matrix(ring.nvars, images))
+            elif head in ("perm", "signed-perm"):
+                inside = re.fullmatch(r"\(([^()]*)\)", rest)
+                if inside is None:
+                    raise ValueError(f"{head} entries need one enclosing pair of parentheses")
+                entries = list(map(ascii_int, inside[1].split()))
+                if head == "perm":
+                    matrices.append(permutation_matrix(ring.nvars, tuple(entries)))
+                else:
+                    matrices.append(signed_permutation_matrix(ring.nvars, entries))
             else:
                 raise ParseError(f"unknown group declaration {head!r}", line_no, 1)
         except ValueError:

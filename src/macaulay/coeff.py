@@ -24,7 +24,7 @@ def is_prime(n: int) -> bool:
     """Deterministic Miller-Rabin, valid far beyond any practical modulus."""
     if n < 2:
         return False
-    for p in (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37):
+    for p in _MR_BASES:
         if n % p == 0:
             return n == p
     d, s = n - 1, 0
@@ -177,17 +177,17 @@ def field_from_spec(text: str):
     raise UsageError(f"unknown field spec {text!r} (expected 'q' or 'fp:<p>')")
 
 
-def rref(rows, field, track=True):
+def rref(rows, field):
     """Sparse reduced row echelon form with combination tracking.
 
     Rows go in and come out as ``{column: nonzero}`` maps; stored zeros are
     dropped on the way in.  Returns (echelon rows, pivot columns, combos)
     where ``combos[k]`` is a ``{row index: nonzero}`` map expressing echelon
-    row k in the original rows, or None with ``track`` false.  Zero rows are
-    dropped.  The pivot is the lowest column any row from the current one on
-    stores, taken from the first such row, so the result is deterministic in
-    the input order and equals dense Gauss-Jordan elimination's.  The pivot
-    search and the elimination visit only stored entries.
+    row k in the original rows.  Zero rows are dropped.  The pivot is the
+    lowest column any row from the current one on stores, taken from the
+    first such row, so the result is deterministic in the input order and
+    equals dense Gauss-Jordan elimination's.  The pivot search and the
+    elimination visit only stored entries.
     """
     is_zero, mul, one = field.is_zero, field.mul, field.one
     work = [{j: v for j, v in row.items() if not is_zero(v)} for row in rows]
@@ -214,7 +214,7 @@ def rref(rows, field, track=True):
                 _subtract_multiple(combos[i], f, combo, field)
         pivots.append(c)
     r = len(pivots)
-    return work[:r], pivots, (combos[:r] if track else None)
+    return work[:r], pivots, combos[:r]
 
 
 def _subtract_multiple(target, f, source, field):

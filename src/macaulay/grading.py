@@ -14,6 +14,9 @@ everything this library computes with:
 
 Module gradings extend a ring grading to a free module of finite rank with
 per-component shifts, which one base, ``ModuleGrading``, validates and holds.
+Each module grading states the degree of every basis element e_i and how a
+ring monomial acts on a degree; the base derives from these the degree of
+each term ``x^a e_i`` and the monomials of each graded component.
 ``CoarseModuleGrading`` merges components that share a degree value (graded
 components may then have dimension above one), while
 ``TermModuleGrading`` tags degrees with the component index and breaks ties
@@ -37,7 +40,7 @@ be equal.
 
 import operator
 import random
-from functools import lru_cache
+from functools import cached_property
 from typing import NamedTuple
 
 from .coeff import RationalField, rref
@@ -127,28 +130,6 @@ def _lex_rows(d):
     return tuple(tuple(1 if i == j else 0 for i in range(d)) for j in range(d))
 
 
-@lru_cache(maxsize=64)
-def _structural_failures(rows):
-    """Why a weight matrix fails to give a term order; () if it gives one.
-
-    Kept per matrix: the rank test is an exact elimination over Q, and the
-    elimination route builds a degrevlex grading for every inner completion.
-    The grading objects stay distinct; only this result is shared.
-    """
-    d = len(rows[0]) if rows else 0
-    if len(rows) != d:
-        return ("weight matrix is not square",)
-    fails = []
-    weights = [dict(enumerate(row)) for row in rows]
-    if len(rref(weights, RationalField(), track=False)[0]) != d:
-        fails.append("weight matrix is singular over Q")
-    for j in range(d):
-        lead = next((row[j] for row in rows if row[j] != 0), 0)
-        if lead <= 0:
-            fails.append(f"column {j + 1} weight sequence is not positive")
-    return tuple(fails)
-
-
 class TermOrderGrading(Grading):
     """Grading of k[x_1..x_d] by N^d, ordered through an integer weight matrix.
 
@@ -156,7 +137,7 @@ class TermOrderGrading(Grading):
     that is lexicographically by their keys M.a.
     The structural validity condition (square matrix, invertible over Q,
     every column's weight sequence has positive first nonzero entry) is
-    recorded at construction and reported by ``verify_monoid_order``.
+    checked when ``verify_monoid_order`` first reads it.
     """
 
     def __init__(self, rows, name="matrix"):
@@ -175,7 +156,21 @@ class TermOrderGrading(Grading):
         self.name = name
         # degrevlex keys have a closed form, taken whatever the grading's name
         self._degrevlex = rows == _degrevlex_rows(d)
-        self.structural_failures = _structural_failures(rows)
+
+    @cached_property
+    def structural_failures(self):
+        """Why the weight matrix fails to give a term order; () if it gives one."""
+        rows, d = self.rows, self.nvars
+        if len(rows) != d:
+            return ("weight matrix is not square",)
+        fails = []
+        if len(rref([dict(enumerate(row)) for row in rows], RationalField())[0]) != d:
+            fails.append("weight matrix is singular over Q")
+        for j in range(d):
+            lead = next((row[j] for row in rows if row[j] != 0), 0)
+            if lead <= 0:
+                fails.append(f"column {j + 1} weight sequence is not positive")
+        return tuple(fails)
 
     @classmethod
     def lex(cls, nvars):
@@ -323,7 +318,8 @@ class ModuleGrading(Grading):
             raise UsageError("one shift per component required")
         self.shifts = shifts
 
-    def degree_of_term(self, comp, exps):
+    def basis_degree(self, i):
+        """The degree of the basis element e_i."""
         raise NotImplementedError
 
     def translate(self, deg, exps):
@@ -334,9 +330,16 @@ class ModuleGrading(Grading):
         """All ring monomials r with deg(r*v) = target for v of degree source."""
         raise NotImplementedError
 
+    def degree_of_term(self, comp, exps):
+        return self.translate(self.basis_degree(comp), exps)
+
     def component_monomials(self, deg):
-        """All module monomials (component, exponents) of the given degree."""
-        raise NotImplementedError
+        """All module monomials (component, exponents) of the given degree.
+
+        Canonically ordered: component ascending, and inside a component the
+        ring grading's order, degrevlex descending.
+        """
+        return [(i, exps) for i in range(self.rank) for exps in self.multipliers(self.basis_degree(i), deg)]
 
     def reaches(self, source, target):
         """Does v of degree source have a monomial multiple of degree target?"""
@@ -350,8 +353,8 @@ class CoarseModuleGrading(ModuleGrading):
     equal values are merged, so graded components can mix positions.
     """
 
-    def degree_of_term(self, comp, exps):
-        return self.ring.add(self.ring.degree(exps), self.shifts[comp])
+    def basis_degree(self, i):
+        return self.shifts[i]
 
     def key(self, degree):
         return self.ring.key(degree)
@@ -364,15 +367,6 @@ class CoarseModuleGrading(ModuleGrading):
         if diff is None:
             return []
         return self.ring.monomials(diff)
-
-    def component_monomials(self, deg):
-        out = []
-        for i in range(self.rank):
-            residual = self.ring.sub(deg, self.shifts[i])
-            if residual is None:
-                continue
-            out.extend((i, exps) for exps in self.ring.monomials(residual))
-        return out
 
     def __repr__(self):
         return f"CoarseModuleGrading({self.ring!r}, rank={self.rank})"
@@ -391,6 +385,9 @@ class TermModuleGrading(ModuleGrading):
             raise UsageError("tie order must be 'pot' or 'top'")
         super().__init__(ring_grading, rank, shifts)
         self.tie = tie
+
+    def basis_degree(self, i):
+        return (i, self.shifts[i])
 
     def degree_of_term(self, comp, exps):
         # the ring is a term order, whose degrees are exponent tuples: this is
@@ -425,12 +422,9 @@ class TermModuleGrading(ModuleGrading):
         return source[0] == target[0] and all(map(operator.le, source[1], target[1]))
 
     def component_monomials(self, deg):
+        # one component only: the others have no multipliers into deg
         self._check(deg)
-        comp, value = deg
-        residual = self.ring.sub(value, self.shifts[comp])
-        if residual is None:
-            return []
-        return [(comp, exps) for exps in self.ring.monomials(residual)]
+        return [(deg[0], exps) for exps in self.multipliers(self.basis_degree(deg[0]), deg)]
 
     def __repr__(self):
         return f"TermModuleGrading({self.ring!r}, rank={self.rank}, tie={self.tie})"
@@ -450,8 +444,8 @@ class SyzygyGrading(ModuleGrading):
         self.base_degrees = tuple(base_degrees)
         self.rank = len(self.base_degrees)
 
-    def degree_of_term(self, comp, exps):
-        return self.base.translate(self.base_degrees[comp], exps)
+    def basis_degree(self, i):
+        return self.base_degrees[i]
 
     def key(self, degree):
         return self.base.key(degree)
@@ -461,12 +455,6 @@ class SyzygyGrading(ModuleGrading):
 
     def multipliers(self, source, target):
         return self.base.multipliers(source, target)
-
-    def component_monomials(self, deg):
-        out = []
-        for i, bdeg in enumerate(self.base_degrees):
-            out.extend((i, exps) for exps in self.base.multipliers(bdeg, deg))
-        return out
 
     def __repr__(self):
         return f"SyzygyGrading(rank={self.rank})"

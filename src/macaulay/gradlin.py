@@ -40,7 +40,6 @@ from typing import NamedTuple
 
 from .coeff import rref
 from .errors import MembershipError, UsageError
-from .grading import degrevlex_key
 from .polymod import ModuleElement, leading_form
 
 PIVOT = "pivot-canonical"
@@ -70,9 +69,8 @@ class ComponentBasis(NamedTuple):
 
 
 def component_monomials(spec, degree) -> ComponentBasis:
-    # canonical order: component ascending, degrevlex descending inside
-    mons = sorted(set(spec.component_monomials(degree)), key=lambda t: degrevlex_key(t[1]), reverse=True)
-    mons = tuple(sorted(mons, key=lambda t: t[0]))
+    # the grading lists them in canonical order: component ascending, degrevlex descending inside
+    mons = tuple(spec.component_monomials(degree))
     return ComponentBasis(mons, {m: k for k, m in enumerate(mons)})
 
 

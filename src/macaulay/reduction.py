@@ -51,16 +51,15 @@ the sum, where that component is zero or lies in the complement.
 Faugere, Gianni, Lazard and Mora (1993) tabulate monomial normal forms on
 the same ground.  So a ``Reducer`` under a grading that is not a module
 term order keeps a table {module monomial t: (NF(t), the steps of the pass
-on t)}.  An entry is filled the second time t is seen as a term of an input
-to ``normal_form``, by the pass run on t alone; the table therefore holds no
-more entries than monomials seen twice since X last changed, and no more
-than ``_keyed``.  A normal form sums the entries of its known monomials and
-runs one ordinary pass over the first-seen ones; its trace merges the steps
-only when they are first read, from immutable entries.  Any change to X
-changes normal forms, a new tail behind the same leading form included, so
-``extend``, ``replace`` and ``remove`` clear the table and the record of
-monomials seen.  Under a module term order a step is one cached divisor
-lookup, and completion changes X after every adjoin, so no table is kept.
+on t)}.  The entry of t is marked seen the first time t is a term of an
+input to ``normal_form``, and filled the second, by the pass run on t
+alone; so the table holds no more monomials than ``_keyed``.  A normal form
+sums the entries of its known monomials and runs one ordinary pass over the
+first-seen ones; its trace merges the steps only when they are first read,
+from immutable entries.  Any change to X changes normal forms, a new tail
+behind the same leading form included, so ``extend``, ``replace`` and
+``remove`` clear the table.  Under a module term order a step is one cached
+divisor lookup, and completion changes X after every adjoin: no table.
 """
 
 from bisect import insort
@@ -156,19 +155,19 @@ class Reducer:
     """Reduction engine bound to a set X, one grading, one policy.
 
     One descending pass (``_reduce``) serves every grading and both modes.
-    It settles a degree against W_b(X), cached per degree, or, under a
-    module term order, by the degree's first divisor, also cached: the
-    element and coefficient the one-row echelon form of W_b would pick (see
-    the module docstring); ``w_space`` still builds W_b on request there.
+    It settles a degree against W_b(X), or, under a module term order, by
+    the degree's first divisor: the element and coefficient the one-row
+    echelon form of W_b would pick (see the module docstring).  One cache
+    keeps, per degree, whichever of the two the Reducer's grading settles
+    by; ``w_space`` still builds W_b on request under a term order, uncached.
     Each module monomial's sort entry is cached too (``_keyed``); it depends
     on the grading alone, so no change to X touches it.  X can grow
     through ``extend`` and have one element swapped through ``replace``;
-    either drops only the cached W_b and divisors that an added or removed
-    leading form reaches.  Every other workspace keeps the very same
-    generator multiples in the same order, so its echelon form, and every
-    step taken against it, does not change.  ``remove`` drops one element
-    and every cached workspace and divisor, since those number X by
-    position.
+    either drops only the cached degrees that an added or removed leading
+    form reaches.  Every other workspace keeps the very same generator
+    multiples in the same order, so its echelon form, and every step taken
+    against it, does not change.  ``remove`` drops one element and every
+    cached degree, since the entries number X by position.
 
     Warm normal forms under a grading that is not a module term order come
     from a table of monomial normal forms (see the module docstring), which
@@ -187,17 +186,18 @@ class Reducer:
         self.field = self.ring.field
         self.policy = policy if policy is not None else default_policy(self.field)
         check_policy(self.policy, self.field)
+        # W_b is 0 or N_b: span and complement steps coincide
+        self._by_divisor = isinstance(spec, TermModuleGrading)
         self.X = []
         self.lf_parts = []
         # each element's terms below its leading form: (component, exponents, coeff)
         self.tails = []
+        # degree -> W_b, or under a term order its first divisor entry
         self._cache = {}
-        self._divisors = {}
         # module monomial -> (key, degree, monomial)
         self._keyed = {}
-        # module monomial -> (normal form pairs, tabled steps), and the input monomials seen
+        # module monomial -> (normal form pairs, tabled steps), or None if seen once
         self._table = {}
-        self._seen = set()
         self.extend(X, parts)
 
     def _split(self, m, part=None):
@@ -216,15 +216,13 @@ class Reducer:
         return part, tail
 
     def _forget(self, degree):
-        """Drop the cached workspaces and divisors a leading form of this degree reaches."""
-        for cache in (self._cache, self._divisors):
-            for b in [b for b in cache if self.spec.reaches(degree, b)]:
-                del cache[b]
+        """Drop the cached degrees a leading form of this degree reaches."""
+        for b in [b for b in self._cache if self.spec.reaches(degree, b)]:
+            del self._cache[b]
 
     def _changed(self):
         """X changed, and with it every normal form: clear the monomial table."""
         self._table.clear()
-        self._seen.clear()
 
     def extend(self, ys, parts=None):
         """Append elements to X, as if the Reducer had been built on X + ys.
@@ -258,21 +256,16 @@ class Reducer:
         self._changed()
 
     def remove(self, idx):
-        """Drop X[idx], as if the Reducer had been built without it.
-
-        Cached workspaces and divisors number the elements by position, so
-        both caches are cleared.
-        """
+        """Drop X[idx], as if the Reducer had been built without it; the cache numbers X, so it is cleared."""
         del self.lf_parts[idx]
         del self.tails[idx]
         self.X = self.X[:idx] + self.X[idx + 1 :]
         self._cache.clear()
-        self._divisors.clear()
         self._changed()
 
     def w_space(self, degree, skip=None):
-        """W_b(X), or W_b of X without X[skip] (built afresh where X[skip] reaches b)."""
-        if skip is not None and self.spec.reaches(self.lf_parts[skip].degree, degree):
+        """W_b(X), or W_b without X[skip]; built afresh where X[skip] reaches b or the cache holds divisors."""
+        if self._by_divisor or (skip is not None and self.spec.reaches(self.lf_parts[skip].degree, degree)):
             return w_space(self.X, degree, self.spec, self.lf_parts, skip=skip)
         sub = self._cache.get(degree)
         if sub is None:
@@ -319,14 +312,13 @@ class Reducer:
         together, against W_b.
         """
         self._check(m)
-        # W_b is 0 or N_b: span and complement steps coincide
-        by_divisor = isinstance(self.spec, TermModuleGrading)
+        by_divisor = self._by_divisor
         field = self.field
         mul, one, is_zero = field.mul, field.one, field.is_zero
         keyed = self._keyed
         terms = dict(m.term_map())
         live = sorted(keyed.get(t) or self._key_entry(t) for t in terms)
-        divisors = self._divisors
+        cache = self._cache
         steps = []
         rest = {}
         while live:
@@ -335,9 +327,9 @@ class Reducer:
                 c = terms.pop(t)
                 if is_zero(c):
                     continue
-                entry = divisors.get(degree, _UNSEEN)
+                entry = cache.get(degree, _UNSEEN)
                 if entry is _UNSEEN:
-                    entry = divisors[degree] = self._divisor(degree)
+                    entry = cache[degree] = self._divisor(degree)
                 if entry is not None and entry[0] == skip:
                     entry = self._divisor(degree, skip + 1)
                 if entry is None:
@@ -394,18 +386,18 @@ class Reducer:
 
         A monomial seen before since X last changed takes its entry, filled
         now if this is its second sighting; the first-seen monomials are
-        reduced together in one pass.
+        marked seen and reduced together in one pass.
         """
         self._check(m)
-        table, seen = self._table, self._seen
+        table = self._table
         hits, fresh = [], {}
         for t, c in m.term_map().items():
-            entry = table.get(t)
+            entry = table.get(t, _UNSEEN)
+            if entry is _UNSEEN:
+                table[t] = None
+                fresh[t] = c
+                continue
             if entry is None:
-                if t not in seen:
-                    seen.add(t)
-                    fresh[t] = c
-                    continue
                 entry = table[t] = self._entry(t)
             hits.append((c, entry))
         if not hits:
@@ -453,7 +445,7 @@ class Reducer:
         summed from the monomial table (``_tabled``); it equals the pass's,
         step for step.
         """
-        if skip is not None or isinstance(self.spec, TermModuleGrading):
+        if skip is not None or self._by_divisor:
             trace = self._reduce(m, COMPLEMENT, skip)
         else:
             trace = self._tabled(m)

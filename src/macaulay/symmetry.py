@@ -43,7 +43,7 @@ def _identity(n, field):
 
 
 def _is_invertible(mat, field):
-    rows, _, _ = rref([dict(enumerate(r)) for r in mat], field, track=False)
+    rows, _, _ = rref([dict(enumerate(r)) for r in mat], field)
     return len(rows) == len(mat)
 
 

@@ -116,6 +116,9 @@ def test_group_file_parsing(R2, tmp_path, capsys):
     assert len(action.elements) == 4
     action = parse_group_file("matrix [[0,1],[-1,0]]\n", R2)
     assert len(action.elements) == 4
+    # the empty cycle is the identity; spaces inside the parentheses are allowed
+    assert len(parse_group_file("perm ()\n", R2).elements) == 1
+    assert len(parse_group_file("perm ( 1 2 )\n", R2).elements) == 2
     with pytest.raises(ParseError):
         parse_group_file("spin (1 2)\n", R2)
     with pytest.raises(ParseError):
@@ -701,6 +704,14 @@ def test_cli_group_declared_in_the_problem(tmp_path, capsys):
     assert code == 0 and "invariant: yes" in out
 
 
+_BAD_GROUP_FILES = {
+    "bad.grp": "perm (1 x)\n",
+    "bare.grp": "perm 1 2\n",
+    "unclosed.grp": "perm ((1 2\n",
+    "unopened.grp": "signed-perm -2 1)\n",
+}
+
+
 @pytest.mark.parametrize(
     "text, argv, code, message",
     [
@@ -719,10 +730,17 @@ def test_cli_group_declared_in_the_problem(tmp_path, capsys):
         ("ring q: x y\ngen x\n", ["dehomogenize", "--var", "t"], 3, "not present"),
         ("ring q: t x y\ngen x - t\n", ["dehomogenize", "--var", "t"], 3, "declared last"),
         ("ring q: x y\ngen x\n", ["check-invariant"], 3, "--group"),
+        # cycle and signed-perm entries sit inside exactly one pair of parentheses
+        ("ring q: x y\ngen x\n", ["check-invariant", "--group", "bare.grp"], 2, "malformed group generator"),
+        ("ring q: x y\ngen x\n", ["check-invariant", "--group", "unclosed.grp"], 2, "malformed group generator"),
+        ("ring q: x y\ngen x\n", ["check-invariant", "--group", "unopened.grp"], 2, "malformed group generator"),
+        # --coeff overrides a valid field spec, and does not excuse an invalid one
+        ("ring zz: x y\ngen x\n", ["basis", "--coeff", "q"], 2, "line 1, col 1: unknown field spec 'zz'"),
     ],
 )
 def test_cli_documented_failures_exit_cleanly(tmp_path, capsys, text, argv, code, message):
-    write(tmp_path, "bad.grp", "perm (1 x)\n")
+    for name, group in _BAD_GROUP_FILES.items():
+        write(tmp_path, name, group)
     path = write(tmp_path, "problem.mac", text)
     argv = [str(tmp_path / a) if a.endswith(".grp") else a for a in argv]
     got, out, err = run_cli(tmp_path, capsys, argv[0], path, *argv[1:])

@@ -98,7 +98,7 @@ def test_render_parse_round_trip():
 # sparse rref against dense Gauss-Jordan
 
 
-def _dense_rref(rows, field, track=True):
+def _dense_rref(rows, field):
     """Dense Gauss-Jordan on lists, with an n x n identity of combinations.
 
     The pivot is the first row from r on that is nonzero in the lowest
@@ -127,7 +127,7 @@ def _dense_rref(rows, field, track=True):
                 combos[i] = [field.sub(v, field.mul(f, w)) for v, w in zip(combos[i], combos[r])]
         pivots.append(c)
         r += 1
-    return work[:r], pivots, (combos[:r] if track else None)
+    return work[:r], pivots, combos[:r]
 
 
 def _random_sparse_matrix(rng, field):
@@ -182,8 +182,6 @@ def test_rref_matches_dense_reference(field):
                 for j, v in sparse[i].items():
                     applied[j] = field.add(applied.get(j, field.zero), field.mul(c, v))
             assert {j: v for j, v in applied.items() if not field.is_zero(v)} == row
-        # untracked: the same rows and pivots, no combinations
-        assert rref(sparse, field, track=False) == (rows, pivots, None)
         # stored zeros are ignored
         padded = [{**row, ncols: field.zero} for row in sparse]
         assert rref(padded, field) == (rows, pivots, combos)
@@ -192,7 +190,6 @@ def test_rref_matches_dense_reference(field):
 @pytest.mark.parametrize("field", [RationalField(), PrimeField(32003)], ids=repr)
 def test_rref_edge_cases(field):
     assert rref([], field) == ([], [], [])
-    assert rref([], field, track=False) == ([], [], None)
     # zero rows only: no pivot, every row dropped
     assert rref([{}, {}], field) == ([], [], [])
     # duplicate rows: the second cancels against the first

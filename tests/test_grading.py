@@ -13,10 +13,12 @@ from macaulay.grading import (
     TermModuleGrading,
     TermOrderGrading,
     TotalDegreeGrading,
+    degrevlex_key,
     syzygy_refinement,
     total_refinement,
     verify_monoid_order,
 )
+from macaulay.macbasis import buchberger_algorithm
 from macaulay.polymod import ModuleElement, degree_of
 
 
@@ -46,9 +48,8 @@ def test_verify_monoid_order_examples():
     assert not verify_monoid_order(singular).passed
 
 
-def test_weight_matrix_checked_once(monkeypatch):
-    # the exact rank test runs once per weight matrix, and every build still
-    # gives its own grading object, with the same verdict
+def _count_rank_checks(monkeypatch):
+    """The list of grading.rref calls made from now on."""
     from macaulay import grading
 
     calls = []
@@ -59,13 +60,32 @@ def test_weight_matrix_checked_once(monkeypatch):
         return rref(*args, **kwargs)
 
     monkeypatch.setattr(grading, "rref", counting)
-    grading._structural_failures.cache_clear()
+    return calls
+
+
+def test_weight_matrix_checked_once(monkeypatch):
+    # the exact rank test runs once per grading, when its verdict is first
+    # read, and every build gives its own grading object with the same verdict
+    calls = _count_rank_checks(monkeypatch)
     built = [TermOrderGrading.degrevlex(3) for _ in range(3)]
     built += [TermOrderGrading([[1, 1], [2, 2]]) for _ in range(2)]
-    assert len(calls) == 2
     assert len({id(g) for g in built}) == 5
-    assert [g.structural_failures for g in built] == [()] * 3 + [("weight matrix is singular over Q",)] * 2
+    for _ in range(2):
+        assert [g.structural_failures for g in built] == [()] * 3 + [("weight matrix is singular over Q",)] * 2
+        assert len(calls) == 5
     assert TermOrderGrading([[1, 0, 0], [0, 1, 0]]).structural_failures == ("weight matrix is not square",)
+
+
+def test_rank_check_waits_for_the_verdict(monkeypatch, total2, circle_pair):
+    # building a weight-matrix grading runs no elimination; nor does a
+    # completion whose syzygy route builds a degrevlex grading for its inner
+    # completion, where nothing reads that grading's verdict
+    calls = _count_rank_checks(monkeypatch)
+    weighted = TermOrderGrading([[1, 2], [0, -1]])
+    buchberger_algorithm(circle_pair, total2)
+    assert calls == []
+    assert verify_monoid_order(weighted).passed
+    assert len(calls) == 1
 
 
 def test_strict_total_order_sampled():
@@ -93,6 +113,10 @@ def test_block_grading():
     mons = block.monomials((1, 1))
     assert mons == [(1, 1)]
     assert verify_monoid_order(block).passed
+    # interleaved blocks: the monomials still come degrevlex descending, the
+    # order a graded component's basis takes them in
+    mons = BlockGrading(4, (0, 2)).monomials((2, 2))
+    assert len(mons) == 9 and mons == sorted(mons, key=degrevlex_key, reverse=True)
 
 
 def test_apply_refinement_examples():

@@ -1,6 +1,7 @@
 """Derandomized property tests: the reducer against the oracles, the grading
 order keys against the three-way comparator formulas they replace, the
 elimination-route order's degrees and multipliers against direct formulas,
+every module grading's component monomials against the canonical order,
 term-module degrees against the ring grading's degree-plus-shift, the
 elimination route's syzygies, fresh and resumed, against kernel dimensions,
 resumed and fresh inner completions against each other, reduced
@@ -40,8 +41,9 @@ from macaulay.grading import (
     TermModuleGrading,
     TermOrderGrading,
     TotalDegreeGrading,
+    degrevlex_key,
 )
-from macaulay.gradlin import ORTHOGONAL, PIVOT, project_complement, w_space
+from macaulay.gradlin import ORTHOGONAL, PIVOT, component_monomials, project_complement, w_space
 from macaulay.macbasis import (
     BuchbergerConfig,
     _ExtendedOrder,
@@ -171,6 +173,7 @@ def _gradings():
         "matrix": weighted,
         "block": BlockGrading(3, (0,)),
         "coarse": coarse,
+        "coarse-block": CoarseModuleGrading(BlockGrading(3, (0,)), 2, shifts=((0, 0), (0, 1))),
         "pot": TermModuleGrading(drl, 3, shifts=shifts, tie="pot"),
         "top": top,
         "syzygy-coarse": syz_total,
@@ -245,6 +248,30 @@ def test_extended_order_matches_prefold_formulas(terms):
             assert spec.translate(a, exps) == prefold_translate(a, exps)
         for b in degrees:
             assert spec.multipliers(a, b) == prefold_multipliers(a, b)
+
+
+def prefold_canonical(mons):
+    """The component basis order gradlin sorted into: no repeats, component ascending, degrevlex descending inside."""
+    mons = sorted(set(mons), key=lambda t: degrevlex_key(t[1]), reverse=True)
+    return sorted(mons, key=lambda t: t[0])
+
+
+@pytest.mark.parametrize("name", sorted(n for n, spec in GRADINGS.items() if isinstance(spec, ModuleGrading)))
+@PROPERTY
+@given(terms=module_terms)
+def test_component_monomials_come_canonical(name, terms):
+    # every module grading lists a component's monomials in the canonical
+    # order, once each, so gradlin takes the list as it is; each listed
+    # monomial has the component's degree, and the term itself is listed
+    spec = GRADINGS[name]
+    for comp, exps in terms:
+        term = (comp % spec.rank, exps)
+        degree = spec.degree_of_term(*term)
+        mons = spec.component_monomials(degree)
+        assert mons == prefold_canonical(mons)
+        assert term in mons
+        assert all(spec.degree_of_term(*t) == degree for t in mons)
+        assert component_monomials(spec, degree).monomials == tuple(mons)
 
 
 @pytest.mark.parametrize("name", ["pot", "top", "extended"])

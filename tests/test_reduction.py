@@ -8,7 +8,7 @@ from oracles import ideal_member, raw_poly
 from macaulay import gradlin
 from macaulay.coeff import PrimeField, RationalField
 from macaulay.errors import MembershipError, UsageError
-from macaulay.gradlin import ORTHOGONAL, PIVOT
+from macaulay.gradlin import ORTHOGONAL, PIVOT, GradedSubspace
 from macaulay.grading import (
     POT,
     TOP,
@@ -282,9 +282,8 @@ def test_extended_reducer_traces_match_fresh(R2, el, total2, drl2, circle_pair, 
             warm.normal_form(m)
             warm.reduces_to_zero(m)
         lead_degrees = [degree_of(y, spec) for y in ys]
-        # a term order reduces through first divisors, cached per degree like W-spaces
-        cache = warm._divisors if order == "degrevlex" else warm._cache
-        assert any(spec.multipliers(d, b) for d in lead_degrees for b in cache)
+        # a term order reduces through first divisors, cached per degree where W-spaces are
+        assert any(spec.multipliers(d, b) for d in lead_degrees for b in warm._cache)
         warm.extend(ys)
         X = circle_pair + ys
         _assert_same_traces(warm, Reducer(X, spec, policy), elements)
@@ -340,6 +339,11 @@ class _Opaque(ModuleGrading):
         return self.inner.component_monomials(deg)
 
 
+def _holds_w_spaces(reducer):
+    """Did the reducer settle its degrees against W-spaces, none by first divisor?"""
+    return reducer._cache and all(isinstance(e, GradedSubspace) for e in reducer._cache.values())
+
+
 def _assert_routes_agree(fast, slow, elements):
     for m in elements:
         runs = [("normal_form", {}), ("reduces_to_zero", {})]
@@ -383,9 +387,9 @@ def test_divisor_route_matches_w_spaces(field, order):
         for reducer in (fast, slow):
             reducer.replace(0, y)
         _assert_routes_agree(fast, slow, elements)
-        # each took its own route
-        assert fast._divisors and not fast._cache
-        assert slow._cache and not slow._divisors
+        # each took its own route: first divisors in one cache, W-spaces in the other
+        assert fast._cache and not any(isinstance(e, GradedSubspace) for e in fast._cache.values())
+        assert _holds_w_spaces(slow)
 
 
 def test_removed_reducer_traces_match_fresh():
@@ -484,7 +488,7 @@ def test_one_pass_matches_the_relation(grading, policy):
         for skip in range(len(X)):
             nf, trace = reducer.normal_form(m, skip=skip)
             assert (trace.steps, nf) == _relation(m, X, spec, policy, skip)
-    assert reducer._cache and not reducer._divisors
+    assert _holds_w_spaces(reducer)
 
 
 @pytest.mark.parametrize("policy", [ORTHOGONAL, PIVOT, "fp"])
@@ -511,8 +515,8 @@ def test_tabled_normal_forms_match_the_pass(grading, policy):
     sightings = []
     for _ in range(3):
         for m in elements:
-            table, seen = reducer._table, reducer._seen
-            kinds = {"table" if t in table else "second" if t in seen else "first" for t in m.term_map()}
+            table = reducer._table
+            kinds = {"first" if t not in table else "second" if table[t] is None else "table" for t in m.term_map()}
             sightings.append(kinds)
             nf, trace = reducer.normal_form(m)
             want = reference._reduce(m, COMPLEMENT)
@@ -520,8 +524,9 @@ def test_tabled_normal_forms_match_the_pass(grading, policy):
             assert trace.final + trace.representation_sum(X) == m
     assert set().union(*sightings) == {"first", "second", "table"}
     assert any(len(seen) > 1 for seen in sightings)
-    assert set(reducer._table) <= reducer._seen
-    assert reducer._cache and not reducer._divisors
+    # every input monomial was met at least twice, so each has its entry filled
+    assert reducer._table and None not in reducer._table.values()
+    assert _holds_w_spaces(reducer)
 
 
 def test_replace_with_a_new_tail_clears_the_table(R2, el, total2, circle_pair):
@@ -537,7 +542,7 @@ def test_replace_with_a_new_tail_clears_the_table(R2, el, total2, circle_pair):
         assert warm._table
         cached = dict(warm._cache)
         warm.replace(0, same_lead)
-        assert warm._cache == cached and not warm._table and not warm._seen
+        assert warm._cache == cached and not warm._table
         fresh = Reducer([same_lead, circle_pair[1]], total2, policy)
         assert any(fresh.normal_form(m)[0] != old.normal_form(m)[0] for m in elements)
         for _ in range(3):
