@@ -385,6 +385,8 @@ class TermModuleGrading(ModuleGrading):
             raise UsageError("tie order must be 'pot' or 'top'")
         super().__init__(ring_grading, rank, shifts)
         self.tie = tie
+        # degree -> key, each degree checked and keyed once
+        self._keys = {}
 
     def basis_degree(self, i):
         return (i, self.shifts[i])
@@ -399,8 +401,15 @@ class TermModuleGrading(ModuleGrading):
             raise UsageError("term module degrees are (component, value) pairs")
 
     def key(self, degree):
+        try:
+            return self._keys[degree]
+        except (KeyError, TypeError):  # unseen; an unhashable degree is malformed, and the checks raise
+            self._check(degree)
+        key = self._keys[degree] = self._key(degree)
+        return key
+
+    def _key(self, degree):
         # the lower component index ranks higher
-        self._check(degree)
         comp, value = degree
         if self.tie == POT:
             return (-comp, self.ring.key(value))

@@ -18,7 +18,13 @@ from pass to pass while the canonical order holds, hands the last one to
 the closing criterion, and leaves the element being reduced out only at
 its own degree, the one workspace it can change.  An element that reduces
 to zero leaves the set and the ``Reducer`` at once, and the same pass goes
-on with the next element.
+on with the next element.  Interreduction ends after a pass that changes
+no leading form: each W_b(X), and the complement either policy fixes for
+it, depends on the leading forms alone, and an element that reduces to
+zero has its leading form in the W of the others, so dropping it changes
+no W_b.  A further pass would leave every element as it is (a reduced
+Groebner basis is one whose elements are each in normal form with respect
+to the others: Cox, Little and O'Shea, section 2.7).
 
 Syzygies of leading forms are produced two ways.  When every leading form is
 a single term, the pairwise lcm combinations generate (the classical S-pairs),
@@ -189,22 +195,22 @@ def monomial_syzygy_generators(terms, since=0):
     """
     if not terms:
         return []
+    ring = terms[0].ring
+    field = ring.field
+    # (component, exponents, inverse coefficient) of each term
     infos = []
-    ring = None
     for t in terms:
         items = list(t.term_map().items())
         if len(items) != 1:
             raise UsageError("monomial syzygies need single-term elements")
         (comp, exps), coeff = items[0]
-        infos.append((comp, exps, coeff))
-        ring = t.ring
-    field = ring.field
+        infos.append((comp, exps, field.inv(coeff)))
     n = len(infos)
     out = []
     for i in range(n):
-        ci, ei, coef_i = infos[i]
+        ci, ei, inv_i = infos[i]
         for j in range(max(i + 1, since), n):
-            cj, ej, coef_j = infos[j]
+            cj, ej, inv_j = infos[j]
             if ci != cj:
                 continue
             lcm = tuple(map(max, ei, ej))
@@ -220,8 +226,8 @@ def monomial_syzygy_generators(terms, since=0):
                 ring,
                 n,
                 {
-                    (i, tuple(map(operator.sub, lcm, ei))): field.inv(coef_i),
-                    (j, tuple(map(operator.sub, lcm, ej))): field.neg(field.inv(coef_j)),
+                    (i, tuple(map(operator.sub, lcm, ei))): inv_i,
+                    (j, tuple(map(operator.sub, lcm, ej))): field.neg(inv_j),
                 },
             )
             out.append(syz)
@@ -231,14 +237,15 @@ def monomial_syzygy_generators(terms, since=0):
 class _ExtendedOrder(TermModuleGrading):
     """Block term order on N + R^n eliminating the N-part.
 
-    A degrevlex module term order with zero shifts and a different key:
-    degrees, translation, multipliers and component monomials are the ones
-    of ``TermModuleGrading``.  Every monomial of the first ``base_rank``
-    components outranks every coordinate monomial, so elements led by a
-    coordinate monomial have no N-part at all.  Inside the coordinate block
-    the order refines the syzygy grading (degree first, degrevlex and
-    position to break ties), so the extracted elements split into
-    homogeneous syzygies, which together form a generating set.
+    A degrevlex module term order with zero shifts and a different key,
+    memoized per degree as there: degrees, translation, multipliers and
+    component monomials are the ones of ``TermModuleGrading``.  Every
+    monomial of the first ``base_rank`` components outranks every
+    coordinate monomial, so elements led by a coordinate monomial have no
+    N-part at all.  Inside the coordinate block the order refines the
+    syzygy grading (degree first, degrevlex and position to break ties), so
+    the extracted elements split into homogeneous syzygies, which together
+    form a generating set.
     """
 
     def __init__(self, syz: SyzygyGrading, base_rank: int):
@@ -246,7 +253,7 @@ class _ExtendedOrder(TermModuleGrading):
         self.syz = syz
         self.base_rank = base_rank
 
-    def key(self, degree):
+    def _key(self, degree):
         # (block, syzygy key, degrevlex key, -component): the N block ranks
         # first and has no syzygy degree; the lower component index ranks higher
         i, u = degree
@@ -544,16 +551,21 @@ def interreduce(basis_or_elements, spec, policy=None) -> MacaulayBasis:
     Each pass reduces the elements in canonical order against one
     ``Reducer``.  An element that reduces to zero is dropped from the list
     and from the Reducer (``Reducer.remove``), and the pass continues with
-    the element that moves into its place; survivors are normalized.  Only a
-    full pass that changes nothing ends the loop.  The Reducer, which
+    the element that moves into its place; survivors are normalized.  A
+    pass that changes no leading form ends the loop: every workspace and its
+    complement are then final (see the module docstring), so each element
+    is in normal form with respect to the others and another pass would
+    change nothing.  The canonical order is still restored, since a new tail
+    can move an element among those of its degree.  The Reducer, which
     ``replace`` and ``remove`` keep as if built on the current list, carries
     over to the next pass while the canonical order stays the same, and is
     rebuilt only when it changes.  Under a term order the result is the
     reduced Groebner basis, which is unique whatever order the drops came
     in.  The result generates the same submodule with the same leading-form
     submodule and is certified against the criterion before being returned,
-    on the last pass's Reducer; the certificate covers exactly the returned
-    elements under ``spec``.
+    on the last pass's Reducer, or a fresh one if the closing reorder moved
+    an element; the certificate covers exactly the returned elements under
+    ``spec``.
     """
     if isinstance(basis_or_elements, MacaulayBasis):
         elements = list(basis_or_elements.elements)
@@ -564,16 +576,17 @@ def interreduce(basis_or_elements, spec, policy=None) -> MacaulayBasis:
     elements, parts = list(parts), list(parts.values())
 
     reducer = None
+    settled = False
     for _ in range(100):
         order = _canonical_positions([spec.key(p.degree) for p in parts], elements)
         if order != list(range(len(order))):
             elements, parts = [elements[pos] for pos in order], [parts[pos] for pos in order]
             reducer = None
-        if len(elements) < 2:
+        if settled or len(elements) < 2:
             break
         if reducer is None:
             reducer = Reducer(elements, spec, policy, parts=parts)
-        changed = False
+        settled = True
         idx = 0
         while idx < len(elements):
             nf, _ = reducer.normal_form(elements[idx], skip=idx)
@@ -582,16 +595,13 @@ def interreduce(basis_or_elements, spec, policy=None) -> MacaulayBasis:
                 elements.pop(idx)
                 parts.pop(idx)
                 reducer.remove(idx)
-                changed = True
                 continue
             nf, part = _normalized(nf, spec)
             if nf != elements[idx]:
+                settled = settled and part.element == parts[idx].element
                 elements[idx], parts[idx] = nf, part
                 reducer.replace(idx, nf, part)
-                changed = True
             idx += 1
-        if not changed:
-            break
     else:
         raise ResourceLimitError("interreduction did not stabilize", partial=tuple(elements))
 

@@ -251,10 +251,12 @@ def linear_combination(ring, rank, parts) -> ModuleElement:
     field = ring.field
     acc = {}
     for s, u, m in parts:
+        unit = s == field.one
         for (i, exps), c in m._terms.items():
             t = (i, tuple(map(add, exps, u)))
+            sc = c if unit else field.mul(s, c)
             prev = acc.get(t)
-            acc[t] = field.mul(s, c) if prev is None else field.add(prev, field.mul(s, c))
+            acc[t] = sc if prev is None else field.add(prev, sc)
     return ModuleElement.from_terms(ring, rank, acc)
 
 

@@ -31,7 +31,10 @@ W_b = N_b, and the echelon form of the rows [c_1], [c_2], ... pivots on the
 first row, whose combination is the inverse of c_1.  So under these
 gradings the pass settles each degree, one term, by its first divisor,
 cached per degree instead of a workspace, and every trace and final element
-is the one the workspace route gives.
+is the one the workspace route gives.  Each element's inverse leading
+coefficient is computed once, when it joins X, and an element appended to
+X is never the first divisor of a degree that already has one, so
+``extend`` drops only the degrees cached as having none.
 
 Steps are fully deterministic: the multipliers come from echelon
 back-substitution in a fixed generator order, so identical inputs produce
@@ -161,13 +164,15 @@ class Reducer:
     keeps, per degree, whichever of the two the Reducer's grading settles
     by; ``w_space`` still builds W_b on request under a term order, uncached.
     Each module monomial's sort entry is cached too (``_keyed``); it depends
-    on the grading alone, so no change to X touches it.  X can grow
-    through ``extend`` and have one element swapped through ``replace``;
-    either drops only the cached degrees that an added or removed leading
-    form reaches.  Every other workspace keeps the very same generator
-    multiples in the same order, so its echelon form, and every step taken
-    against it, does not change.  ``remove`` drops one element and every
-    cached degree, since the entries number X by position.
+    on the grading alone, so no change to X touches it.  Under a term order
+    each element's inverse leading coefficient is stored as it joins.  X
+    can grow through ``extend`` and have one element swapped through
+    ``replace``; either drops only the cached degrees that an added or
+    removed leading form reaches, and ``extend`` under a term order only
+    those cached with no divisor.  Every other workspace keeps the very same
+    generator multiples in the same order, so its echelon form, and every
+    step taken against it, does not change.  ``remove`` drops one element
+    and every cached degree, since the entries number X by position.
 
     Warm normal forms under a grading that is not a module term order come
     from a table of monomial normal forms (see the module docstring), which
@@ -192,6 +197,8 @@ class Reducer:
         self.lf_parts = []
         # each element's terms below its leading form: (component, exponents, coeff)
         self.tails = []
+        # under a term order, each leading coefficient's inverse, field.one itself if 1
+        self._invs = []
         # degree -> W_b, or under a term order its first divisor entry
         self._cache = {}
         # module monomial -> (key, degree, monomial)
@@ -201,7 +208,7 @@ class Reducer:
         self.extend(X, parts)
 
     def _split(self, m, part=None):
-        """(leading-form part, tail) of a reduction-set element, validated.
+        """(leading-form part, tail, inverse leading coefficient) of a reduction-set element, validated.
 
         ``part`` is m's leading part when the caller has it already.
         """
@@ -213,11 +220,17 @@ class Reducer:
             part = leading_form(m, self.spec)
         lead = part.element.term_map()
         tail = [(i, exps, c) for (i, exps), c in m.term_map().items() if (i, exps) not in lead]
-        return part, tail
+        inv = None
+        if self._by_divisor:
+            (lc,) = lead.values()
+            # stored as field.one itself, so that a step can skip the product
+            inv = self.field.one if lc == self.field.one else self.field.inv(lc)
+        return part, tail, inv
 
-    def _forget(self, degree):
-        """Drop the cached degrees a leading form of this degree reaches."""
-        for b in [b for b in self._cache if self.spec.reaches(degree, b)]:
+    def _forget(self, degree, appended=False):
+        """Drop the cached degrees a leading form of this degree reaches (only None entries if appended, by divisor)."""
+        spare = appended and self._by_divisor
+        for b in [b for b, e in self._cache.items() if (e is None or not spare) and self.spec.reaches(degree, b)]:
             del self._cache[b]
 
     def _changed(self):
@@ -231,10 +244,11 @@ class Reducer:
         """
         ys = list(ys)
         parts = [None] * len(ys) if parts is None else list(parts)
-        for part, tail in [self._split(y, part) for y, part in zip(ys, parts, strict=True)]:
-            self._forget(part.degree)
+        for part, tail, inv in [self._split(y, part) for y, part in zip(ys, parts, strict=True)]:
+            self._forget(part.degree, appended=True)
             self.lf_parts.append(part)
             self.tails.append(tail)
+            self._invs.append(inv)
         # a new list, so traces taken earlier keep the X they index
         self.X = self.X + ys
         self._changed()
@@ -244,7 +258,7 @@ class Reducer:
 
         ``part``, if given, is the leading part of y.
         """
-        part, tail = self._split(y, part)
+        part, tail, self._invs[idx] = self._split(y, part)
         old = self.lf_parts[idx]
         if part.element != old.element:
             self._forget(old.degree)
@@ -259,6 +273,7 @@ class Reducer:
         """Drop X[idx], as if the Reducer had been built without it; the cache numbers X, so it is cleared."""
         del self.lf_parts[idx]
         del self.tails[idx]
+        del self._invs[idx]
         self.X = self.X[:idx] + self.X[idx + 1 :]
         self._cache.clear()
         self._changed()
@@ -281,14 +296,10 @@ class Reducer:
         difference of the exponents, is nonnegative.  None if no X[i] does.
         """
         comp, value = degree
-        one = self.field.one
         for idx in range(start, len(self.lf_parts)):
             lead_comp, lead_value = self.lf_parts[idx].degree
             if lead_comp == comp and all(map(le, lead_value, value)):
-                (lc,) = self.lf_parts[idx].element.term_map().values()
-                inv = self.field.inv(lc)
-                # stored as field.one itself, so that a step can skip the product
-                return idx, tuple(map(sub, value, lead_value)), one if inv == one else inv
+                return idx, tuple(map(sub, value, lead_value)), self._invs[idx]
         return None
 
     def _key_entry(self, term):

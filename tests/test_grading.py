@@ -7,6 +7,8 @@ from macaulay.grading import (
     EQUAL,
     GREATER,
     LESS,
+    POT,
+    TOP,
     BlockGrading,
     CoarseModuleGrading,
     SyzygyGrading,
@@ -35,6 +37,19 @@ def test_compare_examples(total2, drl2):
 def test_incomparable_shapes(total2):
     with pytest.raises(UsageError):
         total2.compare(2, (1, 1))
+
+
+@pytest.mark.parametrize("tie", [POT, TOP])
+def test_memoized_keys_still_refuse_malformed_degrees(tie):
+    # the key memo must not let a malformed degree through on a later call;
+    # a list is unhashable and never reaches the memo
+    spec = TermModuleGrading(TermOrderGrading.degrevlex(2), 2, tie=tie)
+    for bad in ([0, (1, 0)], (0, [1, 0]), (0, (1, 0, 0)), ("0", (1, 0)), (0,), None):
+        for _ in range(3):
+            with pytest.raises(UsageError):
+                spec.key(bad)
+    want = (-1, (3, -2)) if tie == POT else ((3, -2), -1)
+    assert spec.key((1, (1, 2))) == want and spec.key((1, (1, 2))) is spec.key((1, (1, 2)))
 
 
 def test_verify_monoid_order_examples():

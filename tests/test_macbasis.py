@@ -8,12 +8,16 @@ from hypothesis import strategies as st
 from oracles import classic_buchberger, drl_key, ideals_equal, in_span, raw_element_vectors, raw_poly
 
 from macaulay import macbasis
-from macaulay.coeff import RationalField
+from macaulay.coeff import PrimeField, RationalField
 from macaulay.errors import ResourceLimitError, UsageError
+from macaulay.gradlin import ORTHOGONAL, PIVOT
 from macaulay.grading import CoarseModuleGrading, TermModuleGrading, TermOrderGrading, TotalDegreeGrading
 from macaulay.macbasis import (
     BuchbergerConfig,
+    _canonical_positions,
+    _distinct_normalized,
     _ExtendedOrder,
+    _normalized,
     buchberger_algorithm,
     buchberger_criterion,
     degree_profile,
@@ -124,6 +128,25 @@ def test_new_pairs_are_the_filtered_pairs(items):
         for spec, gens in canonical.items():
             new = leading_syzygy_generators(terms, spec, since=since)
             assert [str(s) for s in new] == [str(s) for s in gens if _beyond(s, since)]
+
+
+def test_extended_order_keys_match_the_formula():
+    # memoized keys, on first and on repeated sightings, are the block formula
+    ring = PolyRing(RationalField(), ("x", "y", "z"))
+    drl = TermModuleGrading(TermOrderGrading.degrevlex(3), 2, ((0, 0, 0), (1, 0, 2)))
+    lfs = [ModuleElement.from_terms(ring, 2, {t: 1}) for t in ((0, (1, 0, 0)), (1, (0, 2, 1)), (0, (0, 1, 1)))]
+    syz = syzygy_grading(drl, lfs)
+    ext = _ExtendedOrder(syz, 2)
+    ring_key = TermOrderGrading.degrevlex(3).key
+    rng = random.Random(31)
+    degrees = [(rng.randrange(ext.rank), tuple(rng.randrange(4) for _ in range(3))) for _ in range(300)]
+    for i, u in degrees + degrees[::-1]:
+        if i < 2:
+            want = (1, None, ring_key(u), -i)
+        else:
+            comp, value = syz.basis_degree(i - 2)
+            want = (0, (-comp, ring_key(tuple(map(sum, zip(value, u))))), ring_key(u), -i)
+        assert ext.key((i, u)) == want
 
 
 def test_monomial_syzygy_coefficient_correction(R2, el):
@@ -565,7 +588,7 @@ def test_interreduce_keeps_its_reducer_for_the_criterion(Q, count_reducers):
     completed = list(buchberger_algorithm(_katsura3(Q), drl3).elements)
     built = count_reducers()
     red = interreduce(completed, drl3)
-    # one Reducer serves both passes and the closing criterion (three before)
+    # one Reducer serves the one pass and the closing criterion (three before)
     assert len(built) == 1
     assert red.certificate == buchberger_criterion(list(red.elements), drl3) == (True, None)
 
@@ -604,6 +627,98 @@ def test_interreduce_rebuilds_when_the_order_changes(el, total2, texts, reduced,
     assert got == fresh == red.certificate and got.holds
     # the pass Reducer was rebuilt once, for the new order, before the criterion
     assert built.index(kwargs["_reducer"]) == 1
+
+
+def _interreduce_until_nothing_changes(elements, spec, policy=None):
+    """(elements, certificate, passes) of interreduce as it was before its stop rule.
+
+    The loop ends only after a pass that changes nothing at all, so it runs
+    one confirmation pass after the last pass that changed some element.
+    """
+    parts = _distinct_normalized(elements, spec)
+    elements, parts = list(parts), list(parts.values())
+    reducer = None
+    passes = 0
+    for _ in range(100):
+        order = _canonical_positions([spec.key(p.degree) for p in parts], elements)
+        if order != list(range(len(order))):
+            elements, parts = [elements[pos] for pos in order], [parts[pos] for pos in order]
+            reducer = None
+        if len(elements) < 2:
+            break
+        if reducer is None:
+            reducer = Reducer(elements, spec, policy, parts=parts)
+        passes += 1
+        changed = False
+        idx = 0
+        while idx < len(elements):
+            nf, _ = reducer.normal_form(elements[idx], skip=idx)
+            if nf.is_zero():
+                elements.pop(idx)
+                parts.pop(idx)
+                reducer.remove(idx)
+                changed = True
+                continue
+            nf, part = _normalized(nf, spec)
+            if nf != elements[idx]:
+                elements[idx], parts[idx] = nf, part
+                reducer.replace(idx, nf, part)
+                changed = True
+            idx += 1
+        if not changed:
+            break
+    return elements, buchberger_criterion(elements, spec, _reducer=reducer), passes
+
+
+CYCLIC4 = ("a + b + c + d", "a*b + b*c + c*d + d*a", "a*b*c + b*c*d + c*d*a + d*a*b", "a*b*c*d - 1")
+CYCLIC3 = ("x + y + z", "x*y + y*z + z*x", "x*y*z - 1")
+C4 = ("x1^2 + x2^2 - 1", "x1^2*x2^2", "x1^3*x2 - x1*x2^3")
+_Q, _FP = RationalField(), PrimeField(32003)
+
+# name -> (variables, generators, field, total degree or degrevlex, policy, passes interreduce makes if pinned)
+_FIXED_POINT_CASES = {
+    "katsura3_q": ("x y z", KATSURA3, _Q, False, None, 1),
+    "katsura3_fp": ("x y z", KATSURA3, _FP, False, None, None),
+    "cyclic4_q": ("a b c d", CYCLIC4, _Q, False, None, None),
+    "cyclic4_fp": ("a b c d", CYCLIC4, _FP, False, None, None),
+    "c4_total_orthogonal": ("x1 x2", C4, _Q, True, ORTHOGONAL, None),
+    "c4_total_pivot": ("x1 x2", C4, _Q, True, PIVOT, None),
+    # a leading form changes in the first pass, so a second one must run
+    "cyclic3_total_fp": ("x y z", CYCLIC3, _FP, True, None, 2),
+}
+
+
+@pytest.mark.parametrize("name", list(_FIXED_POINT_CASES))
+def test_interreduce_stops_at_its_fixed_point(name, monkeypatch):
+    # once a pass changes no leading form, every W_b and its complement are
+    # final, so the loop that also runs the confirmation pass returns the same
+    # elements in the same order, with the same certificate, one pass later
+    names, texts, field, total, policy, passes = _FIXED_POINT_CASES[name]
+    ring = PolyRing(field, tuple(names.split()))
+    grading = TotalDegreeGrading(ring.nvars) if total else TermOrderGrading.degrevlex(ring.nvars)
+    spec = (CoarseModuleGrading if total else TermModuleGrading)(grading, 1)
+    gens = [ModuleElement.from_polynomial(ring.parse(t)) for t in texts]
+    elements = list(buchberger_algorithm(gens, spec, BuchbergerConfig(policy=policy)))
+    want, certificate, confirmed = _interreduce_until_nothing_changes(list(elements), spec, policy)
+    skips = []
+    normal_form = Reducer.normal_form
+
+    def recording(self, m, skip=None):
+        if skip is not None:  # the criterion's inner completions reduce with no skip
+            skips.append(skip)
+        return normal_form(self, m, skip)
+
+    monkeypatch.setattr(Reducer, "normal_form", recording)
+    got = interreduce(list(elements), spec, policy)
+    monkeypatch.undo()
+    assert list(got.elements) == want and got.certificate == certificate
+    # a pass reduces X[0], X[1], ... in turn, and a drop repeats the index
+    made = 1 + sum(b < a for a, b in zip(skips, skips[1:]))
+    assert made in (confirmed - 1, confirmed)
+    if passes is not None:
+        # katsura-3's completion settles in its first pass, and the
+        # confirmation pass is saved; cyclic-3's second pass changes nothing
+        assert (made, confirmed) == (passes, 2)
 
 
 def test_cyclic3_total_degree_interreduce(Q):

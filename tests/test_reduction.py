@@ -20,7 +20,7 @@ from macaulay.grading import (
     TermOrderGrading,
     TotalDegreeGrading,
 )
-from macaulay.polymod import ModuleElement, PolyRing, degree_of, homogeneous_components
+from macaulay.polymod import ModuleElement, PolyRing, degree_of, homogeneous_components, leading_form
 from macaulay.reduction import COMPLEMENT, Reducer, ReductionStep, dot, normal_form, reduces_to_zero
 from macaulay.symmetry import random_element
 
@@ -416,6 +416,64 @@ def test_removed_reducer_traces_match_fresh():
             del kept[idx]
             assert warm.X == kept
         _assert_routes_agree(warm, Reducer(kept, spec, policy), elements)
+
+
+def test_extend_keeps_the_cached_divisors():
+    # an appended element is never the first divisor of a degree that has one:
+    # extend drops only the degrees cached with none that its leading form reaches
+    ring = PolyRing(RationalField(), ("x", "y"))
+    drl = TermModuleGrading(TermOrderGrading.degrevlex(2), 1)
+    el = lambda s: ModuleElement.from_polynomial(ring.parse(s))
+    X = [el("2*x^2 + y"), el("3*x*y - 1")]
+    elements = [el("x^3 + y^3 + x*y^2 + y^2 + 1"), el("x^2*y^2 - 5*y^4 + x"), el("7*y^3 - x*y")]
+    warm = Reducer(X, drl)
+    for m in elements:
+        warm.normal_form(m)
+    found = {b: e for b, e in warm._cache.items() if e is not None}
+    y = el("2*y^2 - x")
+    reached = [b for b, e in warm._cache.items() if e is None and drl.reaches(degree_of(y, drl), b)]
+    assert found and reached
+    warm.extend([y])
+    assert all(warm._cache[b] is e for b, e in found.items())
+    assert not any(b in warm._cache for b in reached)
+    _assert_routes_agree(warm, Reducer(X + [y], drl), elements)
+
+
+@pytest.mark.parametrize("field", [RationalField(), PrimeField(32003)], ids=["Q", "F32003"])
+def test_stored_inverses_follow_the_mutators(field):
+    # each element's leading-coefficient inverse is stored when it joins, so
+    # a warm Reducer over leading coefficients other than 1 must keep the
+    # inverses in step with X through extend, replace and remove
+    ring = PolyRing(field, ("x", "y", "z"))
+    rng = random.Random(f"inverses {field!r}")
+    for rank, tie in ((1, POT), (2, POT), (2, TOP)):
+        spec = TermModuleGrading(TermOrderGrading.degrevlex(3), rank, tie=tie)
+
+        def draw(max_degree, lc):
+            m = random_element(ring, rank, rng, max_degree=max_degree, terms=3)
+            if m.is_zero():
+                return draw(max_degree, lc)
+            ((_, lc0),) = leading_form(m, spec).element.term_map().items()
+            return m.scale(field.div(field.from_int(lc), lc0))
+
+        X = [draw(2, lc) for lc in (2, 3, 1, 5)]
+        elements = X + [draw(5, 1) for _ in range(4)] + [random_ideal_element(ring, X, rng, 2) for _ in range(2)]
+        warm = Reducer(X, spec)
+        _assert_routes_agree(warm, Reducer(X, spec), elements)
+        # the added element shares X[1]'s leading monomial, and the first
+        # replacement X[0]'s, with another leading coefficient
+        X = X + [X[1].scale(field.from_int(7)), draw(2, 4)]
+        warm.extend(X[-2:])
+        _assert_routes_agree(warm, Reducer(X, spec), elements)
+        for idx, y in ((0, X[0].scale(field.from_int(-2))), (2, draw(2, 6))):
+            warm.replace(idx, y)
+            X[idx] = y
+            _assert_routes_agree(warm, Reducer(X, spec), elements)
+        for idx in (1, 0):
+            warm.remove(idx)
+            del X[idx]
+            _assert_routes_agree(warm, Reducer(X, spec), elements)
+        assert warm.X == X
 
 
 def _relation(m, X, spec, policy=None, skip=None):
