@@ -103,9 +103,8 @@ def schreyer_syzygy_basis(basis: MacaulayBasis, config=None) -> MacaulayBasis:
         raise UsageError("cannot take syzygies of an empty basis")
     parts = [leading_form(m, spec) for m in X]
     lf_elements = [p.element for p in parts]
-    degrees = [p.degree for p in parts]
-    syzspec = syzygy_grading(spec, lf_elements, degrees)
-    sygens = leading_syzygy_generators(lf_elements, spec, config, degrees=degrees)
+    syzspec = syzygy_grading(spec, lf_elements)
+    sygens = leading_syzygy_generators(lf_elements, spec, config)
     for s in sygens:
         if not is_homogeneous(s, syzspec):
             raise UsageError("leading-form syzygy generators must be homogeneous")

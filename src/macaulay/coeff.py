@@ -76,7 +76,8 @@ class RationalField:
         return self.div(self.one, a)
 
     def is_zero(self, a):
-        return a == 0
+        # reads the numerator; also right for a plain int
+        return not a
 
     def parse(self, text):
         try:

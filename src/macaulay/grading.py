@@ -16,7 +16,9 @@ Module gradings extend a ring grading to a free module of finite rank with
 per-component shifts, which one base, ``ModuleGrading``, validates and holds.
 Each module grading states the degree of every basis element e_i and how a
 ring monomial acts on a degree; the base derives from these the degree of
-each term ``x^a e_i`` and the monomials of each graded component.
+each term ``x^a e_i`` and the monomials of each graded component, and keeps
+each module monomial's degree and order key in one memo, filled on first
+sight (``term_entries``), which every layer that orders terms reads.
 ``CoarseModuleGrading`` merges components that share a degree value (graded
 components may then have dimension above one), while
 ``TermModuleGrading`` tags degrees with the component index and breaks ties
@@ -333,6 +335,22 @@ class ModuleGrading(Grading):
     def degree_of_term(self, comp, exps):
         return self.translate(self.basis_degree(comp), exps)
 
+    @cached_property
+    def term_entries(self):
+        """{module monomial: (key, degree, monomial)}, each entry filled once by ``term_entry``."""
+        return {}
+
+    def term_entry(self, term):
+        """The (key, degree, term) entry of a module monomial, computed on its first sight and kept.
+
+        Hot loops read ``term_entries`` first and call this on a miss only.
+        """
+        entry = self.term_entries.get(term)
+        if entry is None:
+            degree = self.degree_of_term(*term)
+            entry = self.term_entries[term] = (self.key(degree), degree, term)
+        return entry
+
     def component_monomials(self, deg):
         """All module monomials (component, exponents) of the given degree.
 
@@ -385,28 +403,17 @@ class TermModuleGrading(ModuleGrading):
             raise UsageError("tie order must be 'pot' or 'top'")
         super().__init__(ring_grading, rank, shifts)
         self.tie = tie
-        # degree -> key, each degree checked and keyed once
-        self._keys = {}
 
     def basis_degree(self, i):
         return (i, self.shifts[i])
-
-    def degree_of_term(self, comp, exps):
-        # the ring is a term order, whose degrees are exponent tuples: this is
-        # ring.add(ring.degree(exps), shift) in one tuple build
-        return (comp, tuple(map(operator.add, exps, self.shifts[comp])))
 
     def _check(self, deg):
         if not (isinstance(deg, tuple) and len(deg) == 2 and isinstance(deg[0], int)):
             raise UsageError("term module degrees are (component, value) pairs")
 
     def key(self, degree):
-        try:
-            return self._keys[degree]
-        except (KeyError, TypeError):  # unseen; an unhashable degree is malformed, and the checks raise
-            self._check(degree)
-        key = self._keys[degree] = self._key(degree)
-        return key
+        self._check(degree)
+        return self._key(degree)
 
     def _key(self, degree):
         # the lower component index ranks higher

@@ -76,9 +76,9 @@ from .polymod import (
     ModuleElement,
     _canonical_key,
     _leading_terms,
+    _term_degrees,
     degree_of,
     homogeneous_components,
-    is_homogeneous,
 )
 from .reduction import Reducer, dot
 
@@ -237,15 +237,15 @@ def monomial_syzygy_generators(terms, since=0):
 class _ExtendedOrder(TermModuleGrading):
     """Block term order on N + R^n eliminating the N-part.
 
-    A degrevlex module term order with zero shifts and a different key,
-    memoized per degree as there: degrees, translation, multipliers and
-    component monomials are the ones of ``TermModuleGrading``.  Every
-    monomial of the first ``base_rank`` components outranks every
-    coordinate monomial, so elements led by a coordinate monomial have no
-    N-part at all.  Inside the coordinate block the order refines the
-    syzygy grading (degree first, degrevlex and position to break ties), so
-    the extracted elements split into homogeneous syzygies, which together
-    form a generating set.
+    A degrevlex module term order with zero shifts and a different key:
+    degrees, translation, multipliers and component monomials are the ones
+    of ``TermModuleGrading``, and each monomial's key is kept in the
+    grading's memo, as for every module grading.  Every monomial of the
+    first ``base_rank`` components outranks every coordinate monomial, so
+    elements led by a coordinate monomial have no N-part at all.  Inside the
+    coordinate block the order refines the syzygy grading (degree first,
+    degrevlex and position to break ties), so the extracted elements split
+    into homogeneous syzygies, which together form a generating set.
     """
 
     def __init__(self, syz: SyzygyGrading, base_rank: int):
@@ -259,8 +259,7 @@ class _ExtendedOrder(TermModuleGrading):
         i, u = degree
         if i < self.base_rank:
             return (1, None, self.ring.key(u), -i)
-        syz_degree = self.syz.degree_of_term(i - self.base_rank, u)
-        return (0, self.syz.key(syz_degree), self.ring.key(u), -i)
+        return (0, self.syz.term_entry((i - self.base_rank, u))[0], self.ring.key(u), -i)
 
     def n_block_syzygies(self, terms, since=0):
         """The lcm syzygies of the single terms led in the N block.
@@ -278,22 +277,19 @@ class _ExtendedOrder(TermModuleGrading):
         ]
 
 
-def syzygy_grading(spec, lf_elements, degrees=None) -> SyzygyGrading:
-    """The grading of coordinate space over the degrees of the given forms.
-
-    ``degrees``, if given, are those degrees, as the caller already holds them.
-    """
-    if degrees is None:
-        degrees = (degree_of(m, spec) for m in lf_elements)
-    return SyzygyGrading(spec, tuple(degrees))
+def syzygy_grading(spec, lf_elements) -> SyzygyGrading:
+    """The grading of coordinate space over the degrees of the given forms."""
+    return SyzygyGrading(spec, (degree_of(m, spec) for m in lf_elements))
 
 
-def _order_pairs(pairs, syzspec):
-    """lcm pairs normalized and in canonical order, from data each pair carries.
+def _order_pairs(pairs, terms, spec):
+    """lcm pairs of the single terms, normalized and in canonical order, from data each carries.
 
-    The pair (i, j), i < j, is homogeneous of the degree of its e_i term, the
-    lcm's, and that term is its canonical first term, so normalizing scales
-    by the inverse of its coefficient.
+    The pair (i, j), i < j, is homogeneous of the degree of its e_i term x^u
+    e_i, which is the degree of the lcm x^u * terms[i] under ``spec``, and
+    that term is its canonical first term, so normalizing scales by the
+    inverse of its coefficient.  The lcm's key comes from the memo of
+    ``spec``, which outlives the round.
     """
     if not pairs:
         return []
@@ -301,14 +297,10 @@ def _order_pairs(pairs, syzspec):
     keys, normalized = [], []
     for s in pairs:
         (i, u), c = min(s.term_map().items())
-        keys.append(syzspec.key(syzspec.degree_of_term(i, u)))
+        ((comp, exps),) = terms[i].term_map()
+        keys.append(spec.term_entry((comp, tuple(map(operator.add, exps, u))))[0])
         normalized.append(s if c == field.one else s.scale(field.inv(c)))
     return [normalized[pos] for pos in _canonical_positions(keys, normalized)]
-
-
-def _split_homogeneous(elements, spec):
-    parts = (part.element for m in elements for part in homogeneous_components(m, spec))
-    return list(_distinct_normalized(parts, spec))
 
 
 class _InnerBasis:
@@ -325,7 +317,7 @@ class _InnerBasis:
         self.n, self.elements = None, ()
 
 
-def leading_syzygy_generators(lf_elements, spec, config=None, *, since=0, degrees=None, _inner=None):
+def leading_syzygy_generators(lf_elements, spec, config=None, *, since=0, _inner=None):
     """A homogeneous generating set of Syz(lf m_1, ..., lf m_n).
 
     Inputs must be homogeneous.  Single-term inputs take the lcm fast path;
@@ -343,28 +335,30 @@ def leading_syzygy_generators(lf_elements, spec, config=None, *, since=0, degree
     ``_InnerBasis``, holds the inner basis over the first ``since`` inputs,
     it resumes that basis with the rest appended instead of completing all
     n afresh, so only the pairs with a new element are formed.  ``_inner``
-    then holds the grown basis.  ``degrees``, if given, are the degrees of
-    the inputs (a ``Reducer``'s leading parts carry them), so that they are
-    not derived again.
+    then holds the grown basis.
     """
     lf_elements = list(lf_elements)
+    degrees = []
     for m in lf_elements:
-        if m.is_zero() or not is_homogeneous(m, spec):
+        # the one degree of each input's terms, or a refusal
+        found = _term_degrees(m, spec)
+        if len(found) != 1:
             raise UsageError("leading-form syzygies need nonzero homogeneous inputs")
+        degrees += found
     if len(lf_elements) <= 1:
         return []
-    syzspec = syzygy_grading(spec, lf_elements, degrees)
     if all(len(m.term_map()) == 1 for m in lf_elements):
         if isinstance(spec, _ExtendedOrder):
             gens = spec.n_block_syzygies(lf_elements, since)
         else:
             gens = monomial_syzygy_generators(lf_elements, since)
-        return _order_pairs(gens, syzspec)
+        return _order_pairs(gens, lf_elements, spec)
 
     ring = lf_elements[0].ring
     field = ring.field
     r = lf_elements[0].rank
     n = len(lf_elements)
+    syzspec = SyzygyGrading(spec, degrees)
     ext = _ExtendedOrder(syzspec, r)
     # the last round's inner basis lies in N + R^since; re-ranked, every
     # monomial keeps its order key, so its leading terms and settled pairs hold
@@ -388,24 +382,13 @@ def leading_syzygy_generators(lf_elements, spec, config=None, *, since=0, degree
         terms = g.term_map()
         if all(i >= r for i, _ in terms):
             raw.append(ModuleElement._wrap(ring, n, {(i - r, u): c for (i, u), c in terms.items()}))
-    gens = canonical_order(_split_homogeneous(raw, syzspec), syzspec)
+    parts = (part.element for g in raw for part in homogeneous_components(g, syzspec))
+    gens = canonical_order(_distinct_normalized(parts, syzspec), syzspec)
     return [s for s in gens if any(i >= since for i, _ in s.term_map())]
 
 
 # ---------------------------------------------------------------------------
 # criterion and completion
-
-
-def _coprime_leads(lfs, spec):
-    """The leading exponents the product criterion reads, or None where it is false.
-
-    It holds in rank 1 under a term order only (see ``_combinations``).
-    """
-    if spec.rank != 1 or not isinstance(spec, TermModuleGrading):
-        return None
-    if any(len(m.term_map()) != 1 for m in lfs):
-        return None
-    return [next(iter(m.term_map()))[1] for m in lfs]
 
 
 def _combinations(sygens, lfs, spec, X, since=0):
@@ -415,11 +398,11 @@ def _combinations(sygens, lfs, spec, X, since=0):
     pair before it is applied to X:
 
     - the product criterion (Buchberger 1979) skips a pair of coprime leading
-      monomials (``_coprime_leads``).  It holds in rank 1 under a term order
-      only: there f and g with tails f' and g' have the lower-degree
-      representation (g f' - f g') / (lc f lc g) of their S-combination, but
-      in rank >= 2 a tail may lie in another component, and under POT
-      degrevlex [x, 1] and [y, 0] leave the irreducible [0, y];
+      monomials.  It holds in rank 1 under a term order only: there f and g
+      with tails f' and g' have the lower-degree representation
+      (g f' - f g') / (lc f lc g) of their S-combination, but in rank >= 2 a
+      tail may lie in another component, and under POT degrevlex [x, 1] and
+      [y, 0] leave the irreducible [0, y];
     - Gebauer and Moeller's M and F tests skip the pair (i, j) with
       i < since when an earlier pair (k, j), k < since, was not skipped by
       them and lcm(k, j) divides lcm(i, j): then sigma_ij is a monomial
@@ -431,7 +414,9 @@ def _combinations(sygens, lfs, spec, X, since=0):
       round to the next, has nothing to prune: no pair outlives its round.
     """
     lcm_path = all(len(m.term_map()) == 1 for m in lfs)
-    coprime = _coprime_leads(lfs, spec)
+    # the leading exponents the product criterion reads, where it holds
+    product = lcm_path and spec.rank == 1 and isinstance(spec, TermModuleGrading)
+    coprime = [next(iter(m.term_map()))[1] for m in lfs] if product else None
     # j -> lcm(k, j) / lm_j for each earlier pair (k, j), k < since, the M and F tests kept
     kept = {}
     for s in sygens:
@@ -465,12 +450,11 @@ def buchberger_criterion(X, spec, config=None, *, _reducer=None) -> CriterionRes
         raise UsageError("criterion inputs must be nonzero")
     reducer = _reducer if _reducer is not None else Reducer(X, spec)
     lfs = [p.element for p in reducer.lf_parts]
-    degrees = [p.degree for p in reducer.lf_parts]
     if lfs == X:
         # homogeneous generators span a graded submodule, whose leading forms
         # are the generators themselves: the criterion holds outright
         return CriterionResult(True, None)
-    sygens = leading_syzygy_generators(lfs, spec, config, degrees=degrees)
+    sygens = leading_syzygy_generators(lfs, spec, config)
     for s, v in _combinations(sygens, lfs, spec, X):
         ok, trace = reducer.reduces_to_zero(v)
         if not ok:
@@ -523,8 +507,7 @@ def buchberger_algorithm(generators, spec, config=None, *, _settled=0) -> Macaul
     inner = _InnerBasis()
     for _ in range(config.max_iterations):
         lfs = [p.element for p in reducer.lf_parts]
-        degrees = [p.degree for p in reducer.lf_parts]
-        sygens = leading_syzygy_generators(lfs, spec, config, since=since, degrees=degrees, _inner=inner)
+        sygens = leading_syzygy_generators(lfs, spec, config, since=since, _inner=inner)
         added = []
         for _, v in _combinations(sygens, lfs, spec, X, since):
             nf, _ = reducer.normal_form(v)

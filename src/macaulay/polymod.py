@@ -271,31 +271,33 @@ def _canonical_key(item):
     return -i, degrevlex_key(exps)
 
 
-def _term_degrees(m: ModuleElement, spec):
-    """Iterate (degree, (component, exponents), coeff) over the terms of m."""
-    for (i, exps), c in m._terms.items():
-        yield spec.degree_of_term(i, exps), (i, exps), c
+def _term_entries(m: ModuleElement, spec):
+    """Iterate ((key, degree, (component, exponents)), coeff) over the terms of m, from the grading's memo."""
+    entries, fill = spec.term_entries, spec.term_entry
+    for t, c in m._terms.items():
+        yield entries.get(t) or fill(t), c
+
+
+def _term_degrees(m: ModuleElement, spec) -> set:
+    """The degrees of the terms of m."""
+    return {deg for (_, deg, _), _ in _term_entries(m, spec)}
 
 
 def homogeneous_components(m: ModuleElement, spec) -> list:
     """Split into homogeneous parts, sorted by degree descending; sums to m."""
     buckets = {}
-    for deg, term, c in _term_degrees(m, spec):
-        buckets.setdefault(deg, {})[term] = c
-    order = sorted(buckets, key=spec.key, reverse=True)
-    return [
-        HomogeneousPart(deg, ModuleElement._wrap(m.ring, m.rank, buckets[deg]))
-        for deg in order
-    ]
+    for (k, deg, term), c in _term_entries(m, spec):
+        buckets.setdefault(deg, (k, {}))[1][term] = c
+    order = sorted(buckets.items(), key=lambda item: item[1][0], reverse=True)
+    return [HomogeneousPart(deg, ModuleElement._wrap(m.ring, m.rank, terms)) for deg, (_, terms) in order]
 
 
 def _leading_terms(m: ModuleElement, spec):
     """(maximal degree, its terms) in one pass; undefined on zero."""
     top = top_key = None
     lead = {}
-    for deg, term, c in _term_degrees(m, spec):
+    for (k, deg, term), c in _term_entries(m, spec):
         if deg != top:
-            k = spec.key(deg)
             if top is not None and k < top_key:
                 continue
             top, top_key, lead = deg, k, {}
@@ -316,7 +318,7 @@ def degree_of(m: ModuleElement, spec):
 
 
 def is_homogeneous(m: ModuleElement, spec) -> bool:
-    return len({deg for deg, _, _ in _term_degrees(m, spec)}) <= 1
+    return len(_term_degrees(m, spec)) <= 1
 
 
 # ---------------------------------------------------------------------------

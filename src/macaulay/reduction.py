@@ -56,7 +56,8 @@ the same ground.  So a ``Reducer`` under a grading that is not a module
 term order keeps a table {module monomial t: (NF(t), the steps of the pass
 on t)}.  The entry of t is marked seen the first time t is a term of an
 input to ``normal_form``, and filled the second, by the pass run on t
-alone; so the table holds no more monomials than ``_keyed``.  A normal form
+alone; so the table holds no more monomials than the grading's memo of
+monomial degrees (``ModuleGrading.term_entries``).  A normal form
 sums the entries of its known monomials and runs one ordinary pass over the
 first-seen ones; its trace merges the steps only when they are first read,
 from immutable entries.  Any change to X changes normal forms, a new tail
@@ -163,8 +164,8 @@ class Reducer:
     echelon form of W_b would pick (see the module docstring).  One cache
     keeps, per degree, whichever of the two the Reducer's grading settles
     by; ``w_space`` still builds W_b on request under a term order, uncached.
-    Each module monomial's sort entry is cached too (``_keyed``); it depends
-    on the grading alone, so no change to X touches it.  Under a term order
+    Each module monomial's sort entry comes from the grading's memo
+    (``term_entries``); it depends on the grading alone.  Under a term order
     each element's inverse leading coefficient is stored as it joins.  X
     can grow through ``extend`` and have one element swapped through
     ``replace``; either drops only the cached degrees that an added or
@@ -201,8 +202,6 @@ class Reducer:
         self._invs = []
         # degree -> W_b, or under a term order its first divisor entry
         self._cache = {}
-        # module monomial -> (key, degree, monomial)
-        self._keyed = {}
         # module monomial -> (normal form pairs, tabled steps), or None if seen once
         self._table = {}
         self.extend(X, parts)
@@ -233,10 +232,6 @@ class Reducer:
         for b in [b for b, e in self._cache.items() if (e is None or not spare) and self.spec.reaches(degree, b)]:
             del self._cache[b]
 
-    def _changed(self):
-        """X changed, and with it every normal form: clear the monomial table."""
-        self._table.clear()
-
     def extend(self, ys, parts=None):
         """Append elements to X, as if the Reducer had been built on X + ys.
 
@@ -251,7 +246,7 @@ class Reducer:
             self._invs.append(inv)
         # a new list, so traces taken earlier keep the X they index
         self.X = self.X + ys
-        self._changed()
+        self._table.clear()
 
     def replace(self, idx, y, part=None):
         """Put y in place of X[idx], as if the Reducer had been built that way.
@@ -267,7 +262,7 @@ class Reducer:
         self.tails[idx] = tail
         self.X = self.X[:idx] + [y] + self.X[idx + 1 :]
         # a new tail behind the same leading form changes normal forms too
-        self._changed()
+        self._table.clear()
 
     def remove(self, idx):
         """Drop X[idx], as if the Reducer had been built without it; the cache numbers X, so it is cleared."""
@@ -276,7 +271,7 @@ class Reducer:
         del self._invs[idx]
         self.X = self.X[:idx] + self.X[idx + 1 :]
         self._cache.clear()
-        self._changed()
+        self._table.clear()
 
     def w_space(self, degree, skip=None):
         """W_b(X), or W_b without X[skip]; built afresh where X[skip] reaches b or the cache holds divisors."""
@@ -302,12 +297,6 @@ class Reducer:
                 return idx, tuple(map(sub, value, lead_value)), self._invs[idx]
         return None
 
-    def _key_entry(self, term):
-        """(key, degree, term) of a module monomial, computed and kept."""
-        degree = self.spec.degree_of_term(*term)
-        entry = self._keyed[term] = (self.spec.key(degree), degree, term)
-        return entry
-
     def _check(self, m):
         if (m.ring is not self.ring and m.ring != self.ring) or m.rank != self.rank:
             raise UsageError("element and reduction set have mismatched ring or rank")
@@ -316,9 +305,9 @@ class Reducer:
         """One descending pass over the terms of m; returns the trace.
 
         Terms sit in one flat map, and ``live`` holds their (key, degree,
-        term) entries from ``_keyed`` in key order.  The pass pops the
-        highest live degree and settles it: a one-monomial degree (under a
-        module term order) by its first divisor, the first after X[skip]
+        term) entries from the grading's memo in key order.  The pass pops
+        the highest live degree and settles it: a one-monomial degree (under
+        a module term order) by its first divisor, the first after X[skip]
         when that is X[skip]; any other degree, whose live terms are popped
         together, against W_b.
         """
@@ -326,9 +315,9 @@ class Reducer:
         by_divisor = self._by_divisor
         field = self.field
         mul, one, is_zero = field.mul, field.one, field.is_zero
-        keyed = self._keyed
+        entries, fill = self.spec.term_entries, self.spec.term_entry
         terms = dict(m.term_map())
-        live = sorted(keyed.get(t) or self._key_entry(t) for t in terms)
+        live = sorted(entries.get(t) or fill(t) for t in terms)
         cache = self._cache
         steps = []
         rest = {}
@@ -375,7 +364,7 @@ class Reducer:
                     term = (i, tuple(map(add, exps, mult)))
                     old = terms.get(term)
                     if old is None:
-                        insort(live, keyed.get(term) or self._key_entry(term))
+                        insort(live, entries.get(term) or fill(term))
                         terms[term] = mul(nq, tc)
                     else:
                         terms[term] = field.add(old, mul(nq, tc))

@@ -188,6 +188,15 @@ def test_leading_syzygies_single_element(el, total2):
         leading_syzygy_generators([el("x1^2 + x2")], total2)
 
 
+def test_leading_syzygies_refuse_zero_and_inhomogeneous_inputs(R2, el, total2, drl2):
+    # the inputs' degrees come from the homogeneity scan, which refuses both
+    zero = ModuleElement.from_terms(R2, 1, {})
+    for spec in (total2, drl2):
+        for bad in ([zero], [el("x1"), zero], [zero, el("x1")], [el("x1"), el("x1^2 + x2")]):
+            with pytest.raises(UsageError, match="nonzero homogeneous"):
+                leading_syzygy_generators(bad, spec)
+
+
 def test_criterion_examples(el, total2, drl2, circle_pair):
     assert buchberger_criterion(circle_pair, total2).holds
 

@@ -2,7 +2,10 @@
 order keys against the three-way comparator formulas they replace, the
 elimination-route order's degrees and multipliers against direct formulas,
 every module grading's component monomials against the canonical order,
-term-module degrees against the ring grading's degree-plus-shift, the
+term-module degrees against the ring grading's degree-plus-shift, every
+module grading's memo of monomial keys and degrees against direct
+computation and leading forms and homogeneous parts against a brute-force
+maximum and sort, the
 elimination route's syzygies, fresh and resumed, against kernel dimensions,
 resumed and fresh inner completions against each other, reduced
 total-degree, degrevlex and lex bases against reordering and rescaling of
@@ -11,6 +14,7 @@ forms for linearity and idempotence, and the complement projections against
 the raw generator rows."""
 
 import itertools
+from fractions import Fraction
 from functools import cmp_to_key
 
 import pytest
@@ -56,7 +60,15 @@ from macaulay.macbasis import (
     normalize_element,
     syzygy_grading,
 )
-from macaulay.polymod import ModuleElement, PolyRing, Polynomial, degree_of, is_homogeneous
+from macaulay.polymod import (
+    ModuleElement,
+    PolyRing,
+    Polynomial,
+    degree_of,
+    homogeneous_components,
+    is_homogeneous,
+    leading_form,
+)
 from macaulay.reduction import Reducer, dot
 
 PROPERTY = settings(derandomize=True, max_examples=40, deadline=None, database=None)
@@ -284,6 +296,30 @@ def test_term_module_degree_matches_ring_formula(name, terms):
         comp %= spec.rank
         expected = (comp, spec.ring.add(spec.ring.degree(exps), spec.shifts[comp]))
         assert spec.degree_of_term(comp, exps) == expected
+
+
+@pytest.mark.parametrize("name", sorted(n for n, spec in GRADINGS.items() if isinstance(spec, ModuleGrading)))
+@PROPERTY
+@given(terms=module_terms)
+def test_term_entries_match_degree_and_key(name, terms):
+    # the grading's one memo holds each monomial's key and degree as computed
+    # directly, and leading forms and homogeneous parts order terms by them
+    spec = GRADINGS[name]
+    ring = PolyRing(RationalField(), ("x", "y", "z"))
+    terms = {(comp % spec.rank, exps): Fraction(k + 1) for k, (comp, exps) in enumerate(terms)}
+    degrees = {}
+    for t in terms:
+        degree = degrees[t] = spec.degree_of_term(*t)
+        assert spec.term_entry(t) == spec.term_entries[t] == (spec.key(degree), degree, t)
+    m = ModuleElement.from_terms(ring, spec.rank, terms)
+    top = max(degrees.values(), key=spec.key)
+    lead = leading_form(m, spec)
+    assert lead.degree == top
+    assert dict(lead.element.term_map()) == {t: c for t, c in terms.items() if degrees[t] == top}
+    by_key = sorted(set(degrees.values()), key=spec.key, reverse=True)
+    assert [(p.degree, dict(p.element.term_map())) for p in homogeneous_components(m, spec)] == [
+        (deg, {t: c for t, c in terms.items() if degrees[t] == deg}) for deg in by_key
+    ]
 
 
 # ---------------------------------------------------------------------------

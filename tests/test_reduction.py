@@ -641,7 +641,7 @@ def test_warm_normal_forms_run_no_pass(monkeypatch, R2, el, total2, drl2, c4_tri
     for _ in range(2):
         for m in elements:
             reducer.normal_form(m)
-    assert len(reducer._table) <= len(reducer._keyed)
+    assert len(reducer._table) <= len(total2.term_entries)
     calls = []
     reduce = Reducer._reduce
 
