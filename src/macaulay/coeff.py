@@ -1,8 +1,9 @@
 """Exact coefficient fields: arbitrary-precision rationals and prime fields F_p.
 
 Field objects own the arithmetic; elements are plain immutable values
-(``Fraction`` for the rationals, canonical residues ``int`` in [0, p) for F_p),
-so they hash, compare and travel between threads without ceremony.
+(over Q an ``int`` for a whole number and a reduced ``Fraction`` otherwise,
+canonical residues ``int`` in [0, p) for F_p), so they hash, compare and
+travel between threads without ceremony.
 
 ``rref`` is the one exact Gauss-Jordan elimination of the package.  It lives
 here, beside the field arithmetic it is generic over, because both ``grading``
@@ -45,45 +46,59 @@ def is_prime(n: int) -> bool:
 
 
 class RationalField:
-    """The field Q, elements stored as reduced ``Fraction`` values."""
+    """The field Q: a whole number is an ``int``, any other value a reduced ``Fraction``.
+
+    Most coefficients that completion meets are whole, and ``int``
+    arithmetic skips ``Fraction``'s operator dispatch, gcds and allocation.
+    Every method returns this form, testing ``type(r) is int`` first so that
+    the whole-number path never reads a ``Fraction`` property.  An ``int``
+    and the equal ``Fraction`` compare, hash and print alike, so a value
+    built elsewhere as ``Fraction(3)`` still works; use the field for
+    arithmetic, since ``int / int`` is a float.
+    """
 
     characteristic = 0
 
-    zero = Fraction(0)
-    one = Fraction(1)
+    zero = 0
+    one = 1
 
     def from_int(self, n):
-        return Fraction(n)
+        return n
 
     def add(self, a, b):
-        return a + b
+        r = a + b
+        return r if type(r) is int or r.denominator != 1 else r.numerator
 
     def sub(self, a, b):
-        return a - b
+        r = a - b
+        return r if type(r) is int or r.denominator != 1 else r.numerator
 
     def mul(self, a, b):
-        return a * b
+        r = a * b
+        return r if type(r) is int or r.denominator != 1 else r.numerator
 
     def neg(self, a):
         return -a
 
     def div(self, a, b):
-        if b == 0:
+        if not b:
             raise ZeroDivisionError("division by zero in Q")
-        return a / b
+        r = Fraction(a, b)
+        return r if r.denominator != 1 else r.numerator
 
     def inv(self, a):
-        return self.div(self.one, a)
+        return self.div(1, a)
 
     def is_zero(self, a):
-        # reads the numerator; also right for a plain int
+        # also right for a Fraction, whose truth reads its numerator
         return not a
 
     def parse(self, text):
         try:
-            return Fraction(text)
+            r = Fraction(text)
         except (ValueError, ZeroDivisionError) as exc:
             raise UsageError(f"bad rational literal {text!r}") from exc
+        return r if r.denominator != 1 else r.numerator
 
     def render(self, a) -> str:
         return str(a)

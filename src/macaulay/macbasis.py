@@ -191,46 +191,45 @@ def monomial_syzygy_generators(terms, since=0):
     induction on the lcm the returned pairs still generate the syzygies.
 
     With ``since`` > 0 only the pairs (i, j) with j >= since are formed, in
-    the same order; the chain criterion still looks at every term.
+    the same order; the chain criterion still looks at every term of the
+    pair's component, old or new.
     """
     if not terms:
         return []
     ring = terms[0].ring
     field = ring.field
-    # (component, exponents, inverse coefficient) of each term
-    infos = []
-    for t in terms:
+    # (component, exponents, inverse and negated inverse coefficient) of each
+    # term, and the (index, exponents) of the terms of each component
+    infos, comps = [], {}
+    for k, t in enumerate(terms):
         items = list(t.term_map().items())
         if len(items) != 1:
             raise UsageError("monomial syzygies need single-term elements")
         (comp, exps), coeff = items[0]
-        infos.append((comp, exps, field.inv(coeff)))
+        inv = field.inv(coeff)
+        infos.append((comp, exps, inv, field.neg(inv)))
+        comps.setdefault(comp, []).append((k, exps))
     n = len(infos)
     out = []
-    for i in range(n):
-        ci, ei, inv_i = infos[i]
-        for j in range(max(i + 1, since), n):
-            cj, ej, inv_j = infos[j]
-            if ci != cj:
+    for i, (ci, ei, inv_i, _) in enumerate(infos):
+        same = comps[ci]
+        for j, ej in same:
+            if j <= i or j < since:
                 continue
             lcm = tuple(map(max, ei, ej))
             if any(
-                k != i and k != j and ck == ci
+                k != i and k != j
                 and all(map(operator.le, ek, lcm))
                 and tuple(map(max, ei, ek)) != lcm
                 and tuple(map(max, ej, ek)) != lcm
-                for k, (ck, ek, _) in enumerate(infos)
+                for k, ek in same
             ):
                 continue
-            syz = ModuleElement.from_terms(
-                ring,
-                n,
-                {
-                    (i, tuple(map(operator.sub, lcm, ei))): inv_i,
-                    (j, tuple(map(operator.sub, lcm, ej))): field.neg(inv_j),
-                },
-            )
-            out.append(syz)
+            # both coefficients are nonzero, so there is nothing to filter
+            out.append(ModuleElement._wrap(ring, n, {
+                (i, tuple(map(operator.sub, lcm, ei))): inv_i,
+                (j, tuple(map(operator.sub, lcm, ej))): infos[j][3],
+            }))
     return out
 
 

@@ -2,9 +2,14 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from macaulay.coeff import PrimeField, RationalField, field_from_spec, is_prime, rref
 from macaulay.errors import UsageError
+from macaulay.grading import TermModuleGrading, TermOrderGrading
+from macaulay.macbasis import buchberger_algorithm, interreduce
+from macaulay.polymod import ModuleElement, PolyRing
 
 
 def test_fraction_addition_exact():
@@ -92,6 +97,62 @@ def test_render_parse_round_trip():
         assert Q.render(Q.parse(text)) == text
     F = PrimeField(32003)
     assert F.render(F.parse("32004")) == "1"
+
+
+def _canonical(v):
+    """Is v in Q's canonical form: an int, or a Fraction that is not whole?"""
+    return type(v) is int or (type(v) is Fraction and v.denominator != 1)
+
+
+# whole values come both as ints and as Fractions of denominator 1
+rationals = st.one_of(
+    st.integers(-30, 30),
+    st.fractions(min_value=-30, max_value=30, max_denominator=6),
+)
+
+
+@settings(derandomize=True, max_examples=300, deadline=None, database=None)
+@given(a=rationals, b=rationals)
+def test_rational_ops_are_fraction_arithmetic_in_canonical_form(a, b):
+    Q = RationalField()
+    fa, fb = Fraction(a), Fraction(b)
+    results = [(Q.add(a, b), fa + fb), (Q.sub(a, b), fa - fb), (Q.mul(a, b), fa * fb)]
+    if fb:
+        results += [(Q.div(a, b), fa / fb), (Q.inv(b), 1 / fb)]
+    canon = Q.parse(str(a))
+    results += [(canon, fa), (Q.neg(canon), -fa)]
+    for got, want in results:
+        assert got == want and _canonical(got)
+        assert (type(got) is int) == (want.denominator == 1)
+
+
+def test_rational_canonical_examples():
+    Q = RationalField()
+    assert (Q.zero, Q.one, Q.from_int(7)) == (0, 1, 7)
+    for got, want in ((Q.parse("6/3"), 2), (Q.parse("-4"), -4), (Q.inv(-1), -1), (Q.div(3, 3), 1)):
+        assert type(got) is int and got == want
+    half = Q.inv(2)
+    assert type(half) is Fraction and half == Fraction(1, 2)
+    assert type(Q.add(half, half)) is int and type(Q.mul(Q.neg(half), 4)) is int
+
+
+def test_elements_from_whole_fractions_equal_elements_from_ints():
+    ring = PolyRing(RationalField(), ("x", "y"))
+    a = ModuleElement.from_terms(ring, 2, {(0, (1, 0)): Fraction(3), (1, (0, 2)): Fraction(-1, 2)})
+    b = ModuleElement.from_terms(ring, 2, {(0, (1, 0)): 3, (1, (0, 2)): Fraction(-1, 2)})
+    assert a == b and hash(a) == hash(b) and str(a) == str(b)
+
+
+@pytest.mark.parametrize("gens", [
+    ("x + 2*y + 2*z - 1", "x^2 + 2*y^2 + 2*z^2 - x", "2*x*y + 2*y*z - y"),
+    ("x + y + z + w", "x*y + y*z + z*w + w*x", "x*y*z + y*z*w + z*w*x + w*x*y", "x*y*z*w - 1"),
+], ids=["katsura3", "cyclic4"])
+def test_completion_over_q_keeps_canonical_coefficients(gens):
+    ring = PolyRing(RationalField(), ("x", "y", "z", "w"))
+    spec = TermModuleGrading(TermOrderGrading.degrevlex(4), 1)
+    basis = buchberger_algorithm([ModuleElement.from_polynomial(ring.parse(g)) for g in gens], spec)
+    for elements in (basis.elements, interreduce(basis, spec).elements):
+        assert all(_canonical(c) for m in elements for c in m.term_map().values())
 
 
 # ---------------------------------------------------------------------------

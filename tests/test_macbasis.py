@@ -59,6 +59,7 @@ def test_chain_criterion_drops_generated_pair(R2, el):
 def _all_lcm_pairs(terms, ring):
     """Every pairwise lcm syzygy of single-term elements, built directly."""
     infos = [next(iter(t.term_map().items())) for t in terms]
+    field = ring.field
     out = []
     for i, ((ci, ei), ai) in enumerate(infos):
         for j, ((cj, ej), aj) in enumerate(infos):
@@ -66,8 +67,8 @@ def _all_lcm_pairs(terms, ring):
                 continue
             lcm = tuple(max(a, b) for a, b in zip(ei, ej))
             out.append(ModuleElement.from_terms(ring, len(terms), {
-                (i, tuple(a - b for a, b in zip(lcm, ei))): 1 / ai,
-                (j, tuple(a - b for a, b in zip(lcm, ej))): -1 / aj,
+                (i, tuple(a - b for a, b in zip(lcm, ei))): field.inv(ai),
+                (j, tuple(a - b for a, b in zip(lcm, ej))): field.neg(field.inv(aj)),
             }))
     return out
 
@@ -128,6 +129,60 @@ def test_new_pairs_are_the_filtered_pairs(items):
         for spec, gens in canonical.items():
             new = leading_syzygy_generators(terms, spec, since=since)
             assert [str(s) for s in new] == [str(s) for s in gens if _beyond(s, since)]
+
+
+def _chain_pruned_pairs_reference(terms, since=0):
+    """The earlier ``monomial_syzygy_generators``, which tests every term for every pair."""
+    ring = terms[0].ring
+    field = ring.field
+    infos = []
+    for t in terms:
+        (comp, exps), coeff = next(iter(t.term_map().items()))
+        infos.append((comp, exps, field.inv(coeff)))
+    n = len(infos)
+    out = []
+    for i in range(n):
+        ci, ei, inv_i = infos[i]
+        for j in range(max(i + 1, since), n):
+            cj, ej, inv_j = infos[j]
+            if ci != cj:
+                continue
+            lcm = tuple(map(max, ei, ej))
+            if any(
+                k != i and k != j and ck == ci
+                and all(a <= b for a, b in zip(ek, lcm))
+                and tuple(map(max, ei, ek)) != lcm
+                and tuple(map(max, ej, ek)) != lcm
+                for k, (ck, ek, _) in enumerate(infos)
+            ):
+                continue
+            out.append(ModuleElement.from_terms(ring, n, {
+                (i, tuple(a - b for a, b in zip(lcm, ei))): inv_i,
+                (j, tuple(a - b for a, b in zip(lcm, ej))): field.neg(inv_j),
+            }))
+    return out
+
+
+@pytest.mark.parametrize("field", [RationalField(), PrimeField(32003)], ids=repr)
+@settings(derandomize=True, max_examples=60, deadline=None, database=None)
+@given(rank=st.integers(1, 3), items=st.lists(
+    st.tuples(st.integers(0, 2), st.tuples(*[st.integers(0, 2)] * 3),
+              st.fractions(min_value=-3, max_value=3, max_denominator=2).filter(bool)),
+    min_size=1, max_size=9,
+))
+def test_chain_pruned_pairs_match_the_reference(field, rank, items):
+    # the per-component chain test gives the same pairs, in the same order,
+    # with the same coefficients, for every since
+    ring = PolyRing(field, ("x", "y", "z"))
+    terms = [
+        ModuleElement.from_terms(ring, rank, {(comp % rank, exps): field.div(
+            field.from_int(c.numerator), field.from_int(c.denominator))})
+        for comp, exps, c in items
+    ]
+    for since in range(len(terms) + 1):
+        got = monomial_syzygy_generators(terms, since)
+        assert got == _chain_pruned_pairs_reference(terms, since)
+        assert all(not field.is_zero(c) for s in got for c in s.term_map().values())
 
 
 def test_extended_order_keys_match_the_formula():
