@@ -13,7 +13,11 @@ whole completion, and each normal form joins it as soon as it is found,
 keeping every cached workspace that its leading form does not reach, so
 the later combinations of the same round reduce against it too; on the lcm
 path only the pairs with an adjoined element are formed at all (Gebauer
-and Moeller's "new pairs only").  Interreduction keeps one ``Reducer``
+and Moeller's "new pairs only"), each built once, normalized, and put in
+canonical order from its lcm's key and its indices, unrendered
+(``canonical_order``).  Interreduction of a completion under the same
+grading object takes its elements and their leading parts from the
+completion's ``Reducer`` as they are.  Interreduction keeps one ``Reducer``
 from pass to pass while the canonical order holds, hands the last one to
 the closing criterion, and leaves the element being reduced out only at
 its own degree, the one workspace it can change.  An element that reduces
@@ -62,7 +66,6 @@ involve them.
 """
 
 import operator
-from bisect import bisect_left
 from typing import NamedTuple
 
 from .errors import ResourceLimitError, UsageError
@@ -76,6 +79,7 @@ from .polymod import (
     ModuleElement,
     _canonical_key,
     _leading_terms,
+    _render_term,
     _term_degrees,
     degree_of,
     homogeneous_components,
@@ -102,6 +106,9 @@ class CriterionResult(NamedTuple):
 
 class MacaulayBasis:
     """A certified Macaulay basis of the submodule its elements generate."""
+
+    # completion's leading parts of its distinct, normalized elements, for interreduce
+    _lf_parts = None
 
     def __init__(self, elements, spec, policy, reduced, certificate):
         self.elements = tuple(elements)
@@ -168,7 +175,17 @@ def _canonical_positions(keys, elements):
 
 
 def canonical_order(elements, spec):
-    """Ascending by degree, ties broken by the rendered text."""
+    """Ascending by degree, ties broken by the rendered text.
+
+    ``_lcm_pairs`` gives its normalized pairs x^u e_i + c x^w e_j, i < j,
+    this order unrendered: by the key of the lcm term, then by (-i, 0, j)
+    if c renders with a leading '-' and by (-i, 1, -j) otherwise.  Of two
+    pairs of equal degree, the one with the larger i shows '0' where the
+    other shows x^u, and with equal i and x^u, the one with the smaller j
+    shows c x^w where the other shows '0'.  Under a module term order the
+    degree fixes x^u for each i; under any other grading the text of x^u
+    breaks the tie after -i.
+    """
     elements = list(elements)
     keys = [spec.key(degree_of(m, spec)) for m in elements]
     return [elements[pos] for pos in _canonical_positions(keys, elements)]
@@ -181,56 +198,82 @@ def canonical_order(elements, spec):
 def monomial_syzygy_generators(terms, since=0):
     """Pairwise lcm syzygies of single-term module elements, chain-pruned.
 
-    Pairs in different free-module components cancel nothing and contribute
-    no generator.  Coefficients are corrected so the combination vanishes.
-    The pair (i, j) is dropped when a third element k of the same component
-    has lm_k dividing lcm(i, j) while lcm(i, k) and lcm(j, k) are proper
-    divisors of it (Buchberger's chain criterion): then sigma_ij is a
-    monomial combination of sigma_ik and sigma_kj.  Each dropped pair is
-    generated by pairs of strictly smaller lcm under divisibility, so by
-    induction on the lcm the returned pairs still generate the syzygies.
-
-    With ``since`` > 0 only the pairs (i, j) with j >= since are formed, in
-    the same order; the chain criterion still looks at every term of the
-    pair's component, old or new.
+    The pairs of ``_lcm_pairs``, ordered by (i, j), each scaled so that its
+    e_i term has the inverse of lc_i as coefficient: the pair (i, j) is
+    x^u e_i / lc_i - x^w e_j / lc_j with x^u lm_i = x^w lm_j = lcm.
     """
     if not terms:
         return []
+    field = terms[0].ring.field
+    out = []
+    for s in _lcm_pairs(terms, since):
+        i = min(s.term_map())[0]
+        out.append(s.scale(field.inv(next(iter(terms[i].term_map().values())))))
+    return out
+
+
+def _lcm_pairs(terms, since=0, spec=None, blocks=None):
+    """The chain-pruned lcm pairs (i, j), i < j, j >= since, of single terms, built normalized.
+
+    The pair is x^u e_i - (lc_i / lc_j) x^w e_j, x^u lm_i = x^w lm_j = lcm,
+    led by x^u e_i with coefficient 1.  Only terms of one component below
+    ``blocks`` (all if None) are paired: pairs across components cancel
+    nothing.  Buchberger's chain criterion drops (i, j) when a term k of the
+    component, old or new, has lm_k dividing the lcm while lcm(i, k) and
+    lcm(j, k) are proper divisors of it: sigma_ij is then a monomial
+    combination of sigma_ik and sigma_kj, so by induction on the lcm the
+    kept pairs still generate.  Each j's lcms with its component are formed
+    once.  Without ``spec`` the pairs are ordered by (i, j); with it, in
+    canonical order by the rule ``canonical_order`` states, unrendered.
+    """
     ring = terms[0].ring
     field = ring.field
-    # (component, exponents, inverse and negated inverse coefficient) of each
-    # term, and the (index, exponents) of the terms of each component
-    infos, comps = [], {}
+    one = field.one
+    n = len(terms)
+    leads, comps = [], {}
     for k, t in enumerate(terms):
         items = list(t.term_map().items())
         if len(items) != 1:
             raise UsageError("monomial syzygies need single-term elements")
         (comp, exps), coeff = items[0]
-        inv = field.inv(coeff)
-        infos.append((comp, exps, inv, field.neg(inv)))
-        comps.setdefault(comp, []).append((k, exps))
-    n = len(infos)
-    out = []
-    for i, (ci, ei, inv_i, _) in enumerate(infos):
-        same = comps[ci]
+        leads.append(coeff)
+        if blocks is None or comp < blocks:
+            comps.setdefault(comp, []).append((k, exps))
+    if spec is not None:
+        entries, fill = spec.term_entries, spec.term_entry
+        by_key = isinstance(spec, TermModuleGrading)
+    keyed = []
+    for comp, same in comps.items():
         for j, ej in same:
-            if j <= i or j < since:
+            if j < since:
                 continue
-            lcm = tuple(map(max, ei, ej))
-            if any(
-                k != i and k != j
-                and all(map(operator.le, ek, lcm))
-                and tuple(map(max, ei, ek)) != lcm
-                and tuple(map(max, ej, ek)) != lcm
-                for k, ek in same
-            ):
-                continue
-            # both coefficients are nonzero, so there is nothing to filter
-            out.append(ModuleElement._wrap(ring, n, {
-                (i, tuple(map(operator.sub, lcm, ei))): inv_i,
-                (j, tuple(map(operator.sub, lcm, ej))): infos[j][3],
-            }))
-    return out
+            lcms = [tuple(map(max, ej, ek)) for _, ek in same]
+            lc = leads[j]
+            neg_inv = field.neg(lc if lc == one else field.inv(lc))
+            for pos, (i, ei) in enumerate(same):
+                if i >= j:
+                    break
+                lcm = lcms[pos]
+                if any(
+                    k != i and k != j
+                    and all(map(operator.le, ek, lcm))
+                    and lcms[q] != lcm
+                    and tuple(map(max, ei, ek)) != lcm
+                    for q, (k, ek) in enumerate(same)
+                ):
+                    continue
+                u = tuple(map(operator.sub, lcm, ei))
+                c = neg_inv if leads[i] == one else field.mul(leads[i], neg_inv)
+                # both coefficients are nonzero, so there is nothing to filter
+                s = ModuleElement._wrap(ring, n, {(i, u): one, (j, tuple(map(operator.sub, lcm, ej))): c})
+                if spec is None:
+                    keyed.append(((i, j), s))
+                    continue
+                text = "" if by_key else _render_term(ring, u, one, True)
+                tie = (-i, text, 0, j) if field.render(c).startswith("-") else (-i, text, 1, -j)
+                keyed.append((((entries.get((comp, lcm)) or fill((comp, lcm)))[0], tie), s))
+    keyed.sort(key=operator.itemgetter(0))
+    return [s for _, s in keyed]
 
 
 class _ExtendedOrder(TermModuleGrading):
@@ -268,38 +311,12 @@ class _ExtendedOrder(TermModuleGrading):
         need.  Each pair is returned over all the terms, zero elsewhere.
         Only the pairs that involve a term from index ``since`` on are formed.
         """
-        paired = [i for i, t in enumerate(terms) if next(iter(t.term_map()))[0] < self.base_rank]
-        ring, n = terms[0].ring, len(terms)
-        return [
-            ModuleElement._wrap(ring, n, {(paired[k], u): c for (k, u), c in s.term_map().items()})
-            for s in monomial_syzygy_generators([terms[i] for i in paired], bisect_left(paired, since))
-        ]
+        return _lcm_pairs(terms, since, self, self.base_rank)
 
 
 def syzygy_grading(spec, lf_elements) -> SyzygyGrading:
     """The grading of coordinate space over the degrees of the given forms."""
     return SyzygyGrading(spec, (degree_of(m, spec) for m in lf_elements))
-
-
-def _order_pairs(pairs, terms, spec):
-    """lcm pairs of the single terms, normalized and in canonical order, from data each carries.
-
-    The pair (i, j), i < j, is homogeneous of the degree of its e_i term x^u
-    e_i, which is the degree of the lcm x^u * terms[i] under ``spec``, and
-    that term is its canonical first term, so normalizing scales by the
-    inverse of its coefficient.  The lcm's key comes from the memo of
-    ``spec``, which outlives the round.
-    """
-    if not pairs:
-        return []
-    field = pairs[0].ring.field
-    keys, normalized = [], []
-    for s in pairs:
-        (i, u), c = min(s.term_map().items())
-        ((comp, exps),) = terms[i].term_map()
-        keys.append(spec.term_entry((comp, tuple(map(operator.add, exps, u))))[0])
-        normalized.append(s if c == field.one else s.scale(field.inv(c)))
-    return [normalized[pos] for pos in _canonical_positions(keys, normalized)]
 
 
 class _InnerBasis:
@@ -348,10 +365,8 @@ def leading_syzygy_generators(lf_elements, spec, config=None, *, since=0, _inner
         return []
     if all(len(m.term_map()) == 1 for m in lf_elements):
         if isinstance(spec, _ExtendedOrder):
-            gens = spec.n_block_syzygies(lf_elements, since)
-        else:
-            gens = monomial_syzygy_generators(lf_elements, since)
-        return _order_pairs(gens, lf_elements, spec)
+            return spec.n_block_syzygies(lf_elements, since)
+        return _lcm_pairs(lf_elements, since, spec)
 
     ring = lf_elements[0].ring
     field = ring.field
@@ -521,7 +536,9 @@ def buchberger_algorithm(generators, spec, config=None, *, _settled=0) -> Macaul
             added.append(nf)
             reducer.extend([nf], [part])
         if not added:
-            return MacaulayBasis(tuple(X), spec, policy, False, CriterionResult(True, None))
+            basis = MacaulayBasis(tuple(X), spec, policy, False, CriterionResult(True, None))
+            basis._lf_parts = tuple(reducer.lf_parts)
+            return basis
         since = len(X)
         X.extend(added)
     raise ResourceLimitError("iteration cap exceeded", partial=tuple(X))
@@ -547,15 +564,20 @@ def interreduce(basis_or_elements, spec, policy=None) -> MacaulayBasis:
     submodule and is certified against the criterion before being returned,
     on the last pass's Reducer, or a fresh one if the closing reorder moved
     an element; the certificate covers exactly the returned elements under
-    ``spec``.
+    ``spec``.  A completion under this very ``spec`` object hands over its
+    leading parts, and its elements are not normalized again.
     """
+    parts = None
     if isinstance(basis_or_elements, MacaulayBasis):
         elements = list(basis_or_elements.elements)
         policy = policy if policy is not None else basis_or_elements.policy
+        if basis_or_elements.spec is spec and basis_or_elements._lf_parts is not None:
+            parts = list(basis_or_elements._lf_parts)
     else:
         elements = list(basis_or_elements)
-    parts = _distinct_normalized(elements, spec)
-    elements, parts = list(parts), list(parts.values())
+    if parts is None:
+        parts = _distinct_normalized(elements, spec)
+        elements, parts = list(parts), list(parts.values())
 
     reducer = None
     settled = False

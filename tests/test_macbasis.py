@@ -1,4 +1,5 @@
 import random
+from bisect import bisect_left
 from fractions import Fraction
 
 import pytest
@@ -183,6 +184,60 @@ def test_chain_pruned_pairs_match_the_reference(field, rank, items):
         got = monomial_syzygy_generators(terms, since)
         assert got == _chain_pruned_pairs_reference(terms, since)
         assert all(not field.is_zero(c) for s in got for c in s.term_map().values())
+
+
+def _rendered_pair_order(terms, spec, since, blocks=None):
+    """The lcm pairs as ``leading_syzygy_generators`` ordered them before: each
+    normalized, then sorted by the key of its lcm term and by its rendered text."""
+    ring = terms[0].ring
+    field = ring.field
+    paired = [k for k, t in enumerate(terms) if blocks is None or next(iter(t.term_map()))[0] < blocks]
+    pairs = _chain_pruned_pairs_reference([terms[k] for k in paired], bisect_left(paired, since)) if paired else []
+    keyed = []
+    for s in pairs:
+        (i, u), c = min(s.term_map().items())
+        s = ModuleElement.from_terms(ring, len(terms), {
+            (paired[k], v): field.div(a, c) for (k, v), a in s.term_map().items()
+        })
+        ((comp, exps),) = terms[paired[i]].term_map()
+        lcm = tuple(a + b for a, b in zip(exps, u))
+        keyed.append((spec.key(spec.degree_of_term(comp, lcm)), str(s)))
+    return [text for _, text in sorted(keyed)]
+
+
+@pytest.mark.parametrize("field", [RationalField(), PrimeField(7)], ids=repr)
+@pytest.mark.parametrize("kind", ["pot", "top", "coarse", "n_block"])
+@settings(derandomize=True, max_examples=60, deadline=None, database=None)
+@given(rank=st.integers(1, 3), items=st.lists(
+    st.tuples(st.integers(0, 4), st.tuples(*[st.integers(0, 2)] * 3),
+              st.fractions(min_value=-3, max_value=3, max_denominator=2).filter(bool)),
+    min_size=2, max_size=9,
+))
+def test_lcm_pairs_keep_the_rendered_order(field, kind, rank, items):
+    # pairs built normalized and sorted by (lcm key, tie) come in the order
+    # their rendered text gave, for every since; under the coarse grading
+    # one lcm degree holds several lcm monomials, whose text breaks the tie
+    ring = PolyRing(field, ("x", "y", "z"))
+    drl = TermOrderGrading.degrevlex(3)
+    blocks = None
+    if kind == "coarse":
+        spec = CoarseModuleGrading(TotalDegreeGrading(3), rank, (0, 1, 0)[:rank])
+    elif kind == "n_block":
+        # components below rank form the N block, the two after it are coordinates
+        base = TermModuleGrading(drl, rank)
+        probes = [ModuleElement.from_terms(ring, rank, {t: 1}) for t in ((0, (1, 0, 0)), (rank - 1, (0, 1, 0)))]
+        spec = _ExtendedOrder(syzygy_grading(base, probes), rank)
+        blocks = rank
+    else:
+        spec = TermModuleGrading(drl, rank, tie=kind)
+    terms = [
+        ModuleElement.from_terms(ring, spec.rank, {(comp % spec.rank, exps): field.div(
+            field.from_int(c.numerator), field.from_int(c.denominator))})
+        for comp, exps, c in items
+    ]
+    for since in range(len(terms) + 1):
+        got = leading_syzygy_generators(terms, spec, since=since)
+        assert [str(s) for s in got] == _rendered_pair_order(terms, spec, since, blocks)
 
 
 def test_extended_order_keys_match_the_formula():
@@ -783,6 +838,61 @@ def test_interreduce_stops_at_its_fixed_point(name, monkeypatch):
         # katsura-3's completion settles in its first pass, and the
         # confirmation pass is saved; cyclic-3's second pass changes nothing
         assert (made, confirmed) == (passes, 2)
+
+
+@pytest.mark.parametrize("names, texts, total", [
+    ("x y z", KATSURA3, False),
+    ("x1 x2", C4, True),
+], ids=["katsura3_degrevlex", "c4_total"])
+def test_interreduce_reuses_the_completions_leading_parts(names, texts, total, monkeypatch):
+    # a completion's elements are distinct and normalized, and its Reducer
+    # held their leading parts: interreduce takes those under the same
+    # grading object and gives what it gives on the bare element list
+    ring = PolyRing(_Q, tuple(names.split()))
+
+    def grading():
+        if total:
+            return CoarseModuleGrading(TotalDegreeGrading(ring.nvars), 1)
+        return TermModuleGrading(TermOrderGrading.degrevlex(ring.nvars), 1)
+
+    spec, other = grading(), grading()
+    basis = buchberger_algorithm([ModuleElement.from_polynomial(ring.parse(t)) for t in texts], spec)
+    # the calls under either outer grading; the criterion's syzygy work has its own
+    calls = []
+    distinct = macbasis._distinct_normalized
+
+    def counting(elements, grading):
+        if grading is spec or grading is other:
+            calls.append(grading)
+        return distinct(elements, grading)
+
+    monkeypatch.setattr(macbasis, "_distinct_normalized", counting)
+    got = interreduce(basis, spec)
+    assert calls == []
+    want = interreduce(list(basis.elements), spec)
+    assert calls == [spec]
+    assert list(got.elements) == list(want.elements)
+    assert got.certificate.holds and want.certificate.holds
+    # an equal grading that is another object normalizes the elements afresh
+    assert list(interreduce(basis, other).elements) == list(want.elements)
+    assert calls == [spec, other]
+
+
+@pytest.mark.parametrize("field", [_Q, _FP], ids=repr)
+def test_completion_and_interreduction_render_no_element(field, monkeypatch):
+    # lcm pairs are ordered from their indices and coefficients, and
+    # interreduce orders elements of distinct leading terms by degree alone
+    def refuse(self):
+        raise AssertionError("an element was rendered")
+
+    for names, texts in (("x y z", KATSURA3), ("a b c d", CYCLIC4)):
+        ring = PolyRing(field, tuple(names.split()))
+        spec = TermModuleGrading(TermOrderGrading.degrevlex(ring.nvars), 1)
+        gens = [ModuleElement.from_polynomial(ring.parse(t)) for t in texts]
+        monkeypatch.setattr(ModuleElement, "__str__", refuse)
+        red = interreduce(buchberger_algorithm(gens, spec), spec)
+        monkeypatch.undo()
+        assert red.certificate.holds
 
 
 def test_cyclic3_total_degree_interreduce(Q):
