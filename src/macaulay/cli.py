@@ -166,31 +166,27 @@ def parse_problem(text, default_field=None) -> ProblemFile:
                 raise ParseError("empty grading declaration", line_no, 1)
         elif head == "module":
             tokens = rest.split()
-            k = 0
             try:
-                while k < len(tokens):
-                    _once(seen, f"module {tokens[k]}", line_no)
-                    if tokens[k] == "rank":
-                        rank = ascii_int(tokens[k + 1])
+                while tokens:
+                    keyword = tokens.pop(0)
+                    _once(seen, f"module {keyword}", line_no)
+                    if keyword == "rank":
+                        rank = ascii_int(tokens.pop(0))
                         if rank < 1:
                             raise ParseError(f"module rank must be at least 1, got {rank}", line_no, 1)
                         if rank > MAX_MODULE_RANK:
                             raise ResourceLimitError(
                                 f"module rank {rank} is above the limit of {MAX_MODULE_RANK}"
                             )
-                        k += 2
-                    elif tokens[k] == "shifts":
-                        literal = " ".join(tokens[k + 1 :])
-                        shifts, rest_text = _parse_bracket_list(literal, line_no)
-                        tokens = tokens[: k + 1] + rest_text.split()
-                        k += 1
-                    elif tokens[k] == "tie":
-                        tie = tokens[k + 1]
+                    elif keyword == "shifts":
+                        shifts, rest_text = _parse_bracket_list(" ".join(tokens), line_no)
+                        tokens = rest_text.split()
+                    elif keyword == "tie":
+                        tie = tokens.pop(0)
                         if tie not in ("pot", "top"):
                             raise ParseError("tie must be 'pot' or 'top'", line_no, 1)
-                        k += 2
                     else:
-                        raise ParseError(f"unknown module keyword {tokens[k]!r}", line_no, 1)
+                        raise ParseError(f"unknown module keyword {keyword!r}", line_no, 1)
             except (IndexError, ValueError):
                 raise ParseError("malformed module declaration", line_no, 1) from None
         elif head == "gen":
@@ -432,7 +428,7 @@ def run_command(command, problem: ProblemFile, args) -> dict:
             {"degree": str(d), "dim": v} for d, v in zip(table.degrees, table.values)
         ]
     elif command in ("homogenize", "dehomogenize"):
-        var = args.var or "t"
+        var = "t" if args.var is None else args.var
         if command == "homogenize":
             shifts = problem.shifts or None
             ctx = HomogenizationContext(problem.ring, var, shifts, problem.rank)

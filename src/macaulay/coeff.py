@@ -18,11 +18,14 @@ from fractions import Fraction
 
 from .errors import UsageError
 
-_MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
+_MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
+# psi_13, the least strong pseudoprime to the 13 bases above (Sorenson and
+# Webster 2017): below it the test is proof, at or above it only evidence
+MR_BOUND = 3317044064679887385961981
 
 
 def is_prime(n: int) -> bool:
-    """Deterministic Miller-Rabin, valid far beyond any practical modulus."""
+    """Miller-Rabin on the first 13 prime bases, deterministic for n below ``MR_BOUND``."""
     if n < 2:
         return False
     for p in _MR_BASES:
@@ -117,6 +120,10 @@ class PrimeField:
     """The field F_p for prime p, elements stored as residues in [0, p)."""
 
     def __init__(self, p: int):
+        if p >= MR_BOUND:
+            raise UsageError(
+                f"modulus {p} is at or above {MR_BOUND}, the bound below which primality is proven"
+            )
         if not is_prime(p):
             raise UsageError(f"{p} is not prime")
         self.p = p

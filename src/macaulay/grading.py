@@ -484,8 +484,8 @@ class RefinementMap:
     """Order-preserving collapse of a fine grading onto a coarse one.
 
     Carries the ring-degree map f and the module-degree map g as callables;
-    ``verify`` samples monotonicity and the compatibility law
-    g(a . b) = f(a) . g(b).
+    ``verify`` samples f(deg x^a) = deg' x^a, monotonicity and the
+    compatibility law g(a . b) = f(a) . g(b).
     """
 
     def __init__(self, source: ModuleGrading, target: ModuleGrading, ring_map, module_map):
@@ -501,6 +501,9 @@ class RefinementMap:
         for _ in range(samples):
             e1 = tuple(rng.randrange(0, 4) for _ in range(d))
             e2 = tuple(rng.randrange(0, 4) for _ in range(d))
+            if self.ring_map(self.source.ring.degree(e1)) != self.target.ring.degree(e1):
+                fails.append(f"ring map fails at {e1}")
+                break
             comp = rng.randrange(self.source.rank)
             b = self.source.degree_of_term(comp, e2)
             # compatibility: g(a.b) = f(a).g(b)

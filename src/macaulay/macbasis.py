@@ -303,16 +303,6 @@ class _ExtendedOrder(TermModuleGrading):
             return (1, None, self.ring.key(u), -i)
         return (0, self.syz.term_entry((i - self.base_rank, u))[0], self.ring.key(u), -i)
 
-    def n_block_syzygies(self, terms, since=0):
-        """The lcm syzygies of the single terms led in the N block.
-
-        Terms in coordinate components are never paired: their pairs would
-        complete the syzygy module itself, which the generating set does not
-        need.  Each pair is returned over all the terms, zero elsewhere.
-        Only the pairs that involve a term from index ``since`` on are formed.
-        """
-        return _lcm_pairs(terms, since, self, self.base_rank)
-
 
 def syzygy_grading(spec, lf_elements) -> SyzygyGrading:
     """The grading of coordinate space over the degrees of the given forms."""
@@ -364,9 +354,10 @@ def leading_syzygy_generators(lf_elements, spec, config=None, *, since=0, _inner
     if len(lf_elements) <= 1:
         return []
     if all(len(m.term_map()) == 1 for m in lf_elements):
-        if isinstance(spec, _ExtendedOrder):
-            return spec.n_block_syzygies(lf_elements, since)
-        return _lcm_pairs(lf_elements, since, spec)
+        # under the elimination order pairs of coordinate terms would complete
+        # the syzygy module itself, so only the N block is paired
+        blocks = spec.base_rank if isinstance(spec, _ExtendedOrder) else None
+        return _lcm_pairs(lf_elements, since, spec, blocks)
 
     ring = lf_elements[0].ring
     field = ring.field
@@ -386,7 +377,7 @@ def leading_syzygy_generators(lf_elements, spec, config=None, *, since=0, _inner
         terms = dict(lf_elements[i].term_map())
         terms[(r + i, zero_exps)] = field.one
         extended.append(ModuleElement.from_terms(ring, r + n, terms))
-    inner = BuchbergerConfig(max_iterations=(config.max_iterations if config else 64))
+    inner = BuchbergerConfig(max_iterations=(config or BuchbergerConfig()).max_iterations)
     basis = buchberger_algorithm(extended, ext, inner, _settled=len(settled))
     if _inner is not None:
         _inner.n, _inner.elements = n, basis.elements

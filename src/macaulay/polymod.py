@@ -26,6 +26,9 @@ class PolyRing:
         names = tuple(names)
         if len(set(names)) != len(names):
             raise UsageError("variable names must be distinct")
+        for name in names:
+            if not _NAME.fullmatch(name):
+                raise UsageError(f"variable name {name!r} must be letters, digits and '_', not led by a digit")
         self.field = field
         self.names = names
         self.nvars = len(names)
@@ -363,12 +366,14 @@ def render_element(m: ModuleElement) -> str:
 # parsing
 
 
-# ASCII numbers with an optional /denominator, names of letters, digits and
-# underscores not led by a digit, operators, newlines, and any other visible
-# character as an unexpected one; the rest of the whitespace matches nothing
-# and finditer steps over it
+# the name rule: a variable name is letters, digits and underscores not led by
+# a digit; PolyRing takes only names this fullmatches, so every name parses back
+_NAME = re.compile(r"[^\W\d]\w*")
+# ASCII numbers with an optional /denominator, names, operators, newlines, and
+# any other visible character as an unexpected one; the rest of the whitespace
+# matches nothing and finditer steps over it
 _TOKEN = re.compile(
-    r"(?P<number>[0-9]+(?:/[0-9]+)?)|(?P<name>[^\W\d]\w*)|(?P<op>[-+*^\[\],])"
+    rf"(?P<number>[0-9]+(?:/[0-9]+)?)|(?P<name>{_NAME.pattern})|(?P<op>[-+*^\[\],])"
     r"|(?P<newline>\n)|(?P<bad>\S)"
 )
 
@@ -448,32 +453,31 @@ def _parse_term(ring, stream, sign):
 def _parse_poly_body(ring, stream):
     fld = ring.field
     terms = {}
-    sign = 1
-    first = True
     while True:
         tok = stream.peek()
         if tok is None or (tok[0] == "op" and tok[1] in "],"):
-            if first:
+            if not terms:
                 raise ParseError("empty expression", stream.last_line, stream.last_col)
-            break
+            return Polynomial(ring, terms)
+        # a term ends only at the end of input or before + - ] ,
+        sign = 1
         if tok[0] == "op" and tok[1] in "+-":
             stream.next()
             sign = 1 if tok[1] == "+" else -1
-        elif not first:
-            raise ParseError("expected '+' or '-' between terms", tok[2], tok[3])
         exps, coeff = _parse_term(ring, stream, sign)
         terms[exps] = fld.add(terms.get(exps, fld.zero), coeff)
-        sign = 1
-        first = False
-    return Polynomial(ring, terms)
+
+
+def _end_of_input(stream):
+    tok = stream.peek()
+    if tok is not None:
+        raise ParseError(f"trailing input {tok[1]!r}", tok[2], tok[3])
 
 
 def parse_polynomial(ring, text, line=1) -> Polynomial:
     stream = _TokenStream(_tokenize(text, line), line)
     poly = _parse_poly_body(ring, stream)
-    if stream.peek() is not None:
-        tok = stream.peek()
-        raise ParseError(f"trailing input {tok[1]!r}", tok[2], tok[3])
+    _end_of_input(stream)
     return poly
 
 
@@ -481,24 +485,18 @@ def parse_element(ring, rank, text, line=1) -> ModuleElement:
     """Parse ``[f1, ..., fn]`` for rank n, or a bare polynomial at rank 1."""
     stream = _TokenStream(_tokenize(text, line), line)
     tok = stream.peek()
-    if tok is not None and tok[0] == "op" and tok[1] == "[":
+    bracketed = tok is not None and tok[:2] == ("op", "[")
+    if bracketed:
         stream.next()
-        polys = []
-        while True:
-            polys.append(_parse_poly_body(ring, stream))
-            tok = stream.next()
-            if tok is None:
-                raise ParseError("unterminated '['", stream.last_line, stream.last_col)
-            if tok[1] == "]":
-                break
-            if tok[1] != ",":
-                raise ParseError("expected ',' or ']'", tok[2], tok[3])
-        if stream.peek() is not None:
-            tok = stream.peek()
-            raise ParseError(f"trailing input {tok[1]!r}", tok[2], tok[3])
-        if len(polys) != rank:
-            raise ParseError(f"expected {rank} components, got {len(polys)}", line, 1)
-        return ModuleElement(ring, polys)
-    if rank != 1:
+    elif rank != 1:
         raise ParseError(f"rank-{rank} element must be written [f1, ...]", line, 1)
-    return ModuleElement.from_polynomial(parse_polynomial(ring, text, line))
+    polys = [_parse_poly_body(ring, stream)]
+    # a component ends only at the end of input or before ] ,
+    while bracketed and (tok := stream.next()) is not None and tok[1] == ",":
+        polys.append(_parse_poly_body(ring, stream))
+    if bracketed and tok is None:
+        raise ParseError("unterminated '['", stream.last_line, stream.last_col)
+    _end_of_input(stream)
+    if len(polys) != rank:
+        raise ParseError(f"expected {rank} components, got {len(polys)}", line, 1)
+    return ModuleElement(ring, polys)

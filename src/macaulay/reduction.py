@@ -213,8 +213,7 @@ class Reducer:
         """
         if m.is_zero():
             raise UsageError("reduction set must not contain zero")
-        if (m.ring is not self.ring and m.ring != self.ring) or m.rank != self.rank:
-            raise UsageError("reduction set mixes rings or ranks")
+        self._check(m)
         if part is None:
             part = leading_form(m, self.spec)
         lead = part.element.term_map()

@@ -109,17 +109,10 @@ class GroupAction:
         key = _matrix_key(mat)
         cached = self._images.get(key)
         if cached is None:
-            cached = tuple(
-                Polynomial(
-                    self.ring,
-                    {
-                        tuple(1 if i == k else 0 for k in range(self.ring.nvars)): mat[i][j]
-                        for i in range(self.ring.nvars)
-                        if not self.ring.field.is_zero(mat[i][j])
-                    },
-                )
-                for j in range(self.ring.nvars)
-            )
+            d = self.ring.nvars
+            units = [tuple(1 if i == k else 0 for k in range(d)) for i in range(d)]
+            # Polynomial drops the zero entries
+            cached = tuple(Polynomial(self.ring, {units[i]: mat[i][j] for i in range(d)}) for j in range(d))
             self._images[key] = cached
         return cached
 

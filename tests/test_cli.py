@@ -704,6 +704,11 @@ def test_cli_group_declared_in_the_problem(tmp_path, capsys):
     assert code == 0 and "invariant: yes" in out
 
 
+PSI_12 = 318665857834031151167461  # 399165290221 * 798330580441, a strong pseudoprime to the bases up to 37
+M89 = 2**89 - 1  # prime, but above the bound below which primality is proven
+HOMOGENIZE = ["homogenize", "--var"]
+
+
 _BAD_GROUP_FILES = {
     "bad.grp": "perm (1 x)\n",
     "bare.grp": "perm 1 2\n",
@@ -736,6 +741,22 @@ _BAD_GROUP_FILES = {
         ("ring q: x y\ngen x\n", ["check-invariant", "--group", "unopened.grp"], 2, "malformed group generator"),
         # --coeff overrides a valid field spec, and does not excuse an invalid one
         ("ring zz: x y\ngen x\n", ["basis", "--coeff", "q"], 2, "line 1, col 1: unknown field spec 'zz'"),
+        # a variable name must read back as one name token
+        ("ring q: 2t x\ngen x\n", ["basis"], 2, "line 1, col 1: variable name '2t'"),
+        ("ring q: a*b c\ngen c\n", ["basis"], 2, "line 1, col 1: variable name 'a*b'"),
+        ("ring q: x^2 y\ngen y\n", ["basis"], 2, "line 1, col 1: variable name 'x^2'"),
+        ("ring q: x y\ngen x^2 - y\n", HOMOGENIZE + ["t*s"], 3, "variable name 't*s'"),
+        ("ring q: x y\ngen x^2 - y\n", HOMOGENIZE + ["2t"], 3, "variable name '2t'"),
+        ("ring q: x y\ngen x^2 - y\n", HOMOGENIZE + ["a b"], 3, "variable name 'a b'"),
+        # an empty --var is a name like any other, not the default t
+        ("ring q: x y\ngen x^2 - y\n", HOMOGENIZE + [""], 3, "variable name ''"),
+        ("ring q: x y t\ngen x^2 - y*t\n", ["dehomogenize", "--var", ""], 3, "variable '' not present"),
+        # a strong pseudoprime to the 12 bases up to 37 is composite, not F_p
+        (f"ring fp:{PSI_12}: x y\ngen 399165290221*x - 1\ngen x*y - y\n", ["basis", "--reduced", "--certify"],
+         2, f"line 1, col 1: {PSI_12} is not prime"),
+        ("ring q: x y\ngen x - 1\n", ["basis", "--coeff", f"fp:{PSI_12}"], 3, f"{PSI_12} is not prime"),
+        (f"ring fp:{M89}: x\ngen x\n", ["basis"], 2, f"line 1, col 1: modulus {M89} is at or above"),
+        ("ring q: x\ngen x\n", ["basis", "--coeff", f"fp:{M89}"], 3, f"modulus {M89} is at or above"),
     ],
 )
 def test_cli_documented_failures_exit_cleanly(tmp_path, capsys, text, argv, code, message):

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from macaulay.coeff import PrimeField, RationalField, field_from_spec, is_prime, rref
+from macaulay.coeff import MR_BOUND, PrimeField, RationalField, field_from_spec, is_prime, rref
 from macaulay.errors import UsageError
 from macaulay.grading import TermModuleGrading, TermOrderGrading
 from macaulay.macbasis import buchberger_algorithm, interreduce
@@ -34,6 +34,11 @@ def test_division_by_zero():
         F.div(1, 7)
 
 
+# the least strong pseudoprimes to the first 12 and 13 prime bases
+PSI_12 = 318665857834031151167461
+PSI_13 = 3317044064679887385961981
+
+
 def test_prime_validation():
     with pytest.raises(UsageError):
         PrimeField(6)
@@ -43,6 +48,20 @@ def test_prime_validation():
     PrimeField(32003)
     assert is_prime(32003)
     assert not is_prime(32001)
+    assert PSI_12 == 399165290221 * 798330580441 and MR_BOUND == PSI_13
+    assert not is_prime(PSI_12)
+    with pytest.raises(UsageError, match="is not prime"):
+        PrimeField(PSI_12)
+    # 2^89 - 1 is prime, but above the bound the test proves nothing
+    for p in (PSI_13, 2**89 - 1):
+        with pytest.raises(UsageError, match=f"at or above {PSI_13}, the bound"):
+            PrimeField(p)
+    assert PrimeField(2**61 - 1).characteristic == 2**61 - 1
+
+
+def test_is_prime_matches_trial_division():
+    for n in range(20000):
+        assert is_prime(n) == (n >= 2 and all(n % d for d in range(2, int(n**0.5) + 1)))
 
 
 @pytest.mark.parametrize("field", [RationalField(), PrimeField(7), PrimeField(32003)])

@@ -64,6 +64,25 @@ gen [x2, x1]
 gen [x1^2 - 1, x2]
 """
 
+HOMOGENEOUS = """\
+ring q: x y z
+grading total
+gen x^2 - y*z
+gen x*y
+gen y^3
+"""
+
+CIRCLE_HOMOGENIZED = """\
+ring q: x1 x2 t
+grading total
+gen x1^2 + x2^2 - t^2
+gen x1^2*x2^2 - t^4
+"""
+
+# the group file is named in the problem text and read relative to the
+# working directory, so the input hash does not depend on where the case runs
+GROUP_FILES = {"c4.grp": "signed-perm (-2 1)\n"}
+
 REDUCE = ("reduce", "--trace", "--format", "json", "--element")
 
 # case name -> (problem text, CLI arguments after the problem path)
@@ -87,21 +106,29 @@ CASES = {
     "basis_cyclic4": (CYCLIC4, ("basis", "--reduced", "--format", "json")),
     "basis_cyclic4_total": (CYCLIC4, ("basis", "--grading", "total", "--reduced", "--format", "json")),
     "basis_cyclic3_total": (CYCLIC3, ("basis", "--reduced", "--format", "json")),
+    "syzygy_circle_total": (CIRCLE, ("syzygy", "--format", "json")),
+    "eliminate_circle": (CIRCLE, ("eliminate", "--keep", "x2", "--format", "json")),
+    "hilbert_homogeneous": (HOMOGENEOUS, ("hilbert", "--degrees", "0..5")),
+    "homogenize_circle": (CIRCLE, ("homogenize",)),
+    "dehomogenize_circle": (CIRCLE_HOMOGENIZED, ("dehomogenize", "--var", "t", "--format", "json")),
+    "check_invariant_c4": (C4 + "group c4.grp\n", ("check-invariant", "--equivariance-samples", "3")),
 }
 
 
 def run_case(tmp_dir, name, capture):
-    """Write the case's problem file, run the CLI on it; returns (code, stdout)."""
+    """Write the case's problem file and the group files into tmp_dir, the
+    working directory, and run the CLI on the problem; returns (code, stdout)."""
     text, args = CASES[name]
-    path = os.path.join(tmp_dir, f"{name}.mac")
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write(text)
-    code = main([args[0], path, *args[1:]])
+    for file_name, body in {f"{name}.mac": text, **GROUP_FILES}.items():
+        with open(os.path.join(tmp_dir, file_name), "w", encoding="utf-8") as fh:
+            fh.write(body)
+    code = main([args[0], f"{name}.mac", *args[1:]])
     return code, capture()
 
 
 @pytest.mark.parametrize("name", sorted(CASES))
-def test_golden_output(name, tmp_path, capsys):
+def test_golden_output(name, tmp_path, capsys, monkeypatch):
+    monkeypatch.chdir(tmp_path)
     code, out = run_case(str(tmp_path), name, lambda: capsys.readouterr().out)
     assert code == 0
     with open(os.path.join(GOLDEN, f"{name}.out"), encoding="utf-8") as fh:

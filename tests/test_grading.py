@@ -11,6 +11,7 @@ from macaulay.grading import (
     TOP,
     BlockGrading,
     CoarseModuleGrading,
+    RefinementMap,
     SyzygyGrading,
     TermModuleGrading,
     TermOrderGrading,
@@ -148,6 +149,15 @@ def test_apply_refinement_examples():
     sref = syzygy_refinement(syz)
     assert sref.module_map((0, (0, 2))) == 4
     assert sref.verify().passed
+
+
+def test_refinement_with_a_wrong_ring_map_fails_verify():
+    fine = TermModuleGrading(TermOrderGrading.degrevlex(2), 1)
+    coarse = CoarseModuleGrading(TotalDegreeGrading(2), 1)
+    # the module map is right, so only the ring map can fail
+    wrong = RefinementMap(fine, coarse, ring_map=lambda v: 0, module_map=total_refinement(fine, coarse).module_map)
+    report = wrong.verify()
+    assert not report.passed and report.failures[0].startswith("ring map fails at")
 
 
 def test_enumerate_multipliers_examples(total2, drl2):
