@@ -4,7 +4,7 @@ The pieces, bottom up: ``coeff`` (Q and F_p), ``grading`` (totally ordered
 monoid gradings and refinements), ``polymod`` (sparse polynomials and module
 elements), ``gradlin`` (exact linear algebra on graded components),
 ``reduction`` (the span and complement reduction relations), ``macbasis``
-(criterion, completion, interreduction, lifting), ``symmetry`` (finite group
+(criterion, completion, interreduction, lifting), ``symmetry`` (matrix group
 actions), ``apps`` (elimination, syzygy bases, Hilbert functions,
 homogenization) and ``cli``.
 """

@@ -406,7 +406,7 @@ def run_command(command, problem: ProblemFile, args) -> dict:
     elif command == "eliminate":
         if not args.keep:
             raise UsageError("eliminate needs --keep")
-        keep = [v for v in args.keep.replace(",", " ").split() if v]
+        keep = args.keep.replace(",", " ").split()
         elim = EliminationSpec(problem.ring, keep)
         kept_spec = CoarseModuleGrading(elim.grading, problem.rank)
         out = eliminate(gens, elim, config)
@@ -540,7 +540,9 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--certify", action="store_true")
     parser.add_argument("--trace", action="store_true")
     parser.add_argument("--format", default="text", choices=("text", "json"))
-    parser.add_argument("--max-iterations", type=ascii_int, default=64, dest="max_iterations")
+    parser.add_argument(
+        "--max-iterations", type=ascii_int, default=BuchbergerConfig().max_iterations, dest="max_iterations"
+    )
     parser.add_argument("--degree-cap", type=ascii_int, default=None, dest="degree_cap")
     parser.add_argument("--keep", default=None, help="variables to keep for eliminate")
     parser.add_argument("--var", default=None, help="homogenizing variable name")

@@ -158,9 +158,11 @@ class PrimeField:
         return a % self.p == 0
 
     def parse(self, text):
+        """The residue of an integer literal, or of ``a/b`` as a * b^-1 mod p."""
+        num, slash, den = text.partition("/")
         try:
-            return int(text, 10) % self.p
-        except ValueError as exc:
+            return self.div(int(num, 10), int(den, 10)) if slash else int(text, 10) % self.p
+        except (ValueError, ZeroDivisionError) as exc:
             raise UsageError(f"bad residue literal {text!r}") from exc
 
     def render(self, a) -> str:

@@ -1,50 +1,34 @@
-"""Finite matrix groups acting on the ring by linear variable substitution.
+"""Matrix groups acting on the ring by linear variable substitution.
 
 A generator matrix M sends x_j to the linear form with coefficients in column
 j, extended multiplicatively to polynomials and componentwise to module
-elements, so substitution composes along matrix products.  Group elements are
-enumerated by closure under multiplication up to a cap.
+elements, so substitution composes along matrix products.  An action is the
+group its matrices generate, finite or not, kept as its generators alone.
+They settle every check here: an invertible g with g(V) in V on a
+finite-dimensional V has g^-1(V) = V, and nf(g m) = g nf(m) for every m gives
+nf(g^-1 m) = g^-1 nf(m), so invariance and equivariance under each generator
+hold for the whole group.
 """
 
 import random
+from fractions import Fraction
 from typing import NamedTuple
 
 from .coeff import rref
-from .errors import ResourceLimitError, UsageError
+from .errors import UsageError
 from .gradlin import ORTHOGONAL, PIVOT, ComponentBasis, GradedSubspace
 from .polymod import ModuleElement, Polynomial
 from .reduction import Reducer
 
 
-def _matrix_key(mat):
-    return tuple(tuple(row) for row in mat)
-
-
-def _mat_mul(a, b, field):
-    n = len(a)
-    return tuple(
-        tuple(
-            _sum(field, (field.mul(a[i][k], b[k][j]) for k in range(n)))
-            for j in range(n)
-        )
-        for i in range(n)
-    )
-
-
-def _sum(field, values):
-    acc = field.zero
-    for v in values:
-        acc = field.add(acc, v)
-    return acc
-
-
-def _identity(n, field):
-    return tuple(tuple(field.one if i == j else field.zero for j in range(n)) for i in range(n))
-
-
-def _is_invertible(mat, field):
-    rows, _, _ = rref([dict(enumerate(r)) for r in mat], field)
-    return len(rows) == len(mat)
+def _entry(v, field):
+    """A matrix entry's value in the field: an int n as n, a Fraction a/b as a * b^-1."""
+    if isinstance(v, bool) or not isinstance(v, (int, Fraction)):
+        raise UsageError(f"generator matrix entry {v!r} is not an integer or a Fraction")
+    try:
+        return field.div(field.from_int(v.numerator), field.from_int(v.denominator))
+    except ZeroDivisionError:
+        raise UsageError(f"generator matrix entry {v!r} has no value in {field!r}") from None
 
 
 def is_monomial_matrix(mat, field) -> bool:
@@ -60,53 +44,27 @@ def is_monomial_matrix(mat, field) -> bool:
 
 
 class GroupAction:
-    """A finite group of invertible substitutions, closed under multiplication."""
+    """The group generated by invertible substitution matrices, kept as its generators."""
 
-    def __init__(self, ring, generator_matrices, max_elements: int = 1024):
+    def __init__(self, ring, generator_matrices):
         self.ring = ring
-        field = ring.field
         d = ring.nvars
         gens = []
         for mat in generator_matrices:
-            if any(isinstance(v, float) for row in mat for v in row):
-                raise UsageError("generator matrices must have exact entries")
-            mat = tuple(tuple(field.from_int(v) if isinstance(v, int) else v for v in row) for row in mat)
+            mat = tuple(tuple(_entry(v, ring.field) for v in row) for row in mat)
             if len(mat) != d or any(len(row) != d for row in mat):
                 raise UsageError("generator matrix shape must match the variable count")
-            if not _is_invertible(mat, field):
+            if len(rref([dict(enumerate(row)) for row in mat], ring.field)[0]) != d:
                 raise UsageError("generator matrix is singular")
             gens.append(mat)
         self.generators = tuple(gens)
-        self.elements = self._closure(max_elements)
         self._images = {}
         # ((tuple(X), spec), Reducer) of the last equivariance check: one entry
         self._reducer = None
 
-    def _closure(self, cap):
-        field = self.ring.field
-        seen = {_matrix_key(_identity(self.ring.nvars, field))}
-        frontier = [_identity(self.ring.nvars, field)]
-        out = list(frontier)
-        while frontier:
-            nxt = []
-            for mat in frontier:
-                for g in self.generators:
-                    prod = _mat_mul(g, mat, field)
-                    key = _matrix_key(prod)
-                    if key not in seen:
-                        seen.add(key)
-                        out.append(prod)
-                        nxt.append(prod)
-                        if len(out) > cap:
-                            raise ResourceLimitError(
-                                f"group closure exceeded {cap} elements"
-                            )
-            frontier = nxt
-        return tuple(out)
-
     def variable_images(self, mat):
         """The substituted polynomials g(x_1), ..., g(x_d)."""
-        key = _matrix_key(mat)
+        key = tuple(map(tuple, mat))
         cached = self._images.get(key)
         if cached is None:
             d = self.ring.nvars

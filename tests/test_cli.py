@@ -13,8 +13,11 @@ from macaulay.cli import (
     parse_problem,
     render_problem,
 )
+from macaulay.coeff import PrimeField
 from macaulay.errors import ParseError, UsageError
 from macaulay.grading import TermOrderGrading
+from macaulay.macbasis import buchberger_algorithm, interreduce
+from macaulay.symmetry import span_is_invariant
 
 CIRCLE = """\
 # twin-circle system
@@ -110,15 +113,15 @@ def test_malformed_declarations():
 
 
 def test_group_file_parsing(R2, tmp_path, capsys):
-    action = parse_group_file(SWAP_GROUP, R2)
-    assert len(action.elements) == 2
-    action = parse_group_file("signed-perm (-2 1)\n", R2)
-    assert len(action.elements) == 4
-    action = parse_group_file("matrix [[0,1],[-1,0]]\n", R2)
-    assert len(action.elements) == 4
+    swap = ((0, 1), (1, 0))
+    quarter_turn = ((0, 1), (-1, 0))
+    assert parse_group_file(SWAP_GROUP, R2).generators == (swap,)
+    assert parse_group_file("signed-perm (-2 1)\n", R2).generators == (quarter_turn,)
+    assert parse_group_file("matrix [[0,1],[-1,0]]\n", R2).generators == (quarter_turn,)
     # the empty cycle is the identity; spaces inside the parentheses are allowed
-    assert len(parse_group_file("perm ()\n", R2).elements) == 1
-    assert len(parse_group_file("perm ( 1 2 )\n", R2).elements) == 2
+    assert parse_group_file("perm ()\n", R2).generators == (((1, 0), (0, 1)),)
+    assert parse_group_file("perm ( 1 2 )\n", R2).generators == (swap,)
+    assert parse_group_file(SWAP_GROUP + "perm ()\n", R2).generators == (swap, ((1, 0), (0, 1)))
     with pytest.raises(ParseError):
         parse_group_file("spin (1 2)\n", R2)
     with pytest.raises(ParseError):
@@ -253,6 +256,58 @@ def test_cli_check_invariant(tmp_path, capsys):
     assert code == 0 and "invariant: no" in out
 
 
+def _ring_text(names, *gens):
+    return f"ring q: {' '.join(names)}\ngrading total\n" + "".join(f"gen {g}\n" for g in gens)
+
+
+_X5 = [f"x{i}" for i in range(1, 6)]
+_X7 = [f"x{i}" for i in range(1, 8)]
+
+
+# groups whose closure is large or infinite; the check reads only their generators
+@pytest.mark.parametrize(
+    "text, group, verdict",
+    [
+        # B5, the 3840 signed permutations: the sign flip moves x1 + ... + x5 out of the span
+        (
+            _ring_text(_X5, "+".join(_X5), "+".join(f"{x}^2" for x in _X5)),
+            "perm (1 2)\nperm (1 2 3 4 5)\nsigned-perm (-1 2 3 4 5)\n",
+            "no",
+        ),
+        (
+            _ring_text(_X5, "+".join(f"{x}^2" for x in _X5), "*".join(_X5)),
+            "perm (1 2)\nperm (1 2 3 4 5)\nsigned-perm (-1 2 3 4 5)\n",
+            "yes",
+        ),
+        # S7, 5040 permutations
+        (_ring_text(_X7, "+".join(_X7), "*".join(_X7) + " - 1"), "perm (1 2)\nperm (1 2 3 4 5 6 7)\n", "yes"),
+        # the shear x2 -> x1 + x2 and diag(2, 1) have infinite order over Q
+        (_ring_text(["x1", "x2"], "x1", "x1*x2 + x2^2"), "matrix [[1, 1], [0, 1]]\n", "no"),
+        (_ring_text(["x1", "x2"], "x1", "x1^2", "x1*x2"), "matrix [[1, 1], [0, 1]]\n", "yes"),
+        (_ring_text(["x1", "x2"], "x1*x2", "x1^2 + x2"), "matrix [[2, 0], [0, 1]]\n", "no"),
+        (_ring_text(["x1", "x2"], "x1*x2", "x1^2", "x2"), "matrix [[2, 0], [0, 1]]\n", "yes"),
+    ],
+    ids=["B5-no", "B5-yes", "S7-yes", "shear-no", "shear-yes", "diag-no", "diag-yes"],
+)
+def test_cli_check_invariant_on_large_and_infinite_groups(tmp_path, capsys, text, group, verdict):
+    path = write(tmp_path, "problem.mac", text)
+    grp = write(tmp_path, "g.grp", group)
+    code, out, err = run_cli(tmp_path, capsys, "check-invariant", path, "--group", grp)
+    assert code == 0 and err == ""
+    assert f"invariant: {verdict}" in out
+    problem = parse_problem(text)
+    expected = span_is_invariant(problem.generators, parse_group_file(group, problem.ring)).invariant
+    assert verdict == ("yes" if expected else "no")
+
+
+def test_cli_equivariance_on_the_shear_exits_3(tmp_path, capsys):
+    path = write(tmp_path, "problem.mac", _ring_text(["x1", "x2"], "x1"))
+    grp = write(tmp_path, "shear.grp", "matrix [[1, 1], [0, 1]]\n")
+    argv = ("check-invariant", path, "--group", grp, "--equivariance-samples", "2")
+    code, out, err = run_cli(tmp_path, capsys, *argv)
+    assert code == 3 and out == "" and "monomial" in err
+
+
 def test_cli_syzygy(tmp_path, capsys):
     path = write(tmp_path, "circle.mac", CIRCLE)
     code, out, _ = run_cli(tmp_path, capsys, "syzygy", path, "--grading", "total")
@@ -265,6 +320,44 @@ def test_cli_prime_field(tmp_path, capsys):
     assert code == 0
     assert "x1^2 + x2^2 + 32002" in out
     assert "x2^4 + 32002*x2^2 + 1" in out
+
+
+def test_cli_prime_field_reads_a_fraction(tmp_path, capsys):
+    outs = []
+    for coeff in ("1/2", "4"):
+        path = write(tmp_path, "line.mac", f"ring fp:7: x\ngen {coeff}*x - 1\n")
+        code, out, err = run_cli(tmp_path, capsys, "basis", path, "--reduced")
+        assert code == 0 and err == ""
+        outs.append(out.split("\n", 2)[2])  # past the input hash
+    assert outs[0] == outs[1] and "x + 5" in outs[0]
+
+
+KATSURA3 = """\
+ring q: x y z
+grading order degrevlex
+gen x + 2*y + 2*z - 1
+gen x^2 + 2*y^2 + 2*z^2 - x
+gen 2*x*y + 2*y*z - y
+"""
+
+
+def test_q_reduced_basis_reads_back_over_a_good_prime():
+    # for a good prime the reduced basis does not depend on whether the work
+    # ran over Q or over F_p: the rendered Q basis, fractions and all, reads
+    # back over F_32003 as the F_32003 reduced basis
+    def reduced(problem):
+        spec = problem.grading()
+        return list(interreduce(buchberger_algorithm(problem.generators, spec), spec).elements)
+
+    problem = parse_problem(KATSURA3)
+    problem.generators = reduced(problem)
+    text = render_problem(problem)
+    assert "/" in text
+    fp = PrimeField(32003)
+    read_back = parse_problem(text, fp)
+    direct = reduced(parse_problem(KATSURA3, fp))
+    assert reduced(read_back) == direct
+    assert read_back.generators == direct
 
 
 def test_cli_empty_generators(tmp_path, capsys):
@@ -600,8 +693,6 @@ _GROUP_LINES = st.one_of(
 @settings(derandomize=True, max_examples=200, deadline=None, database=None)
 @given(lines=st.lists(_GROUP_LINES, min_size=1, max_size=2))
 def test_malformed_group_lines_raise_only_input_errors(lines):
-    # over F_3 every invertible 2x2 matrix has finite order, so a closure
-    # stays inside GL_2(F_3) (48 elements) and never meets the element cap
     ring = parse_problem("ring fp:3: x y\n").ring
     try:
         parse_group_file("\n".join(lines) + "\n", ring)

@@ -118,6 +118,17 @@ def test_render_parse_round_trip():
     assert F.render(F.parse("32004")) == "1"
 
 
+def test_prime_field_reads_a_fraction_as_a_quotient():
+    F = PrimeField(7)
+    assert F.parse("1/2") == 4 and F.parse("-3/5") == F.div(F.from_int(-3), 5)
+    assert F.parse("14/2") == 0
+    # the literal's own denominator decides, not the reduced fraction's
+    for text in ("3/14", "1/0", "7/14"):
+        with pytest.raises(UsageError) as err:
+            F.parse(text)
+        assert repr(text) in str(err.value)
+
+
 def _canonical(v):
     """Is v in Q's canonical form: an int, or a Fraction that is not whole?"""
     return type(v) is int or (type(v) is Fraction and v.denominator != 1)

@@ -11,6 +11,7 @@ import os
 
 import pytest
 
+from macaulay import cli
 from macaulay.cli import main
 
 GOLDEN = os.path.join(os.path.dirname(__file__), "golden")
@@ -47,6 +48,14 @@ gen a*b*c + b*c*d + c*d*a + d*a*b
 gen a*b*c*d - 1
 """
 
+ROT3 = """\
+ring q: x1 x2
+grading total
+gen x1^2 + x1*x2 + x2^2
+gen x1^2
+group rot3.grp
+"""
+
 CYCLIC3 = """\
 ring q: x y z
 grading total
@@ -81,7 +90,11 @@ gen x1^2*x2^2 - t^4
 
 # the group file is named in the problem text and read relative to the
 # working directory, so the input hash does not depend on where the case runs
-GROUP_FILES = {"c4.grp": "signed-perm (-2 1)\n"}
+GROUP_FILES = {
+    "c4.grp": "signed-perm (-2 1)\n",
+    "rot3.grp": "matrix [[0, -1], [1, -1]]\n",
+    "s3.grp": "perm (1 2)\nperm (1 2 3)\n",
+}
 
 REDUCE = ("reduce", "--trace", "--format", "json", "--element")
 
@@ -112,6 +125,12 @@ CASES = {
     "homogenize_circle": (CIRCLE, ("homogenize",)),
     "dehomogenize_circle": (CIRCLE_HOMOGENIZED, ("dehomogenize", "--var", "t", "--format", "json")),
     "check_invariant_c4": (C4 + "group c4.grp\n", ("check-invariant", "--equivariance-samples", "3")),
+    # a non-monomial matrix: the action substitutes linear forms
+    "check_invariant_rot3": (ROT3, ("check-invariant", "--format", "json")),
+    "check_invariant_s3": (
+        CYCLIC3 + "group s3.grp\n",
+        ("check-invariant", "--equivariance-samples", "3", "--format", "json"),
+    ),
 }
 
 
@@ -134,3 +153,8 @@ def test_golden_output(name, tmp_path, capsys, monkeypatch):
     with open(os.path.join(GOLDEN, f"{name}.out"), encoding="utf-8") as fh:
         expected = fh.read()
     assert out == expected
+
+
+def test_every_command_is_pinned():
+    # a new command lands with a byte-for-byte pin of its output
+    assert {args[0] for _, args in CASES.values()} == set(cli.COMMANDS)

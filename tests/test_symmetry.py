@@ -4,7 +4,7 @@ from fractions import Fraction
 import pytest
 
 from macaulay.coeff import PrimeField, RationalField
-from macaulay.errors import ResourceLimitError, UsageError
+from macaulay.errors import UsageError
 from macaulay.gradlin import ORTHOGONAL
 from macaulay.grading import CoarseModuleGrading, TermOrderGrading, TotalDegreeGrading
 from macaulay.macbasis import buchberger_algorithm
@@ -42,33 +42,40 @@ def test_act_examples(el, swap, c4):
     assert c4.act(c, g3) == g3
 
 
+def _product(g, h):
+    n = len(g)
+    return tuple(tuple(sum(g[i][k] * h[k][j] for k in range(n)) for j in range(n)) for i in range(n))
+
+
+def _powers(g, count):
+    """g^0, ..., g^(count - 1) for an integer matrix g."""
+    out = [tuple(tuple(int(i == j) for j in range(len(g))) for i in range(len(g)))]
+    while len(out) < count:
+        out.append(_product(g, out[-1]))
+    return out
+
+
 def test_action_axioms(R2, c4):
-    rng = random.Random(16)
-    identity = c4.elements[0]
-    for _ in range(30):
-        m = random_element(R2, 1, rng, max_degree=4, terms=4)
-        assert c4.act(identity, m) == m
-        for g in c4.elements:
-            for h in c4.elements:
-                gh = tuple(
-                    tuple(
-                        sum(g[i][k] * h[k][j] for k in range(2)) for j in range(2)
-                    )
-                    for i in range(2)
-                )
-                assert c4.act(g, c4.act(h, m)) == c4.act(gh, m)
-        break  # the inner double loop already covers all 16 pairs
+    g = c4.generators[0]
+    elements = _powers(g, 4)
+    identity = elements[0]
+    assert len(set(elements)) == 4 and _product(g, elements[-1]) == identity
+    m = random_element(R2, 1, random.Random(16), max_degree=4, terms=4)
+    assert c4.act(identity, m) == m
+    for g in elements:
+        for h in elements:
+            assert c4.act(g, c4.act(h, m)) == c4.act(_product(g, h), m)
 
 
-def test_closure_sizes(R2, swap, c4):
-    assert len(swap.elements) == 2
-    assert len(c4.elements) == 4
-
-
-def test_closure_cap(R2):
-    shear = [[1, 1], [0, 1]]  # infinite order
-    with pytest.raises(ResourceLimitError):
-        GroupAction(R2, [shear], max_elements=16)
+def test_infinite_group_gets_an_invariance_verdict(R2, el):
+    # x1 -> x1, x2 -> x1 + x2 generates an infinite group; the action keeps
+    # the one generator, and that settles invariance
+    shear = GroupAction(R2, [[[1, 1], [0, 1]]])
+    assert len(shear.generators) == 1
+    assert span_is_invariant([el("x1"), el("x2")], shear).invariant
+    report = span_is_invariant([el("x2^2")], shear)
+    assert not report.invariant
+    assert report.witnesses[0].residual == el("x1^2 + 2*x1*x2")
 
 
 def test_singular_matrix_rejected(R2):
@@ -78,19 +85,35 @@ def test_singular_matrix_rejected(R2):
         GroupAction(R2, [[[0.5, 0], [0, 1]]])
 
 
+@pytest.mark.parametrize("field", [RationalField(), PrimeField(7)], ids=["Q", "F7"])
+def test_generator_entries_are_field_values(field):
+    ring = PolyRing(field, ("x1", "x2"))
+    action = GroupAction(ring, [[[Fraction(1, 2), 0], [Fraction(6, 3), -1]]])
+    half = field.div(field.one, field.from_int(2))
+    assert action.generators == (((half, 0), (2, field.from_int(-1))),)
+    assert all(type(v) is int for v in action.generators[0][1])
+    assert (half == 4) if isinstance(field, PrimeField) else (half == Fraction(1, 2))
+    for bad in ("1", None, True, 1.0):
+        with pytest.raises(UsageError) as err:
+            GroupAction(ring, [[[bad, 0], [0, 1]]])
+        assert repr(bad) in str(err.value)
+
+
+def test_generator_entry_without_a_residue_is_refused():
+    ring = PolyRing(PrimeField(7), ("x1", "x2"))
+    with pytest.raises(UsageError) as err:
+        GroupAction(ring, [[[Fraction(1, 7), 0], [0, 1]]])
+    assert "Fraction(1, 7)" in str(err.value)
+
+
 def test_is_homogeneous_action(R2, swap):
     assert is_homogeneous_action(swap, TotalDegreeGrading(2))
     assert not is_homogeneous_action(swap, TermOrderGrading.degrevlex(2))
 
 
 def test_shear_homogeneity(R2):
-    # a shear is linear, hence homogeneous for total degree, but it mixes
-    # monomials; its closure is infinite, so build the action without one
-    action = GroupAction.__new__(GroupAction)
-    action.ring = R2
-    field = R2.field
-    action.generators = (tuple(tuple(field.from_int(v) for v in row) for row in ((1, 1), (0, 1))),)
-    action._images = {}
+    # a shear is linear, hence homogeneous for total degree, but it mixes monomials
+    action = GroupAction(R2, [[[1, 1], [0, 1]]])
     assert is_homogeneous_action(action, TotalDegreeGrading(2))
     assert not is_homogeneous_action(action, TermOrderGrading.degrevlex(2))
 
@@ -150,7 +173,7 @@ def test_span_invariance_acts_once_per_witness(el, c4, c4_triple, monkeypatch):
 def test_ideal_invariance_under_action(el, total2, c4, c4_triple):
     basis = buchberger_algorithm(c4_triple, total2)
     reducer = Reducer(list(basis.elements), total2)
-    for g in c4.elements:
+    for g in _powers(c4.generators[0], 4):
         for m in basis.elements:
             ok, _ = reducer.reduces_to_zero(c4.act(g, m))
             assert ok
@@ -290,7 +313,9 @@ def test_non_monomial_action(R2, el):
     # each image is a sum of terms, so the action substitutes
     rot = GroupAction(R2, [[[0, -1], [1, -1]]])
     g = rot.generators[0]
-    assert len(rot.elements) == 3
+    for v in ("x1", "x2"):
+        assert rot.act(g, rot.act(g, rot.act(g, el(v)))) == el(v)
+    assert rot.act(g, el("x1")) != el("x1")
     f = R2.parse("x1^2 + x1*x2 + x2^2")
     assert rot.act(g, f) == f
     assert rot.act(g, R2.parse("x1*x2")) == R2.parse("-x1*x2 - x2^2")
