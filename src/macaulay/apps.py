@@ -48,7 +48,10 @@ from .reduction import Reducer
 
 
 class EliminationSpec:
-    """Kept-variable selection plus the induced two-block ring grading."""
+    """Kept-variable selection plus the induced two-block ring grading.
+
+    Each kept variable is a name of the ring or an ``int`` index (not a bool).
+    """
 
     def __init__(self, ring: PolyRing, keep):
         kept = []
@@ -57,8 +60,10 @@ class EliminationSpec:
                 if item not in ring.names:
                     raise UsageError(f"unknown variable {item!r}")
                 kept.append(ring.names.index(item))
+            elif isinstance(item, int) and not isinstance(item, bool):
+                kept.append(item)
             else:
-                kept.append(int(item))
+                raise UsageError(f"kept variable {item!r} is neither a name nor an index")
         self.kept = tuple(sorted(set(kept)))
         self.grading = BlockGrading(ring.nvars, self.kept)
 
@@ -127,10 +132,7 @@ class HilbertTable(NamedTuple):
 
 def default_fine_grading(coarse: CoarseModuleGrading) -> TermModuleGrading:
     """Degrevlex refinement of a total-degree module grading, shifts preserved."""
-    ring_grading = coarse.ring
-    if not isinstance(ring_grading, TotalDegreeGrading):
-        raise UsageError("the default refinement applies to total-degree gradings")
-    d = ring_grading.nvars
+    d = coarse.ring.nvars
     shifts = tuple(
         tuple(s if k == 0 else 0 for k in range(d)) for s in coarse.shifts
     )
@@ -140,15 +142,17 @@ def default_fine_grading(coarse: CoarseModuleGrading) -> TermModuleGrading:
 def hilbert_function(generators, coarse: CoarseModuleGrading, degrees, config=None) -> HilbertTable:
     """dim M_b for each requested degree of a graded submodule M.
 
-    All generators must be homogeneous for the coarse grading.  Dimensions are
-    read off the leading-form module of a Macaulay basis under the refining
-    term order: dim M_b equals the sum over the fiber of b of the workspace
-    dimensions, one per module monomial of degree b.  Each such workspace
-    sits in a single module monomial, so it has dimension 1 when some
-    leading monomial divides that monomial and 0 otherwise.  Counting needs
-    no order: each component's exponents are enumerated unsorted and tested
-    against the leading exponents of that component.
+    The grading must be total degree, and all generators homogeneous for it.
+    Dimensions are read off the leading-form module of a Macaulay basis under
+    the refining term order: dim M_b equals the sum over the fiber of b of
+    the workspace dimensions, one per module monomial of degree b.  Each such
+    workspace sits in a single module monomial, so it has dimension 1 when
+    some leading monomial divides that monomial and 0 otherwise.  Counting
+    needs no order: each component's exponents are enumerated unsorted and
+    tested against the leading exponents of that component.
     """
+    if not isinstance(coarse.ring, TotalDegreeGrading):
+        raise UsageError("hilbert requires the total-degree grading")
     generators = [g for g in generators if not g.is_zero()]
     for g in generators:
         if not is_homogeneous(g, coarse):

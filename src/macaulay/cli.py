@@ -12,6 +12,7 @@ out of memory.
 import argparse
 import functools
 import json
+import os
 import re
 import sys
 
@@ -222,8 +223,8 @@ def render_problem(problem: ProblemFile) -> str:
 def _ring_grading(decl, d):
     """The ring grading a declaration names, checked to be a monoid order.
 
-    The check samples 200 degree triples, so its verdict is kept per
-    (declaration, number of variables); a failing one raises every time.
+    A weight matrix's check runs an exact rank test, so its verdict is kept
+    per (declaration, number of variables); a failing one raises every time.
     """
     tokens = decl.split() or [""]
     kind = tokens[0]
@@ -421,8 +422,6 @@ def run_command(command, problem: ProblemFile, args) -> dict:
             raise UsageError(f"bad degree range {args.degrees!r} (expected a..b)") from None
         if not degrees:
             raise UsageError(f"--degrees {args.degrees} is an empty range")
-        if not isinstance(spec.ring, TotalDegreeGrading):
-            raise UsageError("hilbert requires the total-degree grading")
         table = hilbert_function(gens, spec, degrees, config=config)
         doc["hilbert"] = [
             {"degree": str(d), "dim": v} for d, v in zip(table.degrees, table.values)
@@ -448,7 +447,10 @@ def run_command(command, problem: ProblemFile, args) -> dict:
             out_spec = ctx.coarse
         doc["elements"] = _element_entries([m for m in out if not m.is_zero()], out_spec)
     elif command == "check-invariant":
-        path = args.group or problem.group_path
+        # a problem file's group path is read from that file's directory
+        path = args.group or problem.group_path and os.path.join(
+            os.path.dirname(args.problem), problem.group_path
+        )
         if not path:
             raise UsageError("check-invariant needs --group <file>")
         with open(path, "r", encoding="utf-8") as fh:

@@ -235,10 +235,10 @@ def _reduction_soundness(field, policy, samples=200):
             if rebuilt != m:
                 return False
             for idx, r in trace.representation.items():
-                if not r.is_zero() and spec.compare(degree_of(gens[idx].action(r), spec), top) > 0:
+                if not r.is_zero() and spec.key(degree_of(gens[idx].action(r), spec)) > spec.key(top):
                     return False
             degs = [s.degree for s in trace.steps]
-            if any(spec.compare(a, b) <= 0 for a, b in zip(degs, degs[1:])):
+            if any(spec.key(a) <= spec.key(b) for a, b in zip(degs, degs[1:])):
                 return False
     return checked > samples // 2
 

@@ -1,5 +1,6 @@
 import json
 import random
+import re
 
 import pytest
 
@@ -23,7 +24,7 @@ from macaulay.apps import (
 )
 from macaulay.cli import main, parse_problem
 from macaulay.errors import UsageError
-from macaulay.grading import CoarseModuleGrading, SyzygyGrading, TotalDegreeGrading
+from macaulay.grading import BlockGrading, CoarseModuleGrading, SyzygyGrading, TotalDegreeGrading
 from macaulay.macbasis import buchberger_algorithm
 from macaulay.polymod import ModuleElement, PolyRing, degree_of, is_homogeneous, leading_form
 from macaulay.reduction import Reducer, dot
@@ -78,6 +79,11 @@ def test_eliminate_membership_and_leading_forms(R2, el):
 def test_eliminate_unknown_variable(R2):
     with pytest.raises(UsageError):
         EliminationSpec(R2, ["zz"])
+    # a kept variable is a name or an int index, and nothing is coerced to one
+    for item in (1.7, True, None):
+        with pytest.raises(UsageError, match=re.escape(repr(item))):
+            EliminationSpec(R2, [item])
+    assert EliminationSpec(R2, [1]).kept == EliminationSpec(R2, ["x2"]).kept == (1,)
 
 
 def test_eliminate_rank_two_module(R2):
@@ -161,6 +167,8 @@ def test_schreyer_single_element(el, total2):
     basis = buchberger_algorithm([el("x1^2 - x2")], total2)
     syz = schreyer_syzygy_basis(basis)
     assert syz.elements == ()
+    with pytest.raises(UsageError, match="empty basis"):
+        schreyer_syzygy_basis(buchberger_algorithm([], total2))
 
 
 def test_schreyer_rank_two_term_order(R2):
@@ -205,6 +213,15 @@ def test_hilbert_examples(R2, el, total2):
 def test_hilbert_requires_homogeneous(el, total2):
     with pytest.raises(UsageError):
         hilbert_function([el("x1^2 - 1")], total2, [2])
+
+
+def test_hilbert_requires_total_degree(el, drl2):
+    # homogeneous generators under a grading that is not total degree: the
+    # grading is named, not the generators
+    gens = [el("x1^2 + x2^2"), el("x1*x2")]
+    for spec in (drl2, CoarseModuleGrading(BlockGrading(2, (0,)), 1)):
+        with pytest.raises(UsageError, match="hilbert requires the total-degree grading"):
+            hilbert_function(gens, spec, [0, 1, 2])
 
 
 def test_hilbert_against_brute_force(Q):
@@ -259,6 +276,11 @@ def test_homogenize_examples(R2, el):
 
     assert dehomogenize(homogenize(el("x2^2 - x1"), ctx), ctx) == el("x2^2 - x1")
     assert dehomogenize(ModuleElement.from_polynomial(T.parse("t^3")), ctx) == el("1")
+    # a Polynomial stands for its rank-one element, and zero maps to zero
+    assert homogenize(R2.parse("x2^2 - x1"), ctx) == h
+    assert dehomogenize(T.parse("t^3"), ctx) == el("1")
+    assert homogenize(el("0"), ctx) == ModuleElement.from_polynomial(T.parse("0"))
+    assert dehomogenize(ModuleElement.from_polynomial(T.parse("0")), ctx) == el("0")
 
 
 def test_homogenize_with_shifts(Q):
@@ -322,3 +344,7 @@ def test_homogenize_validations(R2, el):
     ctx = HomogenizationContext(R2, "t")
     with pytest.raises(UsageError):
         homogenize(ModuleElement.from_polynomial(ctx.target.parse("t")), ctx)
+    with pytest.raises(UsageError, match="element does not match"):
+        dehomogenize(el("x1"), ctx)
+    with pytest.raises(UsageError, match="generators do not match"):
+        verify_homogenization_equivalence([ModuleElement.from_polynomial(ctx.target.parse("t"))], ctx)

@@ -710,6 +710,7 @@ def test_malformed_group_lines_raise_only_input_errors(lines):
         ("matrix [[true, 0], [0, 1]]", 3, "group matrix entries must be integers"),
         ("matrix [[0,1],[1,0]] extra", 2, "line 1, col 1: unexpected 'extra' after the group matrix"),
         ("matrix [[0,1],[1,0]]]", 2, "line 1, col 1: unexpected ']' after the group matrix"),
+        ("signed-perm (3 1)", 3, "signed image out of range"),
     ],
 )
 def test_cli_malformed_group_matrix_exits(tmp_path, capsys, line, code, message):
@@ -795,6 +796,27 @@ def test_cli_group_declared_in_the_problem(tmp_path, capsys):
     assert code == 0 and "invariant: yes" in out
 
 
+def test_cli_relative_group_path_is_read_from_the_problem_directory(tmp_path, capsys, monkeypatch):
+    sub = tmp_path / "sub"
+    sub.mkdir()
+    write(sub, "c4.grp", "signed-perm (-2 1)\n")
+    write(sub, "p.mac", "ring q: x1 x2\ngrading total\ngen x1^2 + x2^2 - 1\ngroup c4.grp\n")
+    monkeypatch.chdir(tmp_path)
+    above = run_cli(tmp_path, capsys, "check-invariant", "sub/p.mac")
+    # --group stays relative to the working directory
+    flag = run_cli(tmp_path, capsys, "check-invariant", "sub/p.mac", "--group", "sub/c4.grp")
+    monkeypatch.chdir(sub)
+    inside = run_cli(tmp_path, capsys, "check-invariant", "p.mac")
+    assert above == inside and above[0] == 0 and "invariant: yes" in above[1]
+    assert flag[0] == 0 and "invariant: yes" in flag[1]
+
+
+def test_cli_unknown_command_is_a_usage_error():
+    args = cli.build_parser().parse_args(["basis", "circle.mac"])
+    with pytest.raises(UsageError, match="unknown command 'nope'"):
+        cli.run_command("nope", parse_problem(CIRCLE), args)
+
+
 PSI_12 = 318665857834031151167461  # 399165290221 * 798330580441, a strong pseudoprime to the bases up to 37
 M89 = 2**89 - 1  # prime, but above the bound below which primality is proven
 HOMOGENIZE = ["homogenize", "--var"]
@@ -848,6 +870,13 @@ _BAD_GROUP_FILES = {
         ("ring q: x y\ngen x - 1\n", ["basis", "--coeff", f"fp:{PSI_12}"], 3, f"{PSI_12} is not prime"),
         (f"ring fp:{M89}: x\ngen x\n", ["basis"], 2, f"line 1, col 1: modulus {M89} is at or above"),
         ("ring q: x\ngen x\n", ["basis", "--coeff", f"fp:{M89}"], 3, f"modulus {M89} is at or above"),
+        # homogeneous generators under a grading other than total degree
+        (
+            "ring q: x y\ngen x^2 + y^2\ngen x*y\n",
+            ["hilbert", "--grading", "order degrevlex", "--degrees", "0..2"],
+            3,
+            "error: hilbert requires the total-degree grading",
+        ),
     ],
 )
 def test_cli_documented_failures_exit_cleanly(tmp_path, capsys, text, argv, code, message):

@@ -1,12 +1,10 @@
+import itertools
 import random
 
 import pytest
 
 from macaulay.errors import UsageError
 from macaulay.grading import (
-    EQUAL,
-    GREATER,
-    LESS,
     POT,
     TOP,
     BlockGrading,
@@ -28,16 +26,29 @@ from macaulay.polymod import ModuleElement, degree_of
 def test_compare_examples(total2, drl2):
     drl = TermOrderGrading.degrevlex(2)
     lex = TermOrderGrading.lex(2)
-    assert drl.compare((2, 0), (1, 2)) == LESS
-    assert lex.compare((2, 0), (1, 2)) == GREATER
-    assert TotalDegreeGrading(2).compare(4, 4) == EQUAL
-    assert total2.compare(2, 3) == LESS
-    assert drl2.compare((0, (2, 0)), (0, (0, 2))) == GREATER
+    assert drl.key((2, 0)) < drl.key((1, 2))
+    assert lex.key((2, 0)) > lex.key((1, 2))
+    assert TotalDegreeGrading(2).key(4) == TotalDegreeGrading(2).key(4)
+    assert total2.key(2) < total2.key(3)
+    assert drl2.key((0, (2, 0))) > drl2.key((0, (0, 2)))
 
 
 def test_incomparable_shapes(total2):
     with pytest.raises(UsageError):
-        total2.compare(2, (1, 1))
+        total2.key((1, 1))
+
+
+@pytest.mark.parametrize(
+    "build, message",
+    [
+        (lambda: TermModuleGrading(TermOrderGrading.degrevlex(2), 1, tie="x"), "tie order must be"),
+        (lambda: BlockGrading(3, (5,)), "kept variable index out of range"),
+        (lambda: TermOrderGrading([[1, 0], [1]]), "rows must have equal length"),
+    ],
+)
+def test_malformed_gradings_are_refused(build, message):
+    with pytest.raises(UsageError, match=message):
+        build()
 
 
 @pytest.mark.parametrize("tie", [POT, TOP])
@@ -61,6 +72,35 @@ def test_verify_monoid_order_examples():
     assert any("positive" in f or "zero" in f for f in report.failures)
     singular = TermOrderGrading([[1, 1], [2, 2]])
     assert not verify_monoid_order(singular).passed
+
+
+def _order_fails_in_box(grading, top=8):
+    """Brute force over [0..top]^d: two distinct exponent vectors with equal
+    keys, or a nonzero one whose key is at most the key of 0?"""
+    zero = grading.key(grading.zero())
+    seen = set()
+    for exps in itertools.product(range(top + 1), repeat=grading.nvars):
+        key = grading.key(exps)
+        if key in seen or (any(exps) and key <= zero):
+            return True
+        seen.add(key)
+    return False
+
+
+def test_exact_order_check_matches_brute_force():
+    # every 2x2 weight matrix with entries in -2..2, then seeded 3x3 ones;
+    # with entries this small a kernel vector or a non-positive column shows
+    # inside the box, so the box search decides the same question
+    matrices = [[row[:2], row[2:]] for row in itertools.product(range(-2, 3), repeat=4)]
+    rng = random.Random(28)
+    matrices += [[[rng.randint(-2, 2) for _ in range(3)] for _ in range(3)] for _ in range(300)]
+    verdicts = set()
+    for rows in matrices:
+        grading = TermOrderGrading(rows)
+        passed = verify_monoid_order(grading).passed
+        assert passed == (not _order_fails_in_box(grading)), rows
+        verdicts.add((len(rows), passed))
+    assert verdicts == {(2, True), (2, False), (3, True), (3, False)}
 
 
 def _count_rank_checks(monkeypatch):
@@ -103,28 +143,34 @@ def test_rank_check_waits_for_the_verdict(monkeypatch, total2, circle_pair):
     assert len(calls) == 1
 
 
+def _key_sign(spec, a, b):
+    """-1, 0 or 1 as the key of a is below, equal to or above the key of b."""
+    ka, kb = spec.key(a), spec.key(b)
+    return (ka > kb) - (ka < kb)
+
+
 def test_strict_total_order_sampled():
     rng = random.Random(1)
     for spec in (TermOrderGrading.degrevlex(3), TermOrderGrading.lex(3), BlockGrading(3, (0,))):
         degs = [spec.degree(tuple(rng.randrange(0, 4) for _ in range(3))) for _ in range(30)]
         for a in degs:
             for b in degs:
-                assert spec.compare(a, b) == -spec.compare(b, a)
-                if spec.compare(a, b) == EQUAL:
+                assert _key_sign(spec, a, b) == -_key_sign(spec, b, a)
+                if _key_sign(spec, a, b) == 0:
                     assert a == b
         for a in degs:
             for b in degs:
                 for c in degs:
-                    if spec.compare(a, b) != LESS and spec.compare(b, c) != LESS:
-                        assert spec.compare(a, c) != LESS
+                    if _key_sign(spec, a, b) >= 0 and _key_sign(spec, b, c) >= 0:
+                        assert _key_sign(spec, a, c) >= 0
 
 
 def test_block_grading():
     block = BlockGrading(2, (1,))  # keep x2, drop x1
     assert block.degree((0, 2)) == (2, 0)
     assert block.degree((2, 0)) == (0, 2)
-    assert block.compare((5, 0), (0, 1)) == LESS  # dropped weight decides first
-    assert block.compare((0, 0), (1, 0)) == LESS
+    assert block.key((5, 0)) < block.key((0, 1))  # dropped weight decides first
+    assert block.key((0, 0)) < block.key((1, 0))
     mons = block.monomials((1, 1))
     assert mons == [(1, 1)]
     assert verify_monoid_order(block).passed
@@ -196,7 +242,7 @@ def test_translation_invariance_sampled():
             a = spec.degree(tuple(rng.randrange(0, 4) for _ in range(3)))
             b = spec.degree(tuple(rng.randrange(0, 4) for _ in range(3)))
             c = spec.degree(tuple(rng.randrange(0, 4) for _ in range(3)))
-            assert spec.compare(a, b) == spec.compare(spec.add(a, c), spec.add(b, c))
+            assert _key_sign(spec, a, b) == _key_sign(spec, spec.add(a, c), spec.add(b, c))
 
 
 def test_pot_and_top_tie_breaks():
@@ -205,9 +251,9 @@ def test_pot_and_top_tie_breaks():
     top = TermModuleGrading(drl, 2, tie="top")
     lo = pot.degree_of_term(1, (5, 0))
     hi = pot.degree_of_term(0, (1, 0))
-    assert pot.compare(hi, lo) == GREATER  # position first
-    assert top.compare(hi, lo) == LESS  # degree first
-    assert top.compare(top.degree_of_term(0, (1, 0)), top.degree_of_term(1, (1, 0))) == GREATER
+    assert pot.key(hi) > pot.key(lo)  # position first
+    assert top.key(hi) < top.key(lo)  # degree first
+    assert top.key(top.degree_of_term(0, (1, 0))) > top.key(top.degree_of_term(1, (1, 0)))
 
 
 def test_shifted_component_monomials():

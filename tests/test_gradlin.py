@@ -5,11 +5,12 @@ import pytest
 
 from oracles import in_span, monomials_of_degree, rank_of, raw_element_vectors
 
-from macaulay.coeff import PrimeField
+from macaulay.coeff import PrimeField, RationalField
 from macaulay.errors import MembershipError, UsageError
 from macaulay.gradlin import (
     ORTHOGONAL,
     PIVOT,
+    check_policy,
     component_monomials,
     decompose_in_w,
     project_complement,
@@ -124,6 +125,8 @@ def test_orthogonal_needs_char_zero():
     sub = w_space([elt], 2, spec)
     with pytest.raises(UsageError):
         project_complement(elt.term_map(), sub, ORTHOGONAL)
+    with pytest.raises(UsageError, match="unknown complement policy 'bogus'"):
+        check_policy("bogus", RationalField())
     kept, decomposition = project_complement(elt.term_map(), sub, PIVOT)
     assert kept == {} and decomposition == [(0, (0, 0), 1)]
 

@@ -315,6 +315,8 @@ def test_criterion_examples(el, total2, drl2, circle_pair):
 
     assert buchberger_criterion([el("x1^3 - x2")], total2).holds
     assert buchberger_criterion([], total2).holds
+    with pytest.raises(UsageError, match="must be nonzero"):
+        buchberger_criterion([el("x1"), el("0")], total2)
 
 
 def test_product_criterion_is_rank_one_only(R2):
@@ -470,6 +472,8 @@ def test_degree_profile_examples(el, total2, circle_pair):
     red = interreduce(circle_pair, total2)
     assert degree_profile(red) == {2: 1, 4: 1}
     assert degree_profile([], total2) == {}
+    with pytest.raises(UsageError, match="needs a grading"):
+        degree_profile(list(red.elements))
 
 
 def test_refinement_property(drl2, total2, circle_pair, c4_triple):

@@ -135,6 +135,8 @@ def test_span_invariance_examples(el, swap, c4, circle_pair, total2, c4_triple):
     six = c4_triple + [el("x1*x2^2"), el("x1^2*x2"), el("x1*x2")]
     assert span_is_invariant(six, c4).invariant
     assert span_is_invariant(c4_triple, c4).invariant
+    empty = span_is_invariant([], swap)
+    assert empty.invariant and empty.witnesses == ()
 
 
 def test_invariance_witness_coordinates(el, swap, c4, circle_pair, c4_triple):
@@ -199,11 +201,14 @@ def test_equivariant_normal_form_examples(el, total2, swap, circle_pair):
     assert base_nf == el("1/2*x1^2 - 1/2*x2^2 - 1/2")
 
 
-def test_equivariance_preconditions(el, total2, swap, circle_pair, R2):
+def test_equivariance_preconditions(el, total2, drl2, swap, circle_pair, R2):
     rotationish = GroupAction(R2, [[[0, 1], [-1, 1]]])  # invertible, not monomial
     with pytest.raises(UsageError) as err:
         check_equivariant_normal_form(circle_pair, total2, rotationish, samples=2)
     assert "monomial" in str(err.value)
+    shear = GroupAction(R2, [[[1, 1], [0, 1]]])
+    with pytest.raises(UsageError, match="homogeneous group action"):
+        check_equivariant_normal_form(circle_pair, drl2, shear, samples=2)
 
 
 def _reference_report(X, spec, action, samples, seed):
