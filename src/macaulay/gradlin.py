@@ -25,10 +25,20 @@ vector e_j and its combination over the generator multiples.  Under the pivot
 policy that is the echelon row pivoting at j, or nothing; under the
 orthogonal policy it is G^-1 applied to column j of the rows, with the Gram
 matrix G inverted once per workspace.  Projecting, decomposing and testing
-membership then cost one pass over the terms an element has.  For n ambient
+membership then cost one pass over the terms an element has.
+
+Both policies split an element by the pivot map first, v = w + k, with w in
+W and k on the non-pivot columns; that is the pivot policy's answer.  The
+orthogonal projection P is linear and P(w) = w, so the orthogonal split of v
+is w plus that of k.  And w's orthogonal combination is its pivot one: G^-1
+applied to the rows' products with w gives w's coordinates on the echelon
+rows, which the fully reduced echelon form reads at the pivots.  So the
+orthogonal map is stored for non-pivot columns only, and a workspace whose
+inputs all lie in W never inverts its Gram matrix.  For n ambient
 monomials, g generator multiples and a d-dimensional W, the echelon rows and
-combinations store at most d * (n + g) entries, and the stored columns at most
-n * (n + g) per policy; both bounds count nonzeros only.
+combinations store at most d * (n + g) entries, the pivot columns are the
+echelon rows themselves, and the orthogonal columns store at most
+(n - d) * (n + g); the bounds count nonzeros only.
 
 Projections and decompositions take a homogeneous element as its term map
 ``{(component, exponents): coeff}``, the form the reduction loop keeps.
@@ -96,8 +106,9 @@ class GradedSubspace:
     policy meets ambient column j, the W-part of the unit vector e_j and its
     combination over ``gens`` are stored as (position, value) and (generator
     index, value) pairs.  A split then costs one pass over the nonzero terms
-    of its input.  The maps hold at most n * (n + g) entries per policy for n
-    ambient columns and g generators.
+    of its input.  ``project_complement`` hands the orthogonal map only the
+    pivot split's remainder, so for n ambient columns, g generators and
+    dimension d its columns hold at most (n - d) * (n + g) entries.
     """
 
     def __init__(self, ambient: ComponentBasis, field, gens, raw_rows):
@@ -127,10 +138,6 @@ class GradedSubspace:
         field = self.field
         if not self.rows:
             return sorted((j, v) for j, v in svec if not field.is_zero(v)), []
-        if len(self.rows) == self.ambient.dim:
-            # W fills the component: the W-part is the input itself, and the
-            # echelon rows are the unit vectors, so both maps are the pivot map
-            policy = PIVOT
         columns = self._columns[policy]
         mul, add, one = field.mul, field.add, field.one
         kept = dict(svec)
@@ -251,10 +258,18 @@ def project_complement(terms, sub: GradedSubspace, policy: str):
     order, and ``decomposition`` writes ``element - kept``, which lies in W,
     like ``decompose_in_w`` does.  Pivot-canonical: eliminate the pivot
     coordinates, leaving the span of the non-pivot monomials.
-    Monomial-orthogonal: subtract the orthogonal projection onto W.
+    Monomial-orthogonal: subtract the orthogonal projection onto W, taken
+    of what the pivot split keeps (see the module docstring).
     """
-    check_policy(policy, sub.field)
-    kept, combo = sub.split(_positions(terms, sub.ambient), policy)
+    field = sub.field
+    check_policy(policy, field)
+    kept, combo = sub.split(_positions(terms, sub.ambient), PIVOT)
+    if kept and policy == ORTHOGONAL:
+        kept, extra = sub.split(kept, ORTHOGONAL)
+        acc = dict(combo)
+        for g, c in extra:
+            acc[g] = field.add(acc[g], c) if g in acc else c
+        combo = sorted((g, c) for g, c in acc.items() if not field.is_zero(c))
     monomials = sub.ambient.monomials
     return {monomials[p]: c for p, c in kept}, _generator_terms(sub, combo)
 

@@ -54,12 +54,17 @@ the sum, where that component is zero or lies in the complement.
 Faugere, Gianni, Lazard and Mora (1993) tabulate monomial normal forms on
 the same ground.  So a ``Reducer`` under a grading that is not a module
 term order keeps a table {module monomial t: (NF(t), the steps of the pass
-on t)}.  The entry of t is marked seen the first time t is a term of an
-input to ``normal_form``, and filled the second, by the pass run on t
-alone; so the table holds no more monomials than the grading's memo of
-monomial degrees (``ModuleGrading.term_entries``).  A normal form
+on t)}.  The entry of t is marked seen after a normal form whose input has
+t as a term and whose result is nonzero, and filled the next time t is a
+term of an input, by the pass run on t alone; so the table holds no more
+monomials than the grading's memo of monomial degrees
+(``ModuleGrading.term_entries``).  An input whose normal form is zero, as
+most of completion's combinations are, marks nothing: each step of its pass
+meets a component that lies in W_b, which the pivot split settles alone, so
+that pass is as cheap as a pass gets, while an entry for each of its
+monomials would cost a projection of that monomial alone.  A normal form
 sums the entries of its known monomials and runs one ordinary pass over the
-first-seen ones; its trace merges the steps only when they are first read,
+unseen ones; its trace merges the steps only when they are first read,
 from immutable entries.  Any change to X changes normal forms, a new tail
 behind the same leading form included, so ``extend``, ``replace`` and
 ``remove`` clear the table.  Under a module term order a step is one cached
@@ -274,6 +279,8 @@ class Reducer:
 
     def w_space(self, degree, skip=None):
         """W_b(X), or W_b without X[skip]; built afresh where X[skip] reaches b or the cache holds divisors."""
+        if skip is not None:
+            self._check_skip(skip)
         if self._by_divisor or (skip is not None and self.spec.reaches(self.lf_parts[skip].degree, degree)):
             return w_space(self.X, degree, self.spec, self.lf_parts, skip=skip)
         sub = self._cache.get(degree)
@@ -295,6 +302,11 @@ class Reducer:
             if lead_comp == comp and all(map(le, lead_value, value)):
                 return idx, tuple(map(sub, value, lead_value)), self._invs[idx]
         return None
+
+    def _check_skip(self, skip):
+        """Reject a ``skip`` that is not an index into X: a bool, a negative int or one past the end."""
+        if not isinstance(skip, int) or isinstance(skip, bool) or not 0 <= skip < len(self.X):
+            raise UsageError(f"skip must be an index into the {len(self.X)} elements of X, not {skip!r}")
 
     def _check(self, m):
         if (m.ring is not self.ring and m.ring != self.ring) or m.rank != self.rank:
@@ -384,8 +396,9 @@ class Reducer:
         """The complement-mode pass on m, summed from the table where m's monomials are known.
 
         A monomial seen before since X last changed takes its entry, filled
-        now if this is its second sighting; the first-seen monomials are
-        marked seen and reduced together in one pass.
+        now if this is its second sighting; the unseen ones are reduced
+        together in one pass, and marked seen only if m's normal form is
+        nonzero.
         """
         self._check(m)
         table = self._table
@@ -393,14 +406,18 @@ class Reducer:
         for t, c in m.term_map().items():
             entry = table.get(t, _UNSEEN)
             if entry is _UNSEEN:
-                table[t] = None
                 fresh[t] = c
                 continue
             if entry is None:
                 entry = table[t] = self._entry(t)
             hits.append((c, entry))
-        if not hits:
-            return self._reduce(m, COMPLEMENT)
+        trace = self._summed(m, hits, fresh) if hits else self._reduce(m, COMPLEMENT)
+        if fresh and not trace.final.is_zero():
+            table.update(dict.fromkeys(fresh))
+        return trace
+
+    def _summed(self, m, hits, fresh):
+        """The trace of m from its monomials' (coefficient, entry) ``hits`` and one pass on the ``fresh`` rest."""
         field = self.field
         mul, add = field.mul, field.add
         acc, parts = {}, []
@@ -439,11 +456,16 @@ class Reducer:
         """Iterate => steps to the fixed point; returns (normal form, trace).
 
         With ``skip`` an index into X, reduce against X without X[skip]; the
-        trace still numbers elements by their place in X.  Without ``skip``,
-        and under a grading that is not a module term order, the answer is
-        summed from the monomial table (``_tabled``); it equals the pass's,
-        step for step.
+        trace still numbers elements by their place in X.  ``skip`` must be
+        an ``int``, not a ``bool``, with 0 <= skip < len(X).  Without
+        ``skip``, and under a grading that is not a module term order, the
+        answer is summed from the monomial table (``_tabled``); it equals the
+        pass's, step for step.  A monomial is marked seen only in an input
+        whose normal form is nonzero, and tabled when met again: an input
+        that reduces to zero is settled by pivot splits alone.
         """
+        if skip is not None:
+            self._check_skip(skip)
         if skip is not None or self._by_divisor:
             trace = self._reduce(m, COMPLEMENT, skip)
         else:

@@ -3,13 +3,15 @@ from fractions import Fraction
 
 import pytest
 
-from oracles import in_span, monomials_of_degree, rank_of, raw_element_vectors
+from oracles import in_span, monomials_of_degree, rank_of, raw_element_vectors, rref_fractions
 
+from macaulay.apps import EliminationSpec, eliminate
 from macaulay.coeff import PrimeField, RationalField
 from macaulay.errors import MembershipError, UsageError
 from macaulay.gradlin import (
     ORTHOGONAL,
     PIVOT,
+    GradedSubspace,
     check_policy,
     component_monomials,
     decompose_in_w,
@@ -18,7 +20,9 @@ from macaulay.gradlin import (
     w_space,
 )
 from macaulay.grading import CoarseModuleGrading, TotalDegreeGrading
+from macaulay.macbasis import buchberger_algorithm
 from macaulay.polymod import ModuleElement, PolyRing, leading_form
+from macaulay.reduction import Reducer
 from macaulay.symmetry import random_element
 
 
@@ -224,3 +228,134 @@ def test_projection_cache_is_transparent(R2, total2, circle_pair, c4_triple):
                 for t, (kept, decomposition) in zip(elements, fresh):
                     member = ModuleElement.from_terms(R2, 1, t) - ModuleElement.from_terms(R2, 1, kept)
                     assert decompose_in_w(member.term_map(), warm) == decomposition
+
+
+def _orthogonal_split_all_columns(sub, svec):
+    """The orthogonal split of every column, dense: kept = v - R^T G^-1 R v.
+
+    The combination is C^T G^-1 R v, for the echelon rows R, their
+    combinations C and the Gram matrix G = R R^T, with G inverted by the
+    oracle's own elimination; it returns what ``GradedSubspace.split``
+    returns, (position, value) and (generator index, value) pairs.
+    """
+    n = sub.ambient.dim
+    v = [Fraction(0)] * n
+    for p, c in svec:
+        v[p] = Fraction(c)
+    rows = [_dense(row, n) for row in sub.rows]
+    d = len(rows)
+    coeffs = []
+    if rows:
+        gram = [[sum(a * b for a, b in zip(u, w)) for w in rows] for u in rows]
+        echelon, _ = rref_fractions([gram[i] + [Fraction(i == j) for j in range(d)] for i in range(d)])
+        rv = [sum(a * b for a, b in zip(row, v)) for row in rows]
+        coeffs = [sum(a * b for a, b in zip(inv_row[d:], rv)) for inv_row in echelon]
+    kept = [v[p] - sum(c * row[p] for c, row in zip(coeffs, rows)) for p in range(n)]
+    combo = {}
+    for c, row_combo in zip(coeffs, sub.combos):
+        for g, w in row_combo.items():
+            combo[g] = combo.get(g, 0) + c * w
+    return [(p, x) for p, x in enumerate(kept) if x], sorted((g, x) for g, x in combo.items() if x)
+
+
+def _sparse_w_spaces(rng, ambient):
+    """Raw rows of seeded sparse W-spaces of one component, from W = 0 to W = N_b.
+
+    Every space but W = 0 repeats a row and adds a dependent one, so the
+    echelon form drops rows and the combinations have more than one term.
+    """
+    n = ambient.dim
+
+    def sparse_row():
+        row = {}
+        while not row:
+            row = {p: rng.choice((-3, -2, -1, 1, 2, 3)) for p in rng.sample(range(n), rng.randint(1, 3))}
+        return row
+
+    def with_dependents(rows):
+        a, b = rng.sample(rows, 2) if len(rows) > 1 else (rows[0], rows[0])
+        both = {p: a.get(p, 0) + 2 * b.get(p, 0) for p in a.keys() | b.keys()}
+        return rows + [dict(a), {p: c for p, c in both.items() if c}]
+
+    spaces = [[]]
+    for size in (1, 2, n // 2, n - 1):
+        spaces.append(with_dependents([sparse_row() for _ in range(size)]))
+    units = [{p: 1} for p in range(n)]
+    spaces.append(with_dependents([sparse_row() for _ in range(3)] + units))
+    return spaces
+
+
+@pytest.mark.parametrize("nvars, degree", [(2, 3), (3, 2), (3, 3)])
+def test_orthogonal_split_of_the_pivot_remainder_matches_the_all_column_split(nvars, degree):
+    # the orthogonal projection fixes the pivot split's W-part, so only the
+    # remainder on the non-pivot columns needs the orthogonal map: the result
+    # equals the split of every column, and no pivot column is ever stored
+    field = RationalField()
+    ambient = component_monomials(CoarseModuleGrading(TotalDegreeGrading(nvars), 1), degree)
+    n = ambient.dim
+    rng = random.Random(f"pivot remainder {nvars} {degree}")
+    saw_full = saw_zero = False
+    for raw_rows in _sparse_w_spaces(rng, ambient):
+        gens = [(k, ()) for k in range(len(raw_rows))]
+        sub = GradedSubspace(ambient, field, gens, raw_rows)
+        saw_zero |= sub.dim == 0
+        saw_full |= sub.dim == n
+        free = [p for p in range(n) if p not in sub.pivots]
+
+        def vector(support):
+            return {p: field.from_int(rng.randint(-4, 4)) for p in support}
+
+        def member():
+            acc = {}
+            for row in raw_rows:
+                c = rng.randint(-2, 2)
+                for p, v in row.items():
+                    acc[p] = acc.get(p, 0) + c * v
+            return acc
+
+        inside = [member() for _ in range(3)]
+        outside = [vector(rng.sample(free, min(len(free), 3))) for _ in range(3)]
+        mixed = [{p: a.get(p, 0) + b.get(p, 0) for p in a.keys() | b.keys()} for a, b in zip(inside, outside)]
+        mixed += [vector(rng.sample(range(n), min(n, 4))) for _ in range(3)]
+        cases = [{p: c for p, c in v.items() if c} for v in inside + outside + mixed]
+        warm = GradedSubspace(ambient, field, gens, raw_rows)
+        for svec in cases + cases[::-1]:
+            want_kept, want_combo = _orthogonal_split_all_columns(sub, list(svec.items()))
+            want = ({ambient.monomials[p]: c for p, c in want_kept}, [(*gens[g], c) for g, c in want_combo])
+            terms = {ambient.monomials[p]: c for p, c in svec.items()}
+            fresh = GradedSubspace(ambient, field, gens, raw_rows)
+            for got in (project_complement(terms, fresh, ORTHOGONAL), project_complement(terms, warm, ORTHOGONAL)):
+                assert got == want
+                assert list(got[0]) == list(want[0])
+            assert not set(fresh._columns[ORTHOGONAL]) & set(fresh.pivots)
+        assert not set(warm._columns[ORTHOGONAL]) & set(warm.pivots)
+        # inputs inside W keep nothing after the pivot split: no Gram inverse
+        members = GradedSubspace(ambient, field, gens, raw_rows)
+        for svec in inside:
+            project_complement({ambient.monomials[p]: c for p, c in svec.items() if c}, members, ORTHOGONAL)
+        assert "gram_inverse" not in vars(members) and not members._columns[ORTHOGONAL]
+    assert saw_zero and saw_full
+
+
+_CYCLIC3 = ("x + y + z", "x*y + y*z + z*x", "x*y*z - 1")
+
+
+@pytest.mark.parametrize("run", ["complete", "eliminate"])
+def test_vanishing_combinations_invert_no_gram_matrix(monkeypatch, run):
+    # cyclic-3 is an H-basis under total degree, and every combination its
+    # completion and its elimination reduce vanishes: each step is a pivot
+    # split, so no W-space inverts its Gram matrix
+    ring = PolyRing(RationalField(), ("x", "y", "z"))
+    gens = [ModuleElement.from_polynomial(ring.parse(t)) for t in _CYCLIC3]
+    total3 = CoarseModuleGrading(TotalDegreeGrading(3), 1)
+    inverses = []
+    gram_inverse = GradedSubspace.gram_inverse.func
+    monkeypatch.setattr(GradedSubspace, "gram_inverse", property(lambda sub: inverses.append(sub) or gram_inverse(sub)))
+    if run == "complete":
+        assert list(buchberger_algorithm(gens, total3).elements) == gens
+    else:
+        assert [str(m) for m in eliminate(gens, EliminationSpec(ring, ["z"]))] == ["z^3 - 1"]
+    assert inverses == []
+    # the count is live: a normal form that keeps a remainder inverts one
+    Reducer(gens, total3).normal_form(ModuleElement.from_polynomial(ring.parse("x^2 + y")))
+    assert inverses

@@ -1,4 +1,5 @@
 import random
+import re
 from fractions import Fraction
 
 import pytest
@@ -658,3 +659,54 @@ def test_warm_normal_forms_run_no_pass(monkeypatch, R2, el, total2, drl2, c4_tri
     for _ in range(3):
         divisor.normal_form(elements[0])
     assert calls == [reducer] * 2 + [divisor] * 3
+
+
+_KATSURA3 = ("x + 2*y + 2*z - 1", "x^2 + 2*y^2 + 2*z^2 - x", "2*x*y + 2*y*z - y")
+
+
+@pytest.mark.parametrize("skip", ["past the end", 5, 7, -1, True, False, 1.0, "0"])
+@pytest.mark.parametrize("route", ["w-space", "divisor"])
+def test_skip_must_be_an_index_into_x(R2, el, total2, circle_pair, route, skip):
+    # a bool, a negative or too large int, or no int at all names no element
+    # of X: it raises, where an index past the end raised IndexError and -1
+    # or True were read as no skip or as 1
+    if route == "w-space":
+        X, spec, m = circle_pair, total2, el("x1^4 + x1*x2 - 3")
+    else:
+        ring = PolyRing(RationalField(), ("x", "y", "z"))
+        X = [ModuleElement.from_polynomial(ring.parse(t)) for t in _KATSURA3]
+        spec = TermModuleGrading(TermOrderGrading.degrevlex(3), 1)
+        m = ModuleElement.from_polynomial(ring.parse("x^3 + y*z - 2"))
+    if skip == "past the end":
+        skip = len(X)
+    reducer = Reducer(X, spec)
+    with pytest.raises(UsageError, match=re.escape(repr(skip))):
+        reducer.normal_form(m, skip=skip)
+    with pytest.raises(UsageError, match=re.escape(repr(skip))):
+        reducer.w_space(reducer.lf_parts[0].degree, skip=skip)
+    # the last index is still taken, and reduces against the others
+    nf, _ = reducer.normal_form(m, skip=len(X) - 1)
+    assert nf == Reducer(X[:-1], spec).normal_form(m)[0]
+
+
+def test_vanishing_inputs_teach_the_table_nothing(monkeypatch, R2, el, total2, circle_pair):
+    # a combination that reduces to zero is reduced by pivot splits alone, so
+    # its monomials are not tabled; a nonzero normal form's are, on their
+    # second sighting
+    rng = random.Random(12)
+    members = [random_ideal_element(R2, circle_pair, rng) for _ in range(2)]
+    assert not any(m.is_zero() for m in members)
+    entries = []
+    entry = Reducer._entry
+    monkeypatch.setattr(Reducer, "_entry", lambda self, t: entries.append(t) or entry(self, t))
+    reducer = Reducer(circle_pair, total2)
+    for _ in range(2):
+        for m in members:
+            assert reducer.normal_form(m)[0].is_zero()
+    assert reducer._table == {} and entries == []
+    m = el("x1^3 + x1*x2^2 + x2")
+    nf, _ = reducer.normal_form(m)
+    assert not nf.is_zero()
+    assert reducer._table == dict.fromkeys(m.term_map()) and entries == []
+    assert reducer.normal_form(m)[0] == nf
+    assert entries == list(m.term_map()) and None not in reducer._table.values()
