@@ -194,6 +194,9 @@ class HomogenizationContext:
         self.shifts = tuple(shifts) if shifts is not None else (0,) * rank
         if len(self.shifts) != rank:
             raise UsageError("one shift per component required")
+        for s in self.shifts:
+            if not isinstance(s, int) or isinstance(s, bool):
+                raise UsageError(f"homogenization shift {s!r} must be an integer")
         self.coarse = CoarseModuleGrading(TotalDegreeGrading(source_ring.nvars), rank, self.shifts)
 
     def target_grading(self) -> CoarseModuleGrading:

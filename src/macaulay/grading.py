@@ -454,8 +454,8 @@ class RefinementMap:
     """Order-preserving collapse of a fine grading onto a coarse one.
 
     Carries the ring-degree map f and the module-degree map g as callables;
-    ``verify`` samples f(deg x^a) = deg' x^a, monotonicity and the
-    compatibility law g(a . b) = f(a) . g(b).
+    ``verify`` checks f(deg x^a) = deg' x^a, monotonicity and the
+    compatibility law g(a . b) = f(a) . g(b) on 100 samples of seed 0.
     """
 
     def __init__(self, source: ModuleGrading, target: ModuleGrading, ring_map, module_map):
@@ -464,11 +464,11 @@ class RefinementMap:
         self.ring_map = ring_map
         self.module_map = module_map
 
-    def verify(self, samples: int = 100, seed: int = 0):
-        rng = random.Random(seed)
+    def verify(self):
+        rng = random.Random(0)
         d = self.source.ring.nvars
         fails = []
-        for _ in range(samples):
+        for _ in range(100):
             e1 = tuple(rng.randrange(0, 4) for _ in range(d))
             e2 = tuple(rng.randrange(0, 4) for _ in range(d))
             if self.ring_map(self.source.ring.degree(e1)) != self.target.ring.degree(e1):
@@ -509,11 +509,9 @@ def total_refinement(fine: ModuleGrading, coarse: CoarseModuleGrading) -> Refine
     )
 
 
-def syzygy_refinement(syz: SyzygyGrading, tie=TOP) -> RefinementMap:
-    """The defining collapse of componentwise monomial degrees onto a syzygy grading."""
-    fine = TermModuleGrading(
-        TermOrderGrading.degrevlex(syz.ring.nvars), syz.rank, tie=tie
-    )
+def syzygy_refinement(syz: SyzygyGrading) -> RefinementMap:
+    """The defining collapse of componentwise monomial degrees onto a syzygy grading, from degrevlex TOP."""
+    fine = TermModuleGrading(TermOrderGrading.degrevlex(syz.ring.nvars), syz.rank, tie=TOP)
     return RefinementMap(
         fine,
         syz,

@@ -122,11 +122,6 @@ class GradedSubspace:
     def dim(self):
         return len(self.rows)
 
-    @cached_property
-    def gen_index(self):
-        """The position of each generator label in ``gens``."""
-        return {gen: g for g, gen in enumerate(self.gens)}
-
     def split(self, svec, policy):
         """Split a sparse vector [(position, value)] along W and its complement.
 

@@ -47,28 +47,25 @@ its step and the pass settles each degree once.
 
 Complement-mode reduction is k-linear.  With X and the fixed complement of
 every W_b(X) chosen, each step is a fixed linear map of the component it
-settles, so NF(sum c_t t) = sum c_t NF(t), and the multipliers of the step
-at any degree b are the sum of c_t times those of the pass on t alone; a
-degree whose summed multipliers all cancel takes no step, as in the pass on
-the sum, where that component is zero or lies in the complement.
-Faugere, Gianni, Lazard and Mora (1993) tabulate monomial normal forms on
-the same ground.  So a ``Reducer`` under a grading that is not a module
-term order keeps a table {module monomial t: (NF(t), the steps of the pass
-on t)}.  The entry of t is marked seen after a normal form whose input has
-t as a term and whose result is nonzero, and filled the next time t is a
-term of an input, by the pass run on t alone; so the table holds no more
-monomials than the grading's memo of monomial degrees
+settles, so NF(sum c_t t) = sum c_t NF(t).  Faugere, Gianni, Lazard and
+Mora (1993) tabulate monomial normal forms on the same ground.  So a
+``Reducer`` under a grading that is not a module term order keeps a table
+{module monomial t: NF(t)}.  The entry of t is marked seen after a normal
+form whose input has t as a term and whose result is nonzero, and filled
+the next time t is a term of an input, by the pass run on t alone; so the
+table holds no more monomials than the grading's memo of monomial degrees
 (``ModuleGrading.term_entries``).  An input whose normal form is zero, as
 most of completion's combinations are, marks nothing: each step of its pass
 meets a component that lies in W_b, which the pivot split settles alone, so
 that pass is as cheap as a pass gets, while an entry for each of its
 monomials would cost a projection of that monomial alone.  A normal form
 sums the entries of its known monomials and runs one ordinary pass over the
-unseen ones; its trace merges the steps only when they are first read,
-from immutable entries.  Any change to X changes normal forms, a new tail
-behind the same leading form included, so ``extend``, ``replace`` and
-``remove`` clear the table.  Under a module term order a step is one cached
-divisor lookup, and completion changes X after every adjoin: no table.
+unseen ones.  Its trace carries no steps: they are the pass's on the input,
+and the pass runs when they are first read.  Any change to X changes normal
+forms, a new tail behind the same leading form included, so ``extend``,
+``replace`` and ``remove`` clear the table.  Under a module term order a
+step is one cached divisor lookup, and completion changes X after every
+adjoin: no table.
 """
 
 from bisect import insort
@@ -113,26 +110,28 @@ class ReductionTrace:
     multiplier r_i of each X[i] off it.  Both, and the per-step snapshots,
     are computed from the step records when first asked for.
 
-    A normal form served from a Reducer's monomial table comes with no
-    ``steps`` but with ``parts``, (scale, tabled steps) pairs; its steps are
-    their scaled sum, merged when first read: degrees descending by key,
-    multipliers in W_b's generator order, zero multipliers and empty steps
-    dropped, which are the steps of the pass on the input.  The parts are
-    immutable, so the trace still reads them after the table is cleared.
+    A normal form summed from a Reducer's monomial table comes with no
+    ``steps`` but with that ``reducer``.  Its steps are those of the
+    complement-mode pass on the input, and the first read runs that pass: on
+    the Reducer itself while its X is the trace's (every mutator assigns a
+    new list), and on a fresh Reducer over the trace's X otherwise.
     """
 
-    def __init__(self, X, initial: ModuleElement, final, steps=None, parts=()):
+    def __init__(self, X, initial: ModuleElement, final, steps=None, reducer=None):
         self.X = X
         self.ring = initial.ring
         self.initial = initial
         self.final = final
         if steps is not None:
             self.steps = steps
-        self._parts = parts
+        self._reducer = reducer
 
     @cached_property
     def steps(self):
-        return _merge_steps(self._parts, self.ring.field)
+        reducer = self._reducer
+        if reducer.X is not self.X:
+            reducer = Reducer(self.X, reducer.spec, reducer.policy)
+        return reducer._reduce(self.initial, COMPLEMENT).steps
 
     @cached_property
     def coordinates(self) -> ModuleElement:
@@ -182,7 +181,8 @@ class Reducer:
 
     Warm normal forms under a grading that is not a module term order come
     from a table of monomial normal forms (see the module docstring), which
-    each of the three mutators clears.
+    each of the three mutators clears; their traces run the pass only if
+    their steps are read.
     """
 
     def __init__(self, X, spec, policy=None, parts=None):
@@ -207,7 +207,7 @@ class Reducer:
         self._invs = []
         # degree -> W_b, or under a term order its first divisor entry
         self._cache = {}
-        # module monomial -> (normal form pairs, tabled steps), or None if seen once
+        # module monomial -> its normal form's (term, coeff) pairs, or None if seen once
         self._table = {}
         self.extend(X, parts)
 
@@ -381,16 +381,10 @@ class Reducer:
                         terms[term] = field.add(old, mul(nq, tc))
         return ReductionTrace(self.X, m, ModuleElement._wrap(self.ring, self.rank, rest), steps)
 
-    def _tabled_steps(self, steps):
-        """A pass's steps as (key, degree, W_b, multipliers) tuples, for ``_merge_steps``."""
-        key, cache = self.spec.key, self._cache
-        return tuple((key(s.degree), s.degree, cache[s.degree], s.multipliers) for s in steps)
-
     def _entry(self, t):
-        """(normal form pairs, tabled steps) of the module monomial t, from the pass on t alone."""
+        """The normal form (term, coeff) pairs of the module monomial t, from the pass on t alone."""
         unit = ModuleElement._wrap(self.ring, self.rank, {t: self.field.one})
-        trace = self._reduce(unit, COMPLEMENT)
-        return tuple(trace.final.term_map().items()), self._tabled_steps(trace.steps)
+        return tuple(self._reduce(unit, COMPLEMENT).final.term_map().items())
 
     def _tabled(self, m):
         """The complement-mode pass on m, summed from the table where m's monomials are known.
@@ -420,19 +414,17 @@ class Reducer:
         """The trace of m from its monomials' (coefficient, entry) ``hits`` and one pass on the ``fresh`` rest."""
         field = self.field
         mul, add = field.mul, field.add
-        acc, parts = {}, []
+        acc = {}
         if fresh:
-            trace = self._reduce(ModuleElement._wrap(self.ring, self.rank, fresh), COMPLEMENT)
-            acc.update(trace.final.term_map())
-            parts.append((field.one, self._tabled_steps(trace.steps)))
-        for c, (nf, steps) in hits:
+            rest = ModuleElement._wrap(self.ring, self.rank, fresh)
+            acc.update(self._reduce(rest, COMPLEMENT).final.term_map())
+        for c, nf in hits:
             for t, v in nf:
                 v = mul(c, v)
                 acc[t] = add(acc[t], v) if t in acc else v
-            parts.append((c, steps))
         is_zero = field.is_zero
         final = {t: v for t, v in acc.items() if not is_zero(v)}
-        return ReductionTrace(self.X, m, ModuleElement._wrap(self.ring, self.rank, final), parts=parts)
+        return ReductionTrace(self.X, m, ModuleElement._wrap(self.ring, self.rank, final), reducer=self)
 
     def _first_step(self, m, mode):
         trace = self._reduce(m, mode)
@@ -459,10 +451,11 @@ class Reducer:
         trace still numbers elements by their place in X.  ``skip`` must be
         an ``int``, not a ``bool``, with 0 <= skip < len(X).  Without
         ``skip``, and under a grading that is not a module term order, the
-        answer is summed from the monomial table (``_tabled``); it equals the
-        pass's, step for step.  A monomial is marked seen only in an input
-        whose normal form is nonzero, and tabled when met again: an input
-        that reduces to zero is settled by pivot splits alone.
+        answer is summed from the monomial table (``_tabled``), and the
+        trace's steps are the pass's, run when first read.  A monomial is
+        marked seen only in an input whose normal form is nonzero, and tabled
+        when met again: an input that reduces to zero is settled by pivot
+        splits alone.
         """
         if skip is not None:
             self._check_skip(skip)
@@ -476,32 +469,6 @@ class Reducer:
         """Iterate -> steps; True iff the closure reaches zero."""
         trace = self._reduce(m, SPAN)
         return trace.final.is_zero(), trace
-
-
-def _merge_steps(parts, field):
-    """The steps of sum c * steps over the (c, tabled steps) parts.
-
-    Each degree's multipliers are summed per generator and put in W_b's
-    generator order; zero multipliers, and steps left with none, are dropped.
-    """
-    mul, add, one, is_zero = field.mul, field.add, field.one, field.is_zero
-    by_degree = {}
-    for c, steps in parts:
-        for key, degree, sub, multipliers in steps:
-            slot = by_degree.get(degree)
-            if slot is None:
-                slot = by_degree[degree] = (key, sub, {})
-            acc = slot[2]
-            for idx, mult, q in multipliers:
-                q = q if c is one else mul(c, q)
-                acc[idx, mult] = add(acc[idx, mult], q) if (idx, mult) in acc else q
-    merged = []
-    for degree, (_, sub, acc) in sorted(by_degree.items(), key=lambda item: item[1][0], reverse=True):
-        order = sub.gen_index
-        gens = sorted((gen for gen, q in acc.items() if not is_zero(q)), key=order.__getitem__)
-        if gens:
-            merged.append(ReductionStep(degree, tuple((*gen, acc[gen]) for gen in gens)))
-    return merged
 
 
 def normal_form(m, X, spec, policy=None):

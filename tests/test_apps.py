@@ -298,6 +298,17 @@ def test_homogenize_with_shifts(Q):
     assert h == ModuleElement(ctx.target, (ctx.target.parse("x1*t"), ctx.target.parse("t")))
 
 
+@pytest.mark.parametrize("shift", [[1, 0], (1,), 1.0, True, "1", None])
+def test_homogenization_shifts_are_integers(Q, shift):
+    # a total-degree grading has one integer shift per component: a term
+    # order's list shift, a float or a bool is refused by name, where a list
+    # shift died adding itself to an int
+    T = PolyRing(Q, ("x1", "x2"))
+    with pytest.raises(UsageError, match=re.escape(f"shift {shift!r} must be an integer")):
+        HomogenizationContext(T, "t", shifts=(0, shift), rank=2)
+    assert HomogenizationContext(T, "t", shifts=(0, -1), rank=2).shifts == (0, -1)
+
+
 def test_homogenize_round_trip_random(R2):
     rng = random.Random(19)
     ctx = HomogenizationContext(R2, "t")

@@ -901,3 +901,72 @@ def test_cli_undecodable_or_deeply_nested_input_exits_2(tmp_path, capsys):
     ):
         code, out, err = run_cli(tmp_path, capsys, *argv)
         assert code == 2 and out == "" and "Traceback" not in err
+
+
+@pytest.mark.parametrize(
+    "command, ring, shift",
+    [("homogenize", "x y", "[0,0]"), ("homogenize", "x y", "[1,0]"), ("dehomogenize", "x y t", "[1,0,0]")],
+)
+@pytest.mark.parametrize("grading", ["order degrevlex", "order lex"])
+def test_cli_homogenization_refuses_list_shifts(tmp_path, capsys, command, ring, shift, grading):
+    # a term order accepts a list shift, but homogenization grades by total
+    # degree, which has integer shifts only
+    text = f"ring q: {ring}\ngrading {grading}\nmodule rank 2 shifts [{shift},{shift}]\ngen [x^2 - 1, y]\n"
+    code, out, err = run_cli(tmp_path, capsys, command, write(tmp_path, "p.mac", text))
+    assert (code, out) == (3, "") and f"shift {shift.replace(',', ', ')} must be an integer" in err
+
+
+# (ring, names, rank-1 generators, rank-2 generators); the last ring ends in t
+_GRID_RINGS = [
+    ("q", ["x", "y"], ["x^2 + y^2 - 1", "x*y - 1"], ["[x^2 - 1, y]", "[x, y^2 + 1]"]),
+    ("fp:7", ["x", "y"], ["x^2 - 3*y", "x*y^2 + 1"], ["[x*y, y - 1]", "[x^2, 2]"]),
+    ("q", ["x", "y", "t"], ["x^2 - y*t", "x*y - t^2"], ["[x^2 - t^2, y*t]", "[x*t, y^2]"]),
+]
+
+
+def _grid_gradings(d):
+    matrix = [[1] * d] + [[-int(i == d - j) for i in range(d)] for j in range(1, d)]
+    return ["total", "order degrevlex", "order lex", "elim 1", f"order matrix {json.dumps(matrix)}"]
+
+
+def _grid_modules(d):
+    zero, lists = [0] * d, [[0] * d, [1] + [0] * (d - 1)]
+    return [
+        ("", 1),
+        ("module rank 2\n", 2),
+        ("module rank 2 shifts [0, 1]\n", 2),
+        (f"module rank 2 shifts {json.dumps(lists)}\n", 2),
+        (f"module rank 2 shifts {json.dumps([zero, zero])} tie top\n", 2),
+        ("module rank 2 shifts [1, 0] tie top\n", 2),
+    ]
+
+
+def _grid_options(command, rank, group):
+    if command == "reduce":
+        return ["--element", "x^3*y + 2" if rank == 1 else "[x^3, y^2 - x]"]
+    options = {"eliminate": ["--keep", "y"], "hilbert": ["--degrees", "0..3"], "check-invariant": ["--group", group]}
+    return options.get(command, [])
+
+
+def test_cli_command_grid_exits_with_a_documented_code(tmp_path, capsys):
+    # every command under every kind of grading and module shape either
+    # answers or exits 2, 3 or 4: no exception escapes main
+    group = write(tmp_path, "swap.grp", SWAP_GROUP)
+    codes, escaped = [], []
+    for field, names, rank1, rank2 in _GRID_RINGS:
+        d = len(names)
+        for grading in _grid_gradings(d):
+            for module, rank in _grid_modules(d):
+                gens = "".join(f"gen {g}\n" for g in (rank1 if rank == 1 else rank2))
+                text = f"ring {field}: {' '.join(names)}\ngrading {grading}\n{module}{gens}"
+                path = write(tmp_path, "grid.mac", text)
+                for command in cli.COMMANDS:
+                    argv = [command, path, *_grid_options(command, rank, group)]
+                    try:
+                        codes.append(main(argv))
+                    except Exception as exc:  # reported together below, so one run shows every escape
+                        escaped.append(f"{command} on {text!r}: {exc!r}")
+                    capsys.readouterr()
+    assert escaped == []
+    assert set(codes) <= {0, 2, 3, 4} and {0, 3} <= set(codes)
+    assert len(codes) == len(_GRID_RINGS) * 5 * 6 * len(cli.COMMANDS)

@@ -710,3 +710,71 @@ def test_vanishing_inputs_teach_the_table_nothing(monkeypatch, R2, el, total2, c
     assert reducer._table == dict.fromkeys(m.term_map()) and entries == []
     assert reducer.normal_form(m)[0] == nf
     assert entries == list(m.term_map()) and None not in reducer._table.values()
+
+
+def _warm(X, spec):
+    """A Reducer whose table holds every monomial of its inputs, and those inputs."""
+    rng = random.Random(13)
+    elements = [random_element(X[0].ring, 1, rng) for _ in range(6)]
+    reducer = Reducer(X, spec)
+    for _ in range(2):
+        for m in elements:
+            reducer.normal_form(m)
+    return reducer, elements
+
+
+def test_table_entries_are_normal_forms_only(total2, circle_pair):
+    # an entry is the monomial's normal form as (term, coeff) pairs: its
+    # pass's steps are not kept
+    reducer, _ = _warm(circle_pair, total2)
+    reference = Reducer(circle_pair, total2)
+    assert reducer._table and None not in reducer._table.values()
+    for t, entry in reducer._table.items():
+        unit = ModuleElement.from_terms(reducer.ring, 1, {t: reducer.field.one})
+        assert entry == tuple(reference._reduce(unit, COMPLEMENT).final.term_map().items())
+
+
+def test_first_read_of_a_tabled_trace_runs_the_pass_once(monkeypatch, total2, circle_pair):
+    # a trace summed from the table runs the pass on its input when its
+    # steps are first read, on the Reducer that made it, and never again
+    reducer, elements = _warm(circle_pair, total2)
+    reference = Reducer(circle_pair, total2)
+    wants = [reference._reduce(m, COMPLEMENT) for m in elements]
+    calls = []
+    reduce = Reducer._reduce
+
+    def counting(self, m, *args, **kwargs):
+        calls.append((self, m))
+        return reduce(self, m, *args, **kwargs)
+
+    monkeypatch.setattr(Reducer, "_reduce", counting)
+    for m, want in zip(elements, wants):
+        nf, trace = reducer.normal_form(m)
+        assert calls == [] and "steps" not in vars(trace) and nf == want.final
+        steps = trace.steps
+        assert calls == [(reducer, m)] and steps == want.steps
+        assert trace.steps is steps and calls == [(reducer, m)]
+        calls.clear()
+
+
+@pytest.mark.parametrize("change", ["extend", "replace", "remove"])
+def test_tabled_trace_replays_on_a_fresh_reducer_after_a_change(count_reducers, el, total2, c4_triple, change):
+    # each mutator gives the Reducer a new X, so a trace taken before reads
+    # its steps from a fresh Reducer over the X it numbers
+    reducer, elements = _warm(c4_triple, total2)
+    reference = Reducer(c4_triple, total2)
+    wants = [reference._reduce(m, COMPLEMENT).steps for m in elements]
+    traces = [reducer.normal_form(m)[1] for m in elements]
+    if change == "extend":
+        reducer.extend([el("x1*x2 - x2 + 1")])
+    elif change == "replace":
+        reducer.replace(0, el("x1^2 + x2^2 + x1 - 2"))
+    else:
+        reducer.remove(1)
+    built = count_reducers()
+    for m, trace, want in zip(elements, traces, wants):
+        assert trace.steps == want
+        (fresh,) = built
+        assert fresh is not reducer and fresh.X == trace.X == c4_triple
+        assert trace.final + trace.representation_sum(trace.X) == m
+        built.clear()
