@@ -95,12 +95,20 @@ def eliminate(generators, elim: EliminationSpec, config=None):
 def schreyer_syzygy_basis(basis: MacaulayBasis, config=None) -> MacaulayBasis:
     """A Macaulay basis of Syz(m_1, ..., m_n) from a basis X = {m_i}.
 
-    Each homogeneous generator of the leading-form syzygies is lifted through
-    a reduction of its combination to zero, all against one Reducer over X.
-    The leading forms of the lifted set are those generators, so they
-    generate Syz(lf m_1, ..., lf m_n), and the lifted set is then a Macaulay
-    basis of the full syzygy module under the syzygy grading; the criterion
-    certificate checks this before the basis is returned.
+    Each homogeneous generator s of the leading-form syzygies is lifted
+    through a reduction of its combination sum s_i m_i to zero, all against
+    one Reducer over X (``_lift``).  The lifted set is certified by proof,
+    with no criterion run.  Lifting every generator of Syz(lf X) reduces
+    each combination the criterion on X reduces, so if all of them lift, X
+    passes the criterion; if one does not, ``_lift`` raises.  The top
+    degree of sum s_i m_i cancels, so every reduction step, and with it
+    every coordinate the lift subtracts, lies below the syzygy degree of s,
+    and the lift t has leading form s; this is checked for each t, as
+    completion checks each adjoined form, and a failure is a defect.  For a
+    Macaulay basis X, lf Syz(X) = Syz(lf X), which the s generate (the
+    paper's syzygy theorem; Schreyer's, Eisenbud Thm 15.10, under a term
+    order).  So the lifts are syzygies of X whose leading forms generate lf
+    Syz(X): a Macaulay basis of the syzygy module under the syzygy grading.
     """
     X = list(basis.elements)
     spec = basis.spec
@@ -114,11 +122,10 @@ def schreyer_syzygy_basis(basis: MacaulayBasis, config=None) -> MacaulayBasis:
         if not is_homogeneous(s, syzspec):
             raise UsageError("leading-form syzygy generators must be homogeneous")
     reducer = Reducer(X, spec, parts=parts)
-    lifted = [t for t in (_lift(s, reducer) for s in sygens) if not t.is_zero()]
-    certificate = buchberger_criterion(lifted, syzspec) if lifted else CriterionResult(True, None)
-    if not certificate.holds:
-        raise UsageError("lifted syzygies failed the criterion; input was not a Macaulay basis")
-    return MacaulayBasis(tuple(lifted), syzspec, basis.policy, False, certificate)
+    lifted = [_lift(s, reducer) for s in sygens]
+    if any(t.is_zero() or leading_form(t, syzspec).element != s for s, t in zip(sygens, lifted)):
+        raise AssertionError("a lifted syzygy lost its leading form")
+    return MacaulayBasis(tuple(lifted), syzspec, basis.policy, False, CriterionResult(True, None))
 
 
 # ---------------------------------------------------------------------------

@@ -359,9 +359,9 @@ def run_command(command, problem: ProblemFile, args) -> dict:
         if args.reduced:
             basis = interreduce(basis, spec)
         if args.certify:
-            # interreduce certified exactly these elements under this grading;
-            # completion's certificate was never computed
-            cert = basis.certificate if args.reduced else buchberger_criterion(list(basis.elements), spec)
+            # completion and interreduce certify by proof; this is an independent
+            # criterion run on the printed elements, on the Reducer they came from
+            cert = buchberger_criterion(list(basis.elements), spec, _reducer=basis._reducer)
             if not cert.holds:
                 raise UsageError("output failed recertification")
         doc["elements"] = _element_entries(basis.elements, spec)

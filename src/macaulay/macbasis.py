@@ -17,18 +17,18 @@ and Moeller's "new pairs only"), each built once, normalized, and put in
 canonical order from its lcm's key and its indices, unrendered
 (``canonical_order``).  Interreduction of a completion under the same
 grading object takes its elements and their leading parts from the
-completion's ``Reducer`` as they are.  Interreduction keeps one ``Reducer``
-from pass to pass while the canonical order holds, hands the last one to
-the closing criterion, and leaves the element being reduced out only at
-its own degree, the one workspace it can change.  An element that reduces
-to zero leaves the set and the ``Reducer`` at once, and the same pass goes
-on with the next element.  Interreduction ends after a pass that changes
-no leading form: each W_b(X), and the complement either policy fixes for
-it, depends on the leading forms alone, and an element that reduces to
-zero has its leading form in the W of the others, so dropping it changes
-no W_b.  A further pass would leave every element as it is (a reduced
-Groebner basis is one whose elements are each in normal form with respect
-to the others: Cox, Little and O'Shea, section 2.7).
+completion's ``Reducer`` as they are, and its certificate by proof.
+Interreduction keeps one ``Reducer`` from pass to pass while the canonical
+order holds, keeps the last one with its result, and leaves the element
+being reduced out only at its own degree, the one workspace it can change.
+An element that reduces to zero leaves the set and the ``Reducer`` at
+once, and the same pass goes on with the next element.  Interreduction
+ends after a pass that changes no leading form: each W_b(X), and the
+complement either policy fixes for it, depends on the leading forms alone,
+and an element that reduces to zero has its leading form in the W of the
+others, so dropping it changes no W_b.  A further pass would leave every
+element as it is (a reduced Groebner basis is one whose elements are each
+in normal form with respect to the others: Cox, Little and O'Shea, section 2.7).
 
 Syzygies of leading forms are produced two ways.  When every leading form is
 a single term, the pairwise lcm combinations generate (the classical S-pairs),
@@ -107,15 +107,14 @@ class CriterionResult(NamedTuple):
 class MacaulayBasis:
     """A certified Macaulay basis of the submodule its elements generate."""
 
-    # completion's leading parts of its distinct, normalized elements, for interreduce
-    _lf_parts = None
-
-    def __init__(self, elements, spec, policy, reduced, certificate):
+    def __init__(self, elements, spec, policy, reduced, certificate, _reducer=None):
         self.elements = tuple(elements)
         self.spec = spec
         self.policy = policy
         self.reduced = reduced
         self.certificate = certificate
+        # the Reducer over exactly these elements under spec, or None: --certify and interreduce reuse it
+        self._reducer = _reducer
 
     def __iter__(self):
         return iter(self.elements)
@@ -527,9 +526,7 @@ def buchberger_algorithm(generators, spec, config=None, *, _settled=0) -> Macaul
             added.append(nf)
             reducer.extend([nf], [part])
         if not added:
-            basis = MacaulayBasis(tuple(X), spec, policy, False, CriterionResult(True, None))
-            basis._lf_parts = tuple(reducer.lf_parts)
-            return basis
+            return MacaulayBasis(tuple(X), spec, policy, False, CriterionResult(True, None), _reducer=reducer)
         since = len(X)
         X.extend(added)
     raise ResourceLimitError("iteration cap exceeded", partial=tuple(X))
@@ -551,19 +548,37 @@ def interreduce(basis_or_elements, spec, policy=None) -> MacaulayBasis:
     over to the next pass while the canonical order stays the same, and is
     rebuilt only when it changes.  Under a term order the result is the
     reduced Groebner basis, which is unique whatever order the drops came
-    in.  The result generates the same submodule with the same leading-form
-    submodule and is certified against the criterion before being returned,
-    on the last pass's Reducer, or a fresh one if the closing reorder moved
-    an element; the certificate covers exactly the returned elements under
-    ``spec``.  A completion under this very ``spec`` object hands over its
-    leading parts, and its elements are not normalized again.
+    in.  A completion under this very ``spec`` object hands over its
+    elements and their leading parts as they are, on its ``_reducer``.
+
+    The result generates the same submodule M with the same leading-form
+    submodule.  Each step replaces an element m by m minus multiples of the
+    others, so M does not change.  At the top degree b of m, the
+    complement-mode step (or, under a term order, the division step) splits
+    lf m into the leading form of the new element, zero if the step removes
+    the whole of degree b, plus a part in W_b of the others.  So lf m lies
+    in the leading-form submodule of the new set, and <lf X> never shrinks
+    from one step to the next; neither does it when an element that reduces
+    to zero is dropped, since its leading form is in the W of the others.
+    For the result X', lf M = <lf X> is in <lf X'>, which is in lf M, so
+    X' is a Macaulay basis whenever X is.  Hence a ``MacaulayBasis`` under
+    this very ``spec`` object whose certificate holds passes its
+    certificate on by that proof, and no criterion runs.  Any other input,
+    a raw list, a basis under another spec object or one whose certificate
+    fails, is certified against the criterion on the last pass's Reducer,
+    or a fresh one if the closing reorder moved an element, and a failing
+    verdict raises.  The certificate covers exactly the returned elements
+    under ``spec``, and ``_reducer`` of the result is that last pass's
+    Reducer, None if the reorder moved an element or no pass ran.
     """
-    parts = None
+    parts, proved = None, False
     if isinstance(basis_or_elements, MacaulayBasis):
         elements = list(basis_or_elements.elements)
         policy = policy if policy is not None else basis_or_elements.policy
-        if basis_or_elements.spec is spec and basis_or_elements._lf_parts is not None:
-            parts = list(basis_or_elements._lf_parts)
+        if basis_or_elements.spec is spec:
+            proved = basis_or_elements.certificate.holds
+            if basis_or_elements._reducer is not None:
+                parts = list(basis_or_elements._reducer.lf_parts)
     else:
         elements = list(basis_or_elements)
     if parts is None:
@@ -600,10 +615,10 @@ def interreduce(basis_or_elements, spec, policy=None) -> MacaulayBasis:
     else:
         raise ResourceLimitError("interreduction did not stabilize", partial=tuple(elements))
 
-    certificate = buchberger_criterion(elements, spec, _reducer=reducer)
+    certificate = CriterionResult(True, None) if proved else buchberger_criterion(elements, spec, _reducer=reducer)
     if not certificate.holds:
         raise UsageError("interreduce requires a Macaulay basis")
-    return MacaulayBasis(tuple(elements), spec, policy, True, certificate)
+    return MacaulayBasis(tuple(elements), spec, policy, True, certificate, _reducer=reducer)
 
 
 def lift_syzygy(s: ModuleElement, X, spec) -> ModuleElement:

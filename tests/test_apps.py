@@ -1,6 +1,7 @@
 import json
 import random
 import re
+import time
 
 import pytest
 
@@ -25,7 +26,7 @@ from macaulay.apps import (
 from macaulay.cli import main, parse_problem
 from macaulay.errors import UsageError
 from macaulay.grading import BlockGrading, CoarseModuleGrading, SyzygyGrading, TotalDegreeGrading
-from macaulay.macbasis import buchberger_algorithm
+from macaulay.macbasis import buchberger_algorithm, interreduce, leading_syzygy_generators
 from macaulay.polymod import ModuleElement, PolyRing, degree_of, is_homogeneous, leading_form
 from macaulay.reduction import Reducer, dot
 from macaulay.symmetry import random_element
@@ -195,6 +196,24 @@ def test_schreyer_exactness_on_c4(R2, total2, c4_triple):
         assert dot(s, list(basis.elements)).is_zero()
     assert syz.certificate.holds
     assert isinstance(syz.spec, SyzygyGrading)
+
+
+def test_schreyer_cyclic4_total_degree(Q):
+    # the lifts are certified by their leading forms: no criterion runs on the
+    # syzygies, whose elimination route over R^4 + R^75 once ran out of memory
+    ring = PolyRing(Q, ("a", "b", "c", "d"))
+    spec = CoarseModuleGrading(TotalDegreeGrading(4), 1)
+    texts = ("a + b + c + d", "a*b + b*c + c*d + d*a", "a*b*c + b*c*d + c*d*a + d*a*b", "a*b*c*d - 1")
+    gens = [ModuleElement.from_polynomial(ring.parse(t)) for t in texts]
+    basis = interreduce(buchberger_algorithm(gens, spec), spec)
+    start = time.perf_counter()
+    syz = schreyer_syzygy_basis(basis)
+    elapsed = time.perf_counter() - start
+    X = list(basis.elements)
+    assert len(syz) == 10 and all(dot(t, X).is_zero() for t in syz)
+    lfs = [leading_form(m, spec).element for m in X]
+    assert [leading_form(t, syz.spec).element for t in syz] == leading_syzygy_generators(lfs, spec)
+    assert syz.certificate.holds and elapsed < 1.0
 
 
 # ---------------------------------------------------------------------------

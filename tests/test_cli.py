@@ -479,23 +479,38 @@ def test_equivariance_rejects_negative_samples():
 
 @pytest.mark.parametrize("flags", [["--reduced", "--certify"], ["--certify"], ["--reduced"]])
 def test_basis_runs_the_criterion_once(tmp_path, capsys, monkeypatch, flags):
-    # --reduced --certify takes interreduce's certificate of the printed
-    # elements; without --reduced the criterion runs for --certify alone
+    # completion and interreduce certify by proof, so only --certify runs the
+    # criterion: once, on the Reducer the printed elements were computed with
     from macaulay import macbasis
+    from macaulay.reduction import Reducer
 
-    calls = []
+    calls, bases = [], []
     criterion = macbasis.buchberger_criterion
 
     def counting(*args, **kwargs):
-        calls.append(args)
+        calls.append(kwargs)
         return criterion(*args, **kwargs)
+
+    def keeping(function):
+        def kept(*args, **kwargs):
+            bases.append(function(*args, **kwargs))
+            return bases[-1]
+
+        return kept
 
     monkeypatch.setattr(macbasis, "buchberger_criterion", counting)
     monkeypatch.setattr(cli, "buchberger_criterion", counting)
+    monkeypatch.setattr(cli, "buchberger_algorithm", keeping(cli.buchberger_algorithm))
+    monkeypatch.setattr(cli, "interreduce", keeping(cli.interreduce))
     path = write(tmp_path, "circle.mac", CIRCLE)
     code, out, _ = run_cli(tmp_path, capsys, "basis", path, *flags)
     assert code == 0 and "criterion: pass" in out
-    assert len(calls) == 1
+    assert len(bases) == (2 if "--reduced" in flags else 1)
+    if "--certify" not in flags:
+        assert calls == []
+        return
+    (kwargs,) = calls
+    assert isinstance(kwargs["_reducer"], Reducer) and kwargs["_reducer"] is bases[-1]._reducer
 
 
 def test_grading_verified_once_per_declaration(monkeypatch):

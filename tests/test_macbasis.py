@@ -715,15 +715,17 @@ def test_interreduce_keeps_its_reducer_for_the_criterion(Q, count_reducers):
 
 
 def test_interreduce_certificate_matches_a_fresh_criterion(Q, monkeypatch):
+    # a completion under this very grading passes its certificate on by
+    # proof: no criterion runs, and the verdict is a fresh criterion's
     drl3 = TermModuleGrading(TermOrderGrading.degrevlex(3), 1)
+    completed = buchberger_algorithm(_katsura3(Q), drl3)
     calls = _record_criterion(monkeypatch)
-    red = interreduce(buchberger_algorithm(_katsura3(Q), drl3), drl3)
-    (kwargs, got, fresh), = calls
-    assert isinstance(kwargs["_reducer"], Reducer) and got == fresh == red.certificate
+    red = interreduce(completed, drl3)
+    assert calls == []
+    assert red.certificate == buchberger_criterion(list(red.elements), drl3) == (True, None)
 
-    # the generators alone are no basis: the failing verdict, witness included,
-    # is the fresh Reducer's
-    calls.clear()
+    # the generators alone are no basis: the criterion runs, and the failing
+    # verdict, witness included, is the fresh Reducer's
     with pytest.raises(UsageError, match="requires a Macaulay basis"):
         interreduce(_katsura3(Q), drl3)
     (kwargs, got, fresh), = calls
