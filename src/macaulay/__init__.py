@@ -1,12 +1,12 @@
 """Macaulay bases of graded modules over polynomial rings, in exact arithmetic.
 
 The pieces, bottom up: ``coeff`` (Q and F_p), ``grading`` (totally ordered
-monoid gradings and refinements), ``polymod`` (sparse polynomials and module
-elements), ``gradlin`` (exact linear algebra on graded components),
-``reduction`` (the span and complement reduction relations), ``macbasis``
-(criterion, completion, interreduction, lifting), ``symmetry`` (matrix group
-actions), ``apps`` (elimination, syzygy bases, Hilbert functions,
-homogenization) and ``cli``.
+monoid gradings), ``polymod`` (sparse polynomials and module elements),
+``gradlin`` (exact linear algebra on graded components), ``reduction`` (the
+span and complement reduction relations), ``macbasis`` (criterion,
+completion, interreduction, lifting), ``symmetry`` (matrix group actions),
+``apps`` (elimination, syzygy bases, Hilbert functions, homogenization) and
+``cli``.
 """
 
 from .coeff import PrimeField, RationalField, field_from_spec
@@ -14,7 +14,6 @@ from .errors import MembershipError, ParseError, ResourceLimitError, UsageError
 from .grading import (
     BlockGrading,
     CoarseModuleGrading,
-    RefinementMap,
     SyzygyGrading,
     TermModuleGrading,
     TermOrderGrading,
@@ -61,7 +60,6 @@ __all__ = [
     "PrimeField",
     "RationalField",
     "Reducer",
-    "RefinementMap",
     "ResourceLimitError",
     "SyzygyGrading",
     "TermModuleGrading",

@@ -40,7 +40,6 @@ separately built gradings to be equal.
 """
 
 import operator
-import random
 from functools import cached_property
 from typing import NamedTuple
 
@@ -444,80 +443,6 @@ class SyzygyGrading(ModuleGrading):
 
     def __repr__(self):
         return f"SyzygyGrading(rank={self.rank})"
-
-
-# ---------------------------------------------------------------------------
-# refinements
-
-
-class RefinementMap:
-    """Order-preserving collapse of a fine grading onto a coarse one.
-
-    Carries the ring-degree map f and the module-degree map g as callables;
-    ``verify`` checks f(deg x^a) = deg' x^a, monotonicity and the
-    compatibility law g(a . b) = f(a) . g(b) on 100 samples of seed 0.
-    """
-
-    def __init__(self, source: ModuleGrading, target: ModuleGrading, ring_map, module_map):
-        self.source = source
-        self.target = target
-        self.ring_map = ring_map
-        self.module_map = module_map
-
-    def verify(self):
-        rng = random.Random(0)
-        d = self.source.ring.nvars
-        fails = []
-        for _ in range(100):
-            e1 = tuple(rng.randrange(0, 4) for _ in range(d))
-            e2 = tuple(rng.randrange(0, 4) for _ in range(d))
-            if self.ring_map(self.source.ring.degree(e1)) != self.target.ring.degree(e1):
-                fails.append(f"ring map fails at {e1}")
-                break
-            comp = rng.randrange(self.source.rank)
-            b = self.source.degree_of_term(comp, e2)
-            # compatibility: g(a.b) = f(a).g(b)
-            lhs = self.module_map(self.source.translate(b, e1))
-            rhs = self.target.translate(self.module_map(b), e1)
-            if lhs != rhs:
-                fails.append(f"compatibility fails at {e1} acting on {b}")
-                break
-            # monotonicity of g on a sampled comparable pair
-            b2 = self.source.degree_of_term(comp, tuple(rng.randrange(0, 4) for _ in range(d)))
-            if self.source.key(b) <= self.source.key(b2):
-                continue
-            if self.target.key(self.module_map(b)) < self.target.key(self.module_map(b2)):
-                fails.append(f"monotonicity fails at {b} > {b2}")
-                break
-        return OrderReport(passed=not fails, failures=tuple(fails))
-
-
-def total_refinement(fine: ModuleGrading, coarse: CoarseModuleGrading) -> RefinementMap:
-    """The collapse of a term-order module grading onto total degree.
-
-    Requires the fine shifts to sit over the coarse ones (equal exponent sums),
-    so the module map is simply (component, exponents) -> sum of exponents.
-    """
-    for i in range(fine.rank):
-        if sum(fine.shifts[i]) != coarse.shifts[i]:
-            raise UsageError("fine shifts must refine the coarse shifts")
-    return RefinementMap(
-        fine,
-        coarse,
-        ring_map=lambda v: sum(v),
-        module_map=lambda deg: sum(deg[1]),
-    )
-
-
-def syzygy_refinement(syz: SyzygyGrading) -> RefinementMap:
-    """The defining collapse of componentwise monomial degrees onto a syzygy grading, from degrevlex TOP."""
-    fine = TermModuleGrading(TermOrderGrading.degrevlex(syz.ring.nvars), syz.rank, tie=TOP)
-    return RefinementMap(
-        fine,
-        syz,
-        ring_map=lambda v: syz.ring.degree(v),
-        module_map=lambda deg: syz.degree_of_term(deg[0], deg[1]),
-    )
 
 
 def format_degree(deg) -> str:

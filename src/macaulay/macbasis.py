@@ -642,14 +642,15 @@ def _lift(s, reducer):
 
 
 def degree_profile(basis_or_elements, spec=None):
-    """Multiset of element degrees as a mapping degree -> count."""
-    if isinstance(basis_or_elements, MacaulayBasis):
-        elements = basis_or_elements.elements
-        spec = basis_or_elements.spec
-    else:
-        elements = list(basis_or_elements)
-        if spec is None:
+    """Multiset of element degrees under ``spec`` as a mapping degree -> count.
+
+    A ``MacaulayBasis`` supplies its own grading when ``spec`` is not given.
+    """
+    elements = list(basis_or_elements)
+    if spec is None:
+        if not isinstance(basis_or_elements, MacaulayBasis):
             raise UsageError("degree_profile needs a grading for a raw element list")
+        spec = basis_or_elements.spec
     profile = {}
     for m in elements:
         d = degree_of(m, spec)

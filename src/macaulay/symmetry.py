@@ -186,9 +186,11 @@ def random_element(ring, rank, rng: random.Random, max_degree: int = 6, terms: i
     return ModuleElement.from_terms(ring, rank, data)
 
 
-def check_equivariant_normal_form(
-    X, spec, action: GroupAction, samples: int = 50, seed: int = 0, max_degree: int = 6,
-) -> EquivarianceReport:
+# the highest total degree of a sampled element's terms in the equivariance check
+SAMPLE_MAX_DEGREE = 6
+
+
+def check_equivariant_normal_form(X, spec, action: GroupAction, samples: int = 50, seed: int = 0) -> EquivarianceReport:
     """Sample the law nf(g*m) = g*nf(m), bit-exactly, for all generators.
 
     Requires a homogeneous action and a complement that the action preserves:
@@ -215,7 +217,7 @@ def check_equivariant_normal_form(
     rank = X[0].rank
     bad = []
     for _ in range(samples):
-        m = random_element(action.ring, rank, rng, max_degree=max_degree)
+        m = random_element(action.ring, rank, rng, max_degree=SAMPLE_MAX_DEGREE)
         nf_m, _ = reducer.normal_form(m)
         for mat in action.generators:
             lhs, _ = reducer.normal_form(action.act(mat, m))

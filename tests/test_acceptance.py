@@ -207,9 +207,7 @@ def test_criterion_4_symmetry_of_spans():
 def test_criterion_5_equivariance():
     ring = make_ring()
     swap = GroupAction(ring, [permutation_matrix(2, (1, 2))])
-    result = check_equivariant_normal_form(
-        circle(ring), total_spec(), swap, samples=50, seed=23, max_degree=6
-    )
+    result = check_equivariant_normal_form(circle(ring), total_spec(), swap, samples=50, seed=23)
     report(5, result.equivariant, "normal form commutes with the swap on 50 samples")
 
 

@@ -3,20 +3,18 @@ import random
 
 import pytest
 
+from macaulay.apps import default_fine_grading
 from macaulay.errors import UsageError
 from macaulay.grading import (
     POT,
     TOP,
     BlockGrading,
     CoarseModuleGrading,
-    RefinementMap,
     SyzygyGrading,
     TermModuleGrading,
     TermOrderGrading,
     TotalDegreeGrading,
     degrevlex_key,
-    syzygy_refinement,
-    total_refinement,
     verify_monoid_order,
 )
 from macaulay.macbasis import buchberger_algorithm
@@ -183,27 +181,32 @@ def test_block_grading():
 def test_apply_refinement_examples():
     fine = TermModuleGrading(TermOrderGrading.degrevlex(2), 1)
     coarse = CoarseModuleGrading(TotalDegreeGrading(2), 1)
-    refmap = total_refinement(fine, coarse)
-    assert refmap.module_map((0, (2, 3))) == 5
-    assert refmap.module_map((0, (0, 0))) == 0
-    assert refmap.ring_map((2, 3)) == 5
-    assert refmap.verify().passed
+    assert sum(fine.degree_of_term(0, (2, 3))[1]) == coarse.degree_of_term(0, (2, 3)) == 5
+    assert sum(fine.degree_of_term(0, (0, 0))[1]) == coarse.degree_of_term(0, (0, 0)) == 0
 
     syz = SyzygyGrading(coarse, (2, 4))
     assert syz.degree_of_term(0, (0, 2)) == 4
     assert syz.degree_of_term(1, (0, 0)) == 4
-    sref = syzygy_refinement(syz)
-    assert sref.module_map((0, (0, 2))) == 4
-    assert sref.verify().passed
 
 
-def test_refinement_with_a_wrong_ring_map_fails_verify():
-    fine = TermModuleGrading(TermOrderGrading.degrevlex(2), 1)
-    coarse = CoarseModuleGrading(TotalDegreeGrading(2), 1)
-    # the module map is right, so only the ring map can fail
-    wrong = RefinementMap(fine, coarse, ring_map=lambda v: 0, module_map=total_refinement(fine, coarse).module_map)
-    report = wrong.verify()
-    assert not report.passed and report.failures[0].startswith("ring map fails at")
+@pytest.mark.parametrize("nvars", [1, 2, 3])
+@pytest.mark.parametrize("rank", [1, 2])
+def test_default_fine_grading_refines_exhaustively(nvars, rank):
+    # every module monomial up to degree 4, under every shift vector over {-1, 0, 1, 2}
+    exponents = [e for e in itertools.product(range(5), repeat=nvars) if sum(e) <= 4]
+    terms = [(comp, e) for comp in range(rank) for e in exponents]
+    for shifts in itertools.product((-1, 0, 1, 2), repeat=rank):
+        coarse = CoarseModuleGrading(TotalDegreeGrading(nvars), rank, shifts)
+        fine = default_fine_grading(coarse)
+        for term in terms:
+            assert sum(fine.degree_of_term(*term)[1]) == coarse.degree_of_term(*term)
+        # the fine keys are distinct, so checking neighbours in fine order checks every pair
+        keyed = sorted(
+            (fine.key(fine.degree_of_term(*term)), coarse.key(coarse.degree_of_term(*term))) for term in terms
+        )
+        fine_keys, coarse_keys = zip(*keyed)
+        assert len(set(fine_keys)) == len(terms)
+        assert list(coarse_keys) == sorted(coarse_keys)
 
 
 def test_enumerate_multipliers_examples(total2, drl2):

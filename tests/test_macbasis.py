@@ -468,9 +468,11 @@ def test_lift_requires_basis(R2, el, drl2, circle_pair):
         lift_syzygy(s, circle_pair, drl2)  # not a degrevlex basis
 
 
-def test_degree_profile_examples(el, total2, circle_pair):
+def test_degree_profile_examples(el, total2, drl2, circle_pair):
     red = interreduce(circle_pair, total2)
     assert degree_profile(red) == {2: 1, 4: 1}
+    # a grading passed with a basis is used, as it is for a list of its elements
+    assert degree_profile(red, drl2) == degree_profile(list(red), drl2) == {(0, (2, 0)): 1, (0, (4, 0)): 1}
     assert degree_profile([], total2) == {}
     with pytest.raises(UsageError, match="needs a grading"):
         degree_profile(list(red.elements))

@@ -12,7 +12,6 @@ from macaulay.grading import (
     TermModuleGrading,
     TermOrderGrading,
     TotalDegreeGrading,
-    total_refinement,
 )
 from macaulay.polymod import (
     ModuleElement,
@@ -101,13 +100,12 @@ def test_degree_action_monotone(R2, total2, drl2):
 def test_refined_degree_law(R2):
     fine = TermModuleGrading(TermOrderGrading.degrevlex(2), 1)
     coarse = CoarseModuleGrading(TotalDegreeGrading(2), 1)
-    refmap = total_refinement(fine, coarse)
     rng = random.Random(6)
     for _ in range(50):
         m = random_element(R2, 1, rng, max_degree=6, terms=5)
         if m.is_zero():
             continue
-        assert degree_of(m, coarse) == refmap.module_map(degree_of(m, fine))
+        assert degree_of(m, coarse) == sum(degree_of(m, fine)[1])
 
 
 def test_parse_print_round_trip(R2, R3):
