@@ -29,7 +29,7 @@ from .macbasis import (
     buchberger_algorithm,
     buchberger_criterion,
     leading_syzygy_generators,
-    lift_syzygy,  # noqa: F401  (re-exported: part of this module's namespace)
+    lift_syzygy,  # noqa: F401  (unused: perfbench/tracing.py wraps it; test_bench_hooks checks)
     syzygy_grading,
 )
 from .polymod import (
@@ -96,32 +96,31 @@ def schreyer_syzygy_basis(basis: MacaulayBasis, config=None) -> MacaulayBasis:
     """A Macaulay basis of Syz(m_1, ..., m_n) from a basis X = {m_i}.
 
     Each homogeneous generator s of the leading-form syzygies is lifted
-    through a reduction of its combination sum s_i m_i to zero, all against
-    one Reducer over X (``_lift``).  The lifted set is certified by proof,
-    with no criterion run.  Lifting every generator of Syz(lf X) reduces
-    each combination the criterion on X reduces, so if all of them lift, X
-    passes the criterion; if one does not, ``_lift`` raises.  The top
-    degree of sum s_i m_i cancels, so every reduction step, and with it
-    every coordinate the lift subtracts, lies below the syzygy degree of s,
-    and the lift t has leading form s; this is checked for each t, as
-    completion checks each adjoined form, and a failure is a defect.  For a
-    Macaulay basis X, lf Syz(X) = Syz(lf X), which the s generate (the
-    paper's syzygy theorem; Schreyer's, Eisenbud Thm 15.10, under a term
-    order).  So the lifts are syzygies of X whose leading forms generate lf
-    Syz(X): a Macaulay basis of the syzygy module under the syzygy grading.
+    through a reduction of its combination sum s_i m_i to zero (``_lift``)
+    on the basis's own Reducer, which gives lf X too; only a basis without
+    one gets a fresh Reducer.  The lifted set is certified by proof, with no
+    criterion run.  Lifting every generator of Syz(lf X) reduces each
+    combination the criterion on X reduces, so if all of them lift, X passes
+    the criterion; if one does not, ``_lift`` raises.  The top degree of sum
+    s_i m_i cancels, so every reduction step, and with it every coordinate
+    the lift subtracts, lies below the syzygy degree of s, and the lift t
+    has leading form s; this is checked for each t, as completion checks
+    each adjoined form, and a failure is a defect.  For a Macaulay basis X,
+    lf Syz(X) = Syz(lf X), which the s generate (the paper's syzygy theorem;
+    Schreyer's, Eisenbud Thm 15.10, under a term order).  So the lifts are
+    syzygies of X whose leading forms generate lf Syz(X): a Macaulay basis
+    of the syzygy module under the syzygy grading.
     """
-    X = list(basis.elements)
     spec = basis.spec
-    if not X:
+    if not basis.elements:
         raise UsageError("cannot take syzygies of an empty basis")
-    parts = [leading_form(m, spec) for m in X]
-    lf_elements = [p.element for p in parts]
+    reducer = basis._reducer if basis._reducer is not None else Reducer(basis.elements, spec)
+    lf_elements = [p.element for p in reducer.lf_parts]
     syzspec = syzygy_grading(spec, lf_elements)
     sygens = leading_syzygy_generators(lf_elements, spec, config)
     for s in sygens:
         if not is_homogeneous(s, syzspec):
             raise UsageError("leading-form syzygy generators must be homogeneous")
-    reducer = Reducer(X, spec, parts=parts)
     lifted = [_lift(s, reducer) for s in sygens]
     if any(t.is_zero() or leading_form(t, syzspec).element != s for s, t in zip(sygens, lifted)):
         raise AssertionError("a lifted syzygy lost its leading form")

@@ -74,6 +74,7 @@ from .grading import (
     TermModuleGrading,
     TermOrderGrading,
 )
+from .gradlin import check_policy, default_policy
 from .polymod import (
     HomogeneousPart,
     ModuleElement,
@@ -113,7 +114,7 @@ class MacaulayBasis:
         self.policy = policy
         self.reduced = reduced
         self.certificate = certificate
-        # the Reducer over exactly these elements under spec, or None: --certify and interreduce reuse it
+        # its own Reducer over exactly these elements under spec, or None: --certify, interreduce, syzygy reuse it
         self._reducer = _reducer
 
     def __iter__(self):
@@ -485,12 +486,12 @@ def buchberger_algorithm(generators, spec, config=None, *, _settled=0) -> Macaul
     iteration cap only guards against runaway inputs.  On the lcm path
     ``_combinations`` skips more pairs before they are reduced.
 
-    One ``Reducer`` serves every round.  Its leading forms feed the syzygy
-    generation, and on each adjoin ``Reducer.extend`` drops only the
-    workspaces the new leading form reaches; the others keep the same
-    generators in the same order, so every normal form is the one a fresh
-    Reducer over the grown set would give.  Each element's leading part is
-    found once, when it is normalized, and handed to the Reducer.
+    One ``Reducer`` serves every round and is the only record of X.  Its
+    leading forms feed the syzygy generation, and on each adjoin
+    ``Reducer.extend`` drops only the workspaces the new leading form
+    reaches; the others keep the same generators in the same order, so every
+    normal form is the one a fresh Reducer over the grown set would give.
+    It takes each leading part as its element is normalized.
 
     On the elimination route the round's inner completion is the last
     round's resumed (``_InnerBasis``, held here for the whole run).  That
@@ -501,49 +502,46 @@ def buchberger_algorithm(generators, spec, config=None, *, _settled=0) -> Macaul
     """
     config = config or BuchbergerConfig()
     parts = _distinct_normalized(generators, spec)
-    X = list(parts)
-    if not X:
+    if not parts:
         return MacaulayBasis((), spec, config.policy, True, CriterionResult(True, None))
 
-    reducer = Reducer(X, spec, config.policy, parts=parts.values())
-    policy = reducer.policy
+    reducer = Reducer(parts, spec, config.policy, parts=parts.values())
     since = _settled
     inner = _InnerBasis()
     for _ in range(config.max_iterations):
+        X = reducer.X  # the round's X: extend assigns a new list, so this one stays
         lfs = [p.element for p in reducer.lf_parts]
         sygens = leading_syzygy_generators(lfs, spec, config, since=since, _inner=inner)
-        added = []
         for _, v in _combinations(sygens, lfs, spec, X, since):
             nf, _ = reducer.normal_form(v)
             if nf.is_zero():
                 continue
             nf, part = _normalized(nf, spec)
             if config.degree_cap is not None and _syntactic_degree(nf) > config.degree_cap:
-                raise ResourceLimitError("degree cap exceeded", partial=tuple(X + added))
+                raise ResourceLimitError("degree cap exceeded", partial=tuple(reducer.X))
             # lf nf lies in W_b(X) exactly when a span step exists at b
             if reducer.span_step(part.element) is not None:
                 raise AssertionError("normal form left its leading form inside the workspace")
-            added.append(nf)
             reducer.extend([nf], [part])
-        if not added:
-            return MacaulayBasis(tuple(X), spec, policy, False, CriterionResult(True, None), _reducer=reducer)
+        if len(reducer.X) == len(X):
+            return MacaulayBasis(tuple(X), spec, reducer.policy, False, CriterionResult(True, None), _reducer=reducer)
         since = len(X)
-        X.extend(added)
-    raise ResourceLimitError("iteration cap exceeded", partial=tuple(X))
+    raise ResourceLimitError("iteration cap exceeded", partial=tuple(reducer.X))
 
 
 def interreduce(basis_or_elements, spec, policy=None) -> MacaulayBasis:
     """Reduce every element against the others until a fixed point.
 
     Each pass reduces the elements in canonical order against one
-    ``Reducer``.  An element that reduces to zero is dropped from the list
-    and from the Reducer (``Reducer.remove``), and the pass continues with
-    the element that moves into its place; survivors are normalized.  A
-    pass that changes no leading form ends the loop: every workspace and its
-    complement are then final (see the module docstring), so each element
-    is in normal form with respect to the others and another pass would
-    change nothing.  The canonical order is still restored, since a new tail
-    can move an element among those of its degree.  The Reducer, which
+    ``Reducer``, which holds the pass's elements and their leading parts.
+    An element that reduces to zero is dropped from it (``Reducer.remove``),
+    and the pass continues with the element that moves into its place;
+    survivors are normalized and put in place (``Reducer.replace``).  A pass
+    that changes no leading form ends the loop: every workspace and its
+    complement are then final (see the module docstring), so each element is
+    in normal form with respect to the others and another pass would change
+    nothing.  The canonical order is still restored, since a new tail can
+    move an element among those of its degree.  The Reducer, which
     ``replace`` and ``remove`` keep as if built on the current list, carries
     over to the next pass while the canonical order stays the same, and is
     rebuilt only when it changes.  Under a term order the result is the
@@ -560,16 +558,17 @@ def interreduce(basis_or_elements, spec, policy=None) -> MacaulayBasis:
     in the leading-form submodule of the new set, and <lf X> never shrinks
     from one step to the next; neither does it when an element that reduces
     to zero is dropped, since its leading form is in the W of the others.
-    For the result X', lf M = <lf X> is in <lf X'>, which is in lf M, so
-    X' is a Macaulay basis whenever X is.  Hence a ``MacaulayBasis`` under
-    this very ``spec`` object whose certificate holds passes its
-    certificate on by that proof, and no criterion runs.  Any other input,
-    a raw list, a basis under another spec object or one whose certificate
-    fails, is certified against the criterion on the last pass's Reducer,
-    or a fresh one if the closing reorder moved an element, and a failing
-    verdict raises.  The certificate covers exactly the returned elements
-    under ``spec``, and ``_reducer`` of the result is that last pass's
-    Reducer, None if the reorder moved an element or no pass ran.
+    For the result X', lf M = <lf X> is in <lf X'>, which is in lf M, so X'
+    is a Macaulay basis whenever X is.  Hence a ``MacaulayBasis`` under this
+    very ``spec`` object whose certificate holds passes its certificate on
+    by that proof, and no criterion runs.  Any other input, a raw list, a
+    basis under another spec object or one whose certificate fails, is
+    certified against the criterion on the last pass's Reducer, or a fresh
+    one if the closing reorder moved an element, and a failing verdict
+    raises.  The certificate covers exactly the returned elements under
+    ``spec``, and ``_reducer`` of the result is that last pass's Reducer,
+    None if the reorder moved an element or no pass ran.  The recorded
+    policy is the checked one a pass runs: ``policy``, the basis's, or default.
     """
     parts, proved = None, False
     if isinstance(basis_or_elements, MacaulayBasis):
@@ -578,12 +577,15 @@ def interreduce(basis_or_elements, spec, policy=None) -> MacaulayBasis:
         if basis_or_elements.spec is spec:
             proved = basis_or_elements.certificate.holds
             if basis_or_elements._reducer is not None:
-                parts = list(basis_or_elements._reducer.lf_parts)
+                parts = basis_or_elements._reducer.lf_parts
     else:
         elements = list(basis_or_elements)
     if parts is None:
         parts = _distinct_normalized(elements, spec)
         elements, parts = list(parts), list(parts.values())
+    if elements:
+        policy = policy if policy is not None else default_policy(elements[0].ring.field)
+        check_policy(policy, elements[0].ring.field)
 
     reducer = None
     settled = False
@@ -598,20 +600,18 @@ def interreduce(basis_or_elements, spec, policy=None) -> MacaulayBasis:
             reducer = Reducer(elements, spec, policy, parts=parts)
         settled = True
         idx = 0
-        while idx < len(elements):
-            nf, _ = reducer.normal_form(elements[idx], skip=idx)
+        while idx < len(reducer.X):
+            nf, _ = reducer.normal_form(reducer.X[idx], skip=idx)
             if nf.is_zero():
                 # the pass goes on with the next element, now at this index
-                elements.pop(idx)
-                parts.pop(idx)
                 reducer.remove(idx)
                 continue
             nf, part = _normalized(nf, spec)
-            if nf != elements[idx]:
-                settled = settled and part.element == parts[idx].element
-                elements[idx], parts[idx] = nf, part
+            if nf != reducer.X[idx]:
+                settled = settled and part.element == reducer.lf_parts[idx].element
                 reducer.replace(idx, nf, part)
             idx += 1
+        elements, parts = reducer.X, reducer.lf_parts
     else:
         raise ResourceLimitError("interreduction did not stabilize", partial=tuple(elements))
 

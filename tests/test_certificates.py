@@ -68,9 +68,12 @@ def _random_input(seed, field, rank):
 
 def _assert_lifts(basis, calls):
     """The Schreyer lifts of a basis: syzygies of it, led by the generators of
-    Syz(lf X), and certified as a fresh criterion certifies them, with no run."""
+    Syz(lf X), and certified as a fresh criterion certifies them, with no run.
+    Taken on the basis's own Reducer, they are those of a fresh Reducer."""
     spec = basis.spec
     syz = schreyer_syzygy_basis(basis)
+    bare = MacaulayBasis(basis.elements, spec, basis.policy, False, basis.certificate)
+    assert syz.elements == schreyer_syzygy_basis(bare).elements
     assert calls == []
     X = list(basis.elements)
     lfs = [leading_form(m, spec).element for m in X]

@@ -513,6 +513,24 @@ def test_basis_runs_the_criterion_once(tmp_path, capsys, monkeypatch, flags):
     assert isinstance(kwargs["_reducer"], Reducer) and kwargs["_reducer"] is bases[-1]._reducer
 
 
+def test_syzygy_lifts_on_the_completions_reducer(tmp_path, capsys, monkeypatch, count_reducers):
+    # the lifts reduce against the completion's own Reducer: no other
+    # Reducer is built over the completion's elements
+    bases = []
+
+    def keeping(*args, **kwargs):
+        bases.append(buchberger_algorithm(*args, **kwargs))
+        return bases[-1]
+
+    monkeypatch.setattr(cli, "buchberger_algorithm", keeping)
+    built = count_reducers()
+    path = write(tmp_path, "circle.mac", CIRCLE)
+    code, out, _ = run_cli(tmp_path, capsys, "syzygy", path)
+    assert code == 0 and "criterion: pass" in out
+    (basis,) = bases
+    assert len(basis) >= 2 and [r for r in built if r.X == list(basis.elements)] == [basis._reducer]
+
+
 def test_grading_verified_once_per_declaration(monkeypatch):
     calls = []
     verify = cli.verify_monoid_order

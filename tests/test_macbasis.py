@@ -9,9 +9,10 @@ from hypothesis import strategies as st
 from oracles import classic_buchberger, drl_key, ideals_equal, in_span, raw_element_vectors, raw_poly
 
 from macaulay import macbasis
+from macaulay.apps import schreyer_syzygy_basis
 from macaulay.coeff import PrimeField, RationalField
 from macaulay.errors import ResourceLimitError, UsageError
-from macaulay.gradlin import ORTHOGONAL, PIVOT
+from macaulay.gradlin import ORTHOGONAL, PIVOT, default_policy
 from macaulay.grading import CoarseModuleGrading, TermModuleGrading, TermOrderGrading, TotalDegreeGrading
 from macaulay.macbasis import (
     BuchbergerConfig,
@@ -882,6 +883,28 @@ def test_interreduce_reuses_the_completions_leading_parts(names, texts, total, m
     # an equal grading that is another object normalizes the elements afresh
     assert list(interreduce(basis, other).elements) == list(want.elements)
     assert calls == [spec, other]
+
+
+@pytest.mark.parametrize("field", [_Q, _FP], ids=repr)
+def test_interreduce_records_the_policy_it_ran(field):
+    # a raw list records the policy its passes ran, the field's default, as
+    # completion does; so does a one-element list, on which no pass runs,
+    # and the syzygy basis of the result passes it on
+    ring = PolyRing(field, ("x1", "x2"))
+    spec = CoarseModuleGrading(TotalDegreeGrading(2), 1)
+    circle = [ModuleElement.from_polynomial(ring.parse(t)) for t in ("x1^2 + x2^2 - 1", "x1^2*x2^2 - 1")]
+    basis = buchberger_algorithm(circle, spec)
+    assert basis.policy == basis._reducer.policy == default_policy(field)
+    red = interreduce(list(basis.elements), spec)
+    assert red.policy == red._reducer.policy == basis.policy
+    assert schreyer_syzygy_basis(red).policy == basis.policy
+    one = interreduce(list(basis.elements)[:1], spec)
+    assert one._reducer is None and one.policy == basis.policy
+    assert interreduce(list(basis.elements)[:1], spec, PIVOT).policy == PIVOT
+    # and checked as a Reducer checks it, though none is built
+    with pytest.raises(UsageError, match="unknown complement policy"):
+        interreduce(list(basis.elements)[:1], spec, "bogus")
+    assert interreduce([], spec).policy is None
 
 
 @pytest.mark.parametrize("field", [_Q, _FP], ids=repr)
